@@ -13,7 +13,7 @@ import random
 from arithsim.bitvec import BitVector
 from arithsim.cascade import cascade_add
 from arithsim.flash import fire_set, half_add, resolve
-from arithsim.multiplier import Schedule, multiply
+from arithsim.multiplier import MULTIPLIER_WIDTHS, Schedule, multiply
 
 
 def show_cascade(a: BitVector, b: BitVector) -> None:
@@ -69,7 +69,7 @@ def main() -> int:
     show_cascade(a, b)
     print()
     show_flash(a, b)
-    if args.width in (4, 8, 16, 32, 64):
+    if args.width in MULTIPLIER_WIDTHS:
         print()
         for schedule in Schedule:
             show_multiply(a, b, schedule)

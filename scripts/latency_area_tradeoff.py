@@ -14,9 +14,14 @@ import random
 from dataclasses import dataclass
 
 from arithsim.bitvec import BitVector
-from arithsim.cascade import cascade_add
-from arithsim.costs import Design, blocked_gate_split, cost_report, reference_table
-from arithsim.flash import blocked_add, double_width_add, flash_add
+from arithsim.cli import ADDERS
+from arithsim.costs import (
+    Design,
+    blocked_gate_split,
+    cost_report,
+    mult_hardware_estimate,
+    reference_table,
+)
 from arithsim.multiplier import Schedule
 
 
@@ -27,54 +32,20 @@ class SweepConfig:
     seed: int = 2024
 
 
-def _split(value: int, half: int) -> tuple[int, int]:
-    return value & ((1 << half) - 1), value >> half
-
-
 def run_design(design: Design, width: int, config: SweepConfig) -> tuple[int, str]:
-    """Random-sweep one design; returns (passes, simulated gate tally or -)."""
+    """Random-sweep one adder; returns (passes, simulated gate tally or -)."""
+    adder = ADDERS[design]
     rng = random.Random(config.seed ^ width)
     passes = 0
     tally = "-"
     for _ in range(config.samples):
         a = rng.getrandbits(width)
         b = rng.getrandbits(width)
-        if design is Design.CASCADE:
-            result = cascade_add(BitVector(width, a), BitVector(width, b))
-            got = result.sum.value + (result.carry << width)
-            tally = str(result.trace.special_and_gates)
-        elif design is Design.FLASH:
-            result = flash_add(BitVector(width, a), BitVector(width, b))
-            got = result.sum.value
-            tally = str(result.firings.gates_evaluated)
-        elif design is Design.FLASH_DOUBLE:
-            half = width // 2
-            a_lo, a_hi = _split(a, half)
-            b_lo, b_hi = _split(b, half)
-            got = double_width_add(
-                BitVector(half, a_lo), BitVector(half, a_hi),
-                BitVector(half, b_lo), BitVector(half, b_hi),
-            ).sum.value
-        else:
-            got = blocked_add(BitVector(width, a), BitVector(width, b)).sum.value
-        passes += got == a + b
+        sum_vec, carry, _, result = adder.run(BitVector(width, a), BitVector(width, b))
+        passes += (sum_vec.value | carry << width) == a + b
+        if adder.gates is not None:
+            tally = str(adder.gates(result))
     return passes, tally
-
-
-def supported(design: Design, width: int) -> bool:
-    if design is Design.CASCADE:
-        return width >= 2 and width & (width - 1) == 0
-    if design is Design.FLASH_DOUBLE:
-        return width % 2 == 0
-    if design is Design.BLOCKED_DOUBLE:
-        half = width // 2
-        return (
-            width % 2 == 0
-            and half >= 1
-            and half & (half - 1) == 0
-            and (half.bit_length() - 1) % 2 == 0
-        )
-    return True
 
 
 def main() -> int:
@@ -89,16 +60,16 @@ def main() -> int:
         seed=args.seed,
     )
 
-    adders = (Design.CASCADE, Design.FLASH, Design.FLASH_DOUBLE, Design.BLOCKED_DOUBLE)
     print(
         f"{'design':16s} {'width':>5s} {'gates':>7s} {'tally':>7s} "
         f"{'ticks':>5s} {'checked':>8s}"
     )
     for width in config.widths:
-        for design in adders:
-            if not supported(design, width):
+        for design in ADDERS:
+            try:
+                report = cost_report(design, width)  # applies the design's width rule
+            except ValueError:
                 continue
-            report = cost_report(design, width)
             passes, tally = run_design(design, width, config)
             if passes != config.samples:
                 raise SystemExit(f"{design.value} width {width}: {passes} passes")
@@ -117,11 +88,10 @@ def main() -> int:
     in_block, cross_block = blocked_gate_split(64)
     print(f"blocked 128-bit split: {in_block} in-block + {cross_block} cross-block")
     for schedule in Schedule:
-        design = Design.MULT_SCHEDULE_A if schedule is Schedule.A else Design.MULT_SCHEDULE_B
-        report = cost_report(design, 64)
+        estimate = mult_hardware_estimate(schedule)
         print(
-            f"mult 64-bit {schedule.value}: {report.memory_entries} memory entries, "
-            f"{report.ticks} ticks"
+            f"mult 64-bit {schedule.value}: {estimate.total_memory_entries()} memory entries, "
+            f"{estimate.ticks} ticks"
         )
 
     print()

@@ -8,12 +8,15 @@ be shared freely between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
 # Arbitrary-precision nonnegative integer: the ground truth every simulated
 # circuit is checked against. Python ints already have the right semantics.
 WideValue = int
+
+_HEX = re.compile("[0-9a-fA-F]+")
 
 
 class ModelIntegrityError(RuntimeError):
@@ -48,14 +51,11 @@ class BitVector:
 
     @classmethod
     def from_hex(cls, text: str, width: int) -> BitVector:
-        """Parse unprefixed hex text into a width-checked vector."""
-        try:
-            value = int(text, 16)
-        except (ValueError, TypeError):
-            raise ValueError(f"malformed hex string: {text!r}") from None
-        if value < 0:
-            raise ValueError(f"hex value must be nonnegative, got {text!r}")
-        return cls(width, value)
+        """Parse unprefixed hex text (digits 0-9, a-f, A-F only) into a
+        width-checked vector."""
+        if not isinstance(text, str) or not _HEX.fullmatch(text):
+            raise ValueError(f"malformed hex string: {text!r}")
+        return cls(width, int(text, 16))
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -66,6 +66,16 @@ class BitVector:
         if not 0 <= index < self.width:
             raise ValueError(f"bit index {index} out of range for width {self.width}")
         return (self.value >> index) & 1
+
+    def halves(self) -> tuple[BitVector, BitVector]:
+        """The (low, high) N-bit halves of a 2N-bit vector."""
+        if self.width % 2:
+            raise ValueError(f"cannot halve odd width {self.width}")
+        half = self.width // 2
+        return (
+            BitVector(half, self.value & ((1 << half) - 1)),
+            BitVector(half, self.value >> half),
+        )
 
     def to_hex(self) -> str:
         """Lowercase hex, zero-padded to the width's nibble count, no prefix."""
@@ -111,3 +121,16 @@ def lowest_zero_index(value: int) -> int:
     if value < 0:
         raise ValueError("value must be nonnegative")
     return (value ^ (value + 1)).bit_length() - 1
+
+
+def increment_mask(value: int, i: int = 0) -> int:
+    """The bits to complement in a nonnegative integer to add 2**i to it.
+
+    The trailing-ones detector finds the lowest 0 bit j >= i; complementing
+    bits i..j is the one-tick increment, so value ^ increment_mask(value, i)
+    == value + 2**i (Warren, Hacker's Delight, section 2-1).
+    """
+    if value < 0:
+        raise ValueError("value must be nonnegative")
+    m = value >> i
+    return (m ^ (m + 1)) << i

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitvec import BitVector, ModelIntegrityError, lowest_zero_index
+from .bitvec import BitVector, ModelIntegrityError, increment_mask
 
 LEAF_TICKS = 1
 STEP_TICKS = 1
@@ -126,6 +126,20 @@ class CascadeResult:
     trace: CascadeTrace
 
 
+def _pair_add_leaves(a: int, b: int, width: int) -> tuple[int, tuple[int, ...]]:
+    """One tick of 16-entry lookups over every bit pair of two even-width
+    values: returns the two-bit pair sums packed into one word and the
+    pair carries, lowest pair first."""
+    sums = 0
+    carries = []
+    for i in range(width // 2):
+        index = ((a >> (2 * i)) & 3) | (((b >> (2 * i)) & 3) << 2)
+        pair_sum, carry = PAIR_ADD_TABLE[index]
+        sums |= pair_sum << (2 * i)
+        carries.append(carry)
+    return sums, tuple(carries)
+
+
 def leaf_init(a: BitVector, b: BitVector) -> CascadeState:
     """Tick 1: add all bit pairs through the 16-entry lookup units."""
     if a.width != b.width:
@@ -133,19 +147,12 @@ def leaf_init(a: BitVector, b: BitVector) -> CascadeState:
     width = a.width
     if width < 2 or width & (width - 1):
         raise ValueError(f"width must be a power of two >= 2, got {width}")
-    k = width.bit_length() - 1
-    sums = 0
-    carries = []
-    for i in range(width // 2):
-        index = ((a.value >> (2 * i)) & 3) | (((b.value >> (2 * i)) & 3) << 2)
-        pair_sum, carry = PAIR_ADD_TABLE[index]
-        sums |= pair_sum << (2 * i)
-        carries.append(carry)
+    sums, carries = _pair_add_leaves(a.value, b.value, width)
     return CascadeState(
-        k=k,
+        k=width.bit_length() - 1,
         level=1,
         sums=BitVector(width, sums),
-        carries=tuple(carries),
+        carries=carries,
         a=a,
         b=b,
     )
@@ -170,8 +177,7 @@ def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVecto
     if not inc:
         return word, high_carry
     full = word.value | (high_carry << w)
-    j = lowest_zero_index(full)  # j <= w by the saturation bound
-    full ^= (2 << j) - 1  # complement bits 0..j: exactly +1
+    full ^= increment_mask(full)  # the run stops at or below bit w by the saturation bound
     return BitVector(w, full & ((1 << w) - 1)), full >> w
 
 

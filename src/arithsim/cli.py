@@ -11,31 +11,38 @@ Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import random
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
 
-from .bitvec import BitVector, oracle_add, oracle_mul
+from .bitvec import BitVector, ModelIntegrityError, oracle_add, oracle_mul
 from .cascade import cascade_add
-from .costs import Design, cost_report, reference_table
+from .costs import Design, check_width, cost_report, reference_table
 from .flash import blocked_add, double_width_add, flash_add
-from .multiplier import PUBLISHED_ROW_COUNT, RowSet, Schedule, consolidate, multiply
+from .multiplier import (
+    PUBLISHED_ROW_COUNT,
+    RowSet,
+    Schedule,
+    check_multiplier_width,
+    consolidate,
+    multiply,
+)
 
 # random.Random is CPython's Mersenne Twister; the name travels in every
 # report header so sweeps can be re-run bit for bit.
 GENERATOR_NAME = "mt19937"
 FORMAT_ENV_VAR = "ARITHSIM_FORMAT"
 
-ADDER_DESIGNS = ("cascade", "flash", "flash_double", "blocked_double")
 EXHAUSTIVE_ADDER_WIDTH = 8
 EXHAUSTIVE_MULT_WIDTH = 4
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
-    design: str = "flash"
+    design: str = Design.FLASH.value
     width: int = 64
     schedule: Schedule = Schedule.B
     trials: int = 10000
@@ -51,76 +58,94 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
 
+class Adder(NamedTuple):
+    """How the CLI runs and shows one adder design.
+
+    `run(a, b)` returns (display sum, carry bit, ticks, raw result). The
+    display sum is the design's natural output: N bits with the carry held
+    separately for the cascade, N+1 bits with the carry on top for the
+    others. `--trace` prints one `label` record, or one `template` line, per
+    field dict that `trace(raw result)` yields. `gates(raw result)` is the
+    simulator's live gate tally, where it keeps one.
+    """
+
+    run: Callable[[BitVector, BitVector], tuple]
+    label: str
+    template: str
+    trace: Callable[[object], Iterable[dict]]
+    gates: Callable[[object], int] | None = None
+
+
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _carry_on_top(result, width: int) -> tuple:
+    return result.sum, result.sum.bit(width), result.ticks, result
+
+
+def _run_cascade(a: BitVector, b: BitVector) -> tuple:
+    result = cascade_add(a, b)
+    return result.sum, result.carry, result.trace.ticks, result
+
+
+# The simulators are looked up in this module's globals at call time, so a
+# wrapper installed there (a tracer, a test's fault) is the one that runs.
+ADDERS = {
+    Design.CASCADE: Adder(
+        run=_run_cascade,
+        label="level",
+        template="level {level}: sums={sums} carries={carries}",
+        trace=lambda r: (
+            dict(rec, carries=_joined(rec["carries"])) for rec in r.trace.to_records()
+        ),
+        gates=lambda r: r.trace.special_and_gates,
+    ),
+    Design.FLASH: Adder(
+        run=lambda a, b: _carry_on_top(flash_add(a, b), a.width),
+        label="firings",
+        template="firings: [{pairs}] gates={gates}",
+        trace=lambda r: [
+            dict(pairs=",".join(f"{i}:{j}" for i, j in r.firings),
+                 gates=r.firings.gates_evaluated)
+        ],
+        gates=lambda r: r.firings.gates_evaluated,
+    ),
+    Design.FLASH_DOUBLE: Adder(
+        run=lambda a, b: _carry_on_top(double_width_add(*a.halves(), *b.halves()), a.width),
+        label="halves",
+        template="cross carry: {cross_carry}",
+        trace=lambda r: [dict(cross_carry=r.cross_carry)],
+    ),
+    Design.BLOCKED_DOUBLE: Adder(
+        run=lambda a, b: _carry_on_top(blocked_add(a, b), a.width),
+        label="block_carries",
+        template="block carries: [{bits}]",
+        trace=lambda r: [dict(bits=_joined(r.block_carries))],
+    ),
+}
+ADDER_DESIGNS = tuple(design.value for design in ADDERS)
+
+
 def _record(__label: str, **fields) -> str:
     parts = [f"record={__label}"]
     parts.extend(f"{key}={value}" for key, value in fields.items())
     return " ".join(parts)
 
 
-def _require_power_of_two(width: int, design: str) -> None:
-    if width < 2 or width & (width - 1):
-        raise ValueError(f"{design} needs a power-of-two width >= 2, got {width}")
-
-
-def _split_halves(vec: BitVector) -> tuple[BitVector, BitVector]:
-    half = vec.width // 2
-    return (
-        BitVector(half, vec.value & ((1 << half) - 1)),
-        BitVector(half, vec.value >> half),
-    )
-
-
-def _run_adder(design: str, a: BitVector, b: BitVector):
-    """Returns (display sum, carry bit, ticks, extras). The display sum is
-    the design's natural output: N bits with the carry held separately for
-    the cascade, N+1 bits with the carry on top for the others."""
-    if design == "cascade":
-        result = cascade_add(a, b)
-        return result.sum, result.carry, result.trace.ticks, result
-    if design == "flash":
-        result = flash_add(a, b)
-        return result.sum, result.sum.bit(a.width), result.ticks, result
-    if design == "flash_double":
-        a_lo, a_hi = _split_halves(a)
-        b_lo, b_hi = _split_halves(b)
-        result = double_width_add(a_lo, a_hi, b_lo, b_hi)
-        return result.sum, result.sum.bit(a.width), result.ticks, result
-    if design == "blocked_double":
-        result = blocked_add(a, b)
-        return result.sum, result.sum.bit(a.width), result.ticks, result
-    raise ValueError(f"unknown adder design {design!r}")
-
-
-def _adder_total(design: str, sum_vec: BitVector, carry: int, width: int) -> int:
-    """Full value including the carry, for checking against the oracle."""
-    if design == "cascade":
-        return sum_vec.value | (carry << width)
-    return sum_vec.value
-
-
-def _validate_adder_width(design: str, width: int) -> None:
-    if design in ("cascade", "flash"):
-        _require_power_of_two(width, design)
-    elif design == "flash_double":
-        _require_power_of_two(width, design)
-    elif design == "blocked_double":
-        if width % 2:
-            raise ValueError(f"blocked_double needs an even width, got {width}")
-        half = width // 2
-        if half & (half - 1) or (half.bit_length() - 1) % 2:
-            raise ValueError(
-                f"blocked_double needs a power-of-four half-width, got {half}"
-            )
-    else:
-        raise ValueError(f"unknown adder design {design!r}")
+def _adder(config: RunConfig) -> Adder:
+    design = Design(config.design)
+    check_width(design, config.width)
+    return ADDERS[design]
 
 
 def cmd_add(config: RunConfig, a_hex: str, b_hex: str, trace: bool = False) -> int:
-    _validate_adder_width(config.design, config.width)
+    adder = _adder(config)
     a = BitVector.from_hex(a_hex, config.width)
     b = BitVector.from_hex(b_hex, config.width)
-    sum_vec, carry, ticks, extras = _run_adder(config.design, a, b)
-    if config.output_format == "structured":
+    sum_vec, carry, ticks, result = adder.run(a, b)
+    structured = config.output_format == "structured"
+    if structured:
         print(
             _record(
                 "add",
@@ -141,36 +166,9 @@ def cmd_add(config: RunConfig, a_hex: str, b_hex: str, trace: bool = False) -> i
         print(f"carry  = {carry}")
         print(f"ticks  = {ticks}")
     if trace:
-        _print_trace(config, extras)
+        for fields in adder.trace(result):
+            print(_record(adder.label, **fields) if structured else adder.template.format(**fields))
     return 0
-
-
-def _print_trace(config: RunConfig, extras) -> None:
-    structured = config.output_format == "structured"
-    if config.design == "cascade":
-        for rec in extras.trace.to_records():
-            carries = ",".join(str(c) for c in rec["carries"])
-            if structured:
-                print(_record("level", level=rec["level"], sums=rec["sums"], carries=carries))
-            else:
-                print(f"level {rec['level']}: sums={rec['sums']} carries={carries}")
-    elif config.design == "flash":
-        pairs = ",".join(f"{i}:{j}" for i, j in extras.firings)
-        if structured:
-            print(_record("firings", pairs=pairs, gates=extras.firings.gates_evaluated))
-        else:
-            print(f"firings: [{pairs}] gates={extras.firings.gates_evaluated}")
-    elif config.design == "flash_double":
-        if structured:
-            print(_record("halves", cross_carry=extras.cross_carry))
-        else:
-            print(f"cross carry: {extras.cross_carry}")
-    elif config.design == "blocked_double":
-        bits = ",".join(str(c) for c in extras.block_carries)
-        if structured:
-            print(_record("block_carries", bits=bits))
-        else:
-            print(f"block carries: [{bits}]")
 
 
 def cmd_mul(config: RunConfig, a_hex: str, b_hex: str) -> int:
@@ -201,42 +199,37 @@ def cmd_mul(config: RunConfig, a_hex: str, b_hex: str) -> int:
     return 0
 
 
-def _verify_trials(config: RunConfig):
-    """Yield (a, b) value pairs: exhaustive at small widths, else seeded."""
-    limit = EXHAUSTIVE_MULT_WIDTH if config.design == "mult" else EXHAUSTIVE_ADDER_WIDTH
-    if config.width <= limit:
-        space = 1 << config.width
-        for a in range(space):
-            for b in range(space):
-                yield a, b
-    else:
-        rng = random.Random(config.seed)
-        for _ in range(config.trials):
-            yield rng.getrandbits(config.width), rng.getrandbits(config.width)
+def _verify_pairs(config: RunConfig, exhaustive: bool):
+    """(a, b) value pairs: all of them when exhaustive, else seeded random ones."""
+    if exhaustive:
+        return itertools.product(range(1 << config.width), repeat=2)
+    rng = random.Random(config.seed)
+    width = config.width
+    return ((rng.getrandbits(width), rng.getrandbits(width)) for _ in range(config.trials))
 
 
 def cmd_verify(config: RunConfig) -> int:
+    """Check every pair against the oracle. A model break counts as a failed
+    pair; its counterexample names the operands and the error, with spaces
+    in the error text turned into underscores to keep the record one line of
+    key=value fields."""
     if config.design == "mult":
-        if config.width > EXHAUSTIVE_MULT_WIDTH and config.width not in (8, 16, 32, 64):
-            raise ValueError(f"multiplier verify supports widths 4-64, got {config.width}")
+        check_multiplier_width(config.width)
+        schedule = config.schedule
 
-        def check(a: int, b: int) -> tuple[int, int]:
-            got = multiply(
-                BitVector(config.width, a), BitVector(config.width, b), config.schedule
-            ).product.value
-            return got, oracle_mul(a, b)
+        def run(a: BitVector, b: BitVector) -> int:
+            return multiply(a, b, schedule).product.value
 
+        oracle, limit, schedule_field = oracle_mul, EXHAUSTIVE_MULT_WIDTH, schedule.value
     else:
-        _validate_adder_width(config.design, config.width)
+        run_adder = _adder(config).run
 
-        def check(a: int, b: int) -> tuple[int, int]:
-            sum_vec, carry, _, _ = _run_adder(
-                config.design, BitVector(config.width, a), BitVector(config.width, b)
-            )
-            got = _adder_total(config.design, sum_vec, carry, config.width)
-            return got, oracle_add(a, b)
+        def run(a: BitVector, b: BitVector) -> int:
+            sum_vec, carry, _, _ = run_adder(a, b)
+            return sum_vec.value | carry << a.width
 
-    limit = EXHAUSTIVE_MULT_WIDTH if config.design == "mult" else EXHAUSTIVE_ADDER_WIDTH
+        oracle, limit, schedule_field = oracle_add, EXHAUSTIVE_ADDER_WIDTH, "-"
+
     exhaustive = config.width <= limit
     total = (1 << config.width) ** 2 if exhaustive else config.trials
     mode = "exhaustive" if exhaustive else "random"
@@ -245,7 +238,7 @@ def cmd_verify(config: RunConfig) -> int:
         command="verify",
         design=config.design,
         width=config.width,
-        schedule=config.schedule.value if config.design == "mult" else "-",
+        schedule=schedule_field,
         mode=mode,
         trials=total,
         seed="-" if exhaustive else config.seed,
@@ -259,25 +252,29 @@ def cmd_verify(config: RunConfig) -> int:
 
     passed = 0
     failed = 0
-    first = None
-    for a, b in _verify_trials(config):
-        got, want = check(a, b)
+    counterexample = None
+    width = config.width
+    for a, b in _verify_pairs(config, exhaustive):
+        try:
+            got = run(BitVector(width, a), BitVector(width, b))
+        except ModelIntegrityError as exc:
+            failed += 1
+            if counterexample is None:
+                error = "_".join(f"{type(exc).__name__}: {exc}".split())
+                counterexample = f"a={a:x},b={b:x},error={error}"
+            continue
+        want = oracle(a, b)
         if got == want:
             passed += 1
         else:
             failed += 1
-            if first is None:
-                first = (a, b, got, want)
-    if first is None:
-        counterexample = "-"
-    else:
-        a, b, got, want = first
-        counterexample = f"a={a:x},b={b:x},got={got:x},want={want:x}"
+            if counterexample is None:
+                counterexample = f"a={a:x},b={b:x},got={got:x},want={want:x}"
     if structured:
-        print(_record("verify", passed=passed, failed=failed, counterexample=counterexample))
+        print(_record("verify", passed=passed, failed=failed, counterexample=counterexample or "-"))
     else:
         print(f"result: {passed}/{passed + failed} pass")
-        if first is not None:
+        if counterexample is not None:
             print(f"first counterexample: {counterexample}")
     return 0 if failed == 0 else 1
 
@@ -365,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     add = sub.add_parser("add", parents=[common], help="add two hex operands")
-    add.add_argument("--design", choices=ADDER_DESIGNS, default="flash")
+    add.add_argument("--design", choices=ADDER_DESIGNS, default=Design.FLASH.value)
     add.add_argument("--width", type=int, required=True)
     add.add_argument("--trace", action="store_true", help="print the level trace or fire set")
     add.add_argument("a_hex")
@@ -405,7 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "add":
             config = RunConfig(
-                command="add",
                 design=args.design,
                 width=args.width,
                 output_format=output_format,
@@ -413,7 +409,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_add(config, args.a_hex, args.b_hex, trace=args.trace)
         if args.command == "mul":
             config = RunConfig(
-                command="mul",
                 width=args.width,
                 schedule=Schedule(args.schedule),
                 output_format=output_format,
@@ -421,7 +416,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_mul(config, args.a_hex, args.b_hex)
         if args.command == "verify":
             config = RunConfig(
-                command="verify",
                 design=args.design,
                 width=args.width,
                 schedule=Schedule(args.schedule),
@@ -434,7 +428,6 @@ def main(argv: list[str] | None = None) -> int:
             if not args.table and (args.design is None or args.width is None):
                 raise ValueError("cost needs --design and --width, or --table")
             config = RunConfig(
-                command="cost",
                 design=args.design or Design.FLASH.value,
                 width=args.width or 64,
                 output_format=output_format,
@@ -442,7 +435,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_cost(config, table=args.table)
         if args.command == "schedule":
             config = RunConfig(
-                command="schedule",
                 schedule=Schedule(args.schedule),
                 output_format=output_format,
             )

@@ -29,6 +29,40 @@ class Design(str, Enum):
     MULT_SCHEDULE_B = "mult_schedule_b"
 
 
+# Per adder: the operand widths it accepts, as its simulator implements them
+# (a phrase for error messages, then the test), and its cost at such a width
+# as (special AND gates, ticks).
+_ADDERS = {
+    Design.CASCADE: (
+        "a power-of-two width >= 2",
+        lambda w: w >= 2 and not w & (w - 1),
+        lambda w: (cascade_gates(w.bit_length() - 1), w.bit_length() - 1),
+    ),
+    Design.FLASH: (
+        "a width >= 1",
+        lambda w: w >= 1,
+        lambda w: (flash_gates(w), flash.FLASH_ADD_TICKS),
+    ),
+    Design.FLASH_DOUBLE: (
+        "an even width >= 2",
+        lambda w: w >= 2 and not w % 2,
+        lambda w: (double_width_gates(w // 2), flash.DOUBLE_WIDTH_TICKS),
+    ),
+    Design.BLOCKED_DOUBLE: (
+        "an even width whose half is a power-of-four",
+        lambda w: not w % 2 and flash.is_power_of_four(w // 2),
+        lambda w: (blocked_gates(w // 2), flash.BLOCKED_TICKS),
+    ),
+}
+
+
+def check_width(design: Design, width: int) -> None:
+    """Raise ValueError unless the adder `design` takes `width`-bit operands."""
+    needs, accepts, _ = _ADDERS[design]
+    if not accepts(width):
+        raise ValueError(f"{design.value} needs {needs}, got {width}")
+
+
 @dataclass(frozen=True)
 class CostReport:
     design: Design
@@ -57,20 +91,6 @@ class MultiplierEstimate:
             self.csa_memory_entries
             + self.quantizer_memory_entries
             + self.second_stage_memory_entries
-        )
-
-    def as_cost_report(self) -> CostReport:
-        design = (
-            Design.MULT_SCHEDULE_A
-            if self.schedule is Schedule.A
-            else Design.MULT_SCHEDULE_B
-        )
-        return CostReport(
-            design=design,
-            width=self.width,
-            special_and_gates=0,
-            memory_entries=self.total_memory_entries(),
-            ticks=self.ticks,
         )
 
 
@@ -132,8 +152,9 @@ def blocked_gate_split(n: int) -> tuple[int, int]:
     = N sqrt(N) + N/2; the cross-block stage averages N - sqrt(N) + 1 gates
     over sqrt(N) block carries = N sqrt(N) - N + sqrt(N).
     """
-    if n < 1 or n & (n - 1) or (n.bit_length() - 1) % 2:
-        raise ValueError(f"half-width must be a power of four, got {n}")
+    if n < 4 or not flash.is_power_of_four(n):
+        # at N = 1 the N/2 term is not integral and the two forms disagree
+        raise ValueError(f"half-width must be a power of four >= 4, got {n}")
     root = isqrt(n)
     in_block = n * root + n // 2
     cross_block = n * root - n + root
@@ -273,27 +294,14 @@ def schedule_comparison() -> ScheduleComparison:
 
 def cost_report(design: Design, width: int) -> CostReport:
     """One design's budget at one operand width."""
-    if design is Design.CASCADE:
-        if width < 2 or width & (width - 1):
-            raise ValueError(f"cascade width must be a power of two >= 2, got {width}")
-        k = width.bit_length() - 1
-        return CostReport(design, width, cascade_gates(k), 0, k)
-    if design is Design.FLASH:
-        return CostReport(design, width, flash_gates(width), 0, flash.FLASH_ADD_TICKS)
-    if design is Design.FLASH_DOUBLE:
-        if width % 2:
-            raise ValueError(f"double-width design needs an even width, got {width}")
-        return CostReport(
-            design, width, double_width_gates(width // 2), 0, flash.DOUBLE_WIDTH_TICKS
-        )
-    if design is Design.BLOCKED_DOUBLE:
-        if width % 2:
-            raise ValueError(f"blocked design needs an even width, got {width}")
-        return CostReport(
-            design, width, blocked_gates(width // 2), 0, flash.BLOCKED_TICKS
-        )
+    if design in _ADDERS:
+        check_width(design, width)
+        _, _, cost = _ADDERS[design]
+        gates, ticks = cost(width)
+        return CostReport(design, width, gates, 0, ticks)
     schedule = Schedule.A if design is Design.MULT_SCHEDULE_A else Schedule.B
-    return mult_hardware_estimate(schedule, width).as_cost_report()
+    estimate = mult_hardware_estimate(schedule, width)
+    return CostReport(design, width, 0, estimate.total_memory_entries(), estimate.ticks)
 
 
 def reference_table() -> tuple[tuple[str, int], ...]:

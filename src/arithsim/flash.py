@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .bitvec import BitVector, ModelIntegrityError, lowest_zero_index
-from .cascade import PAIR_ADD_TABLE
+from .bitvec import BitVector, ModelIntegrityError, increment_mask
+from .cascade import _pair_add_leaves
 
 HALF_ADD_TICKS = 1
 RESOLVE_TICKS = 1
@@ -222,8 +222,7 @@ def increment_by_pow2(x: BitVector, i: int) -> IncrementResult:
     n = x.width
     if not 0 <= i < n:
         raise ValueError(f"increment index {i} out of range for width {n}")
-    j = i + lowest_zero_index(x.value >> i)  # bit n is implicitly 0
-    result = x.value ^ (((2 << (j - i)) - 1) << i)
+    result = x.value ^ increment_mask(x.value, i)  # bit n is implicitly 0
     return IncrementResult(sum=BitVector(n + 1, result), ticks=INCREMENT_TICKS)
 
 
@@ -245,10 +244,10 @@ def double_width_add(
     cross = (low.sum.value >> n) & 1
     high_value = high.sum.value
     if cross:
-        j = lowest_zero_index(high_value)
-        if j > n:
+        mask = increment_mask(high_value)
+        if mask >> (n + 1):
             raise ModelIntegrityError("cross-carry increment escaped the high half")
-        high_value ^= (2 << j) - 1
+        high_value ^= mask
     total = (high_value << n) | (low.sum.value & ((1 << n) - 1))
     return DoubleWidthResult(
         sum=BitVector(2 * n + 1, total),
@@ -259,7 +258,8 @@ def double_width_add(
     )
 
 
-def _power_of_four(n: int) -> bool:
+def is_power_of_four(n: int) -> bool:
+    """True when n is 4**k for some k >= 0."""
     return n > 0 and n & (n - 1) == 0 and (n.bit_length() - 1) % 2 == 0
 
 
@@ -279,7 +279,7 @@ def blocked_add(a: BitVector, b: BitVector, blocks: int | None = None) -> Blocke
     if width % 2:
         raise ValueError(f"operand width must be even, got {width}")
     half = width // 2
-    if not _power_of_four(half):
+    if not is_power_of_four(half):
         raise ValueError(f"half-width {half} must be a power of four")
     root = isqrt(half)
     if blocks is None:
@@ -289,13 +289,7 @@ def blocked_add(a: BitVector, b: BitVector, blocks: int | None = None) -> Blocke
     bw = width // blocks  # 2 * sqrt(N) bits per block
 
     # tick 1: pair-leaf initialization
-    s_val = 0
-    pair_carries = []
-    for p in range(width // 2):
-        index = ((a.value >> (2 * p)) & 3) | (((b.value >> (2 * p)) & 3) << 2)
-        pair_sum, carry = PAIR_ADD_TABLE[index]
-        s_val |= pair_sum << (2 * p)
-        pair_carries.append(carry)
+    s_val, pair_carries = _pair_add_leaves(a.value, b.value, width)
     carried_weight = sum(c << (2 * p + 2) for p, c in enumerate(pair_carries))
     if s_val + carried_weight != a.value + b.value:
         raise ModelIntegrityError("pair-leaf initialization lost value")
@@ -306,26 +300,18 @@ def blocked_add(a: BitVector, b: BitVector, blocks: int | None = None) -> Blocke
     for bk in range(blocks):
         base = bk * bw
         top = base + bw
+        below_top = (1 << top) - 1
         carry_out = 0
         for q in range(bw // 2):
             if not pair_carries[base // 2 + q]:
                 continue
-            start = base + 2 * q + 2
-            if start >= top:
-                # the block's top pair carries straight out
+            seg = increment_mask(s_val & below_top, base + 2 * q + 2)
+            if seg >> top:
+                # the run of ones reaches the block top, which carries out
                 if carry_out:
                     raise ModelIntegrityError("two carries reached one block top")
                 carry_out = 1
-                continue
-            window = (s_val >> start) & ((1 << (top - start)) - 1)
-            j = start + lowest_zero_index(window)  # top when the window is all ones
-            if j >= top:
-                seg = ((1 << (top - start)) - 1) << start
-                if carry_out:
-                    raise ModelIntegrityError("two carries reached one block top")
-                carry_out = 1
-            else:
-                seg = ((1 << (j - start + 1)) - 1) << start
+                seg &= below_top
             if flips & seg:
                 raise ModelIntegrityError("in-block complement segments overlap")
             flips |= seg
@@ -340,9 +326,8 @@ def blocked_add(a: BitVector, b: BitVector, blocks: int | None = None) -> Blocke
     for bk, carry in enumerate(block_carries):
         if not carry:
             continue
-        start = (bk + 1) * bw  # == width for the top block: the overflow bit
-        j = start + lowest_zero_index(resolved >> start)  # bits above width are 0
-        seg = ((1 << (j - start + 1)) - 1) << start
+        # the top block's carry lands on the overflow bit; bits above it are 0
+        seg = increment_mask(resolved, (bk + 1) * bw)
         if flips & seg:
             raise ModelIntegrityError("cross-block complement segments overlap")
         flips |= seg

@@ -36,6 +36,7 @@ CSA_STAGE_TICKS = 1
 QUANTIZER_TICKS = 2
 FINAL_ADD_TICKS = flash.DOUBLE_WIDTH_TICKS
 PUBLISHED_ROW_COUNT = 64
+MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -291,23 +292,22 @@ def run_schedule_b(rows: RowSet) -> tuple[RowSet, ScheduleReport]:
     return consolidate(_pad_to_published(rows), Schedule.B)
 
 
+def check_multiplier_width(width: int) -> None:
+    """Raise ValueError unless the multiplier takes `width`-bit operands."""
+    if width not in MULTIPLIER_WIDTHS:
+        raise ValueError(f"multiplier width must be one of {MULTIPLIER_WIDTHS}, got {width}")
+
+
 def multiply(a: BitVector, b: BitVector, schedule: Schedule) -> MultiplyResult:
     """Full product: partial rows, consolidation, one double-width addition."""
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
     n = a.width
-    if n not in (4, 8, 16, 32, 64):
-        raise ValueError(f"multiplier width must be one of 4, 8, 16, 32, 64, got {n}")
+    check_multiplier_width(n)
     rows = partial_products(a, b)
     final_rows, report = consolidate(rows, schedule)
     r1, r2 = final_rows.rows
-    lo_mask = (1 << n) - 1
-    added = flash.double_width_add(
-        BitVector(n, r1.value & lo_mask),
-        BitVector(n, r1.value >> n),
-        BitVector(n, r2.value & lo_mask),
-        BitVector(n, r2.value >> n),
-    )
+    added = flash.double_width_add(*r1.halves(), *r2.halves())
     if (added.sum.value >> (2 * n)) & 1:
         raise ModelIntegrityError("product escaped its 2N-bit width")
     return MultiplyResult(

@@ -66,6 +66,9 @@ def test_from_hex_rejects_garbage():
         BitVector.from_hex("-1", 8)
     with pytest.raises(ValueError):
         BitVector.from_hex("100", 8)  # does not fit
+    for text in ("0x1f", "1_f", " 1", "+1", "-0"):  # int(text, 16) takes these
+        with pytest.raises(ValueError):
+            BitVector.from_hex(text, 8)
 
 
 def test_from_bits():

@@ -1,0 +1,71 @@
+"""The CLI's input contract: each adder's width rule, shared with `cost`,
+the multiplier's widths, and model breaks reported as failed pairs."""
+
+import pytest
+
+from arithsim import cli
+from arithsim.bitvec import ModelIntegrityError
+
+
+def run_cli(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("design", cli.ADDER_DESIGNS)
+def test_add_accepts_exactly_the_widths_cost_accepts(capsys, design):
+    for width in range(1, 131):
+        add_code, _, _ = run_cli(capsys, ["add", "--design", design, "--width", str(width), "1", "1"])
+        cost_code, _, err = run_cli(capsys, ["cost", "--design", design, "--width", str(width)])
+        if (design, width) == ("blocked_double", 2):
+            # the blocked adder runs at width 2, but its closed-form gate
+            # count has a non-integral N/2 term at half-width 1
+            assert (add_code, cost_code) == (0, 2)
+            assert "power of four >= 4" in err
+            continue
+        assert add_code in (0, 2) and cost_code in (0, 2), (design, width)
+        assert add_code == cost_code, (design, width)
+
+
+def test_flash_adds_at_any_width(capsys):
+    code, out, _ = run_cli(capsys, ["add", "--design", "flash", "--width", "12", "fff", "1"])
+    assert code == 0
+    assert "sum    = 1000 (1000000000000)" in out
+
+    code, out, _ = run_cli(capsys, ["verify", "--design", "flash_double", "--width", "6"])
+    assert code == 0
+    assert "result: 4096/4096 pass" in out
+
+
+@pytest.mark.parametrize("width", ["1", "2", "3"])
+def test_verify_rejects_multiplier_widths_before_the_header(capsys, width):
+    code, out, err = run_cli(capsys, ["verify", "--design", "mult", "--width", width])
+    assert code == 2
+    assert out == ""
+    assert "multiplier width" in err
+
+
+def test_verify_counts_a_model_break_as_a_failed_pair(capsys, monkeypatch):
+    original = cli.flash_add
+
+    def breaks_on_one_pair(a, b):
+        if (a.value, b.value) == (5, 9):
+            raise ModelIntegrityError("carry 0 found no absorbing gate")
+        return original(a, b)
+
+    monkeypatch.setattr(cli, "flash_add", breaks_on_one_pair)
+    code, out, err = run_cli(
+        capsys, ["verify", "--design", "flash", "--width", "4", "--format", "structured"]
+    )
+    assert code == 1
+    assert "record=verify passed=255 failed=1 " in out
+    assert (
+        "counterexample=a=5,b=9,error=ModelIntegrityError:_carry_0_found_no_absorbing_gate\n"
+    ) in out
+    assert "Traceback" not in out + err
+
+    code, out, _ = run_cli(capsys, ["verify", "--design", "flash", "--width", "4"])
+    assert code == 1
+    assert "result: 255/256 pass" in out
+    assert "first counterexample: a=5,b=9,error=" in out
