@@ -12,6 +12,7 @@ import random
 
 from arithsim.bitvec import BitVector
 from arithsim.cascade import cascade_add
+from arithsim.costs import Design, check_width
 from arithsim.flash import fire_set, half_add, resolve
 from arithsim.multiplier import MULTIPLIER_WIDTHS, Schedule, multiply
 
@@ -59,8 +60,10 @@ def main() -> int:
     parser.add_argument("--width", type=int, default=8)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
-    if args.width < 2 or args.width & (args.width - 1):
-        raise SystemExit("width must be a power of two >= 2")
+    try:
+        check_width(Design.CASCADE, args.width)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
     rng = random.Random(args.seed)
     a = BitVector(args.width, rng.getrandbits(args.width))

@@ -4,10 +4,8 @@ parallel adders and carry-save/quantizer multipliers."""
 from .bitvec import (
     BitVector,
     ModelIntegrityError,
-    WideValue,
     oracle_add,
     oracle_mul,
-    to_value,
 )
 from .cascade import CascadeResult, CascadeState, CascadeTrace, cascade_add
 from .costs import (
@@ -57,7 +55,6 @@ __all__ = [
     "Schedule",
     "ScheduleReport",
     "StageRecord",
-    "WideValue",
     "blocked_add",
     "cascade_add",
     "cost_report",
@@ -75,5 +72,4 @@ __all__ = [
     "run_schedule_a",
     "run_schedule_b",
     "sc_and",
-    "to_value",
 ]

@@ -12,10 +12,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-# Arbitrary-precision nonnegative integer: the ground truth every simulated
-# circuit is checked against. Python ints already have the right semantics.
-WideValue = int
-
 _HEX = re.compile("[0-9a-fA-F]+")
 
 
@@ -92,19 +88,14 @@ class BitVector:
         return self.to_binary()
 
 
-def to_value(vector: BitVector) -> WideValue:
-    """Positional value of the vector: sum of bit_j * 2**j."""
-    return vector.value
-
-
-def oracle_add(a: WideValue, b: WideValue) -> WideValue:
+def oracle_add(a: int, b: int) -> int:
     """Reference addition on arbitrary-precision integers."""
     if a < 0 or b < 0:
         raise ValueError("oracle operands must be nonnegative")
     return a + b
 
 
-def oracle_mul(a: WideValue, b: WideValue) -> WideValue:
+def oracle_mul(a: int, b: int) -> int:
     """Reference multiplication on arbitrary-precision integers."""
     if a < 0 or b < 0:
         raise ValueError("oracle operands must be nonnegative")

@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("cost needs --design and --width, or --table")
             config = RunConfig(
                 design=args.design or Design.FLASH.value,
-                width=args.width or 64,
+                width=64 if args.width is None else args.width,
                 output_format=output_format,
             )
             return cmd_cost(config, table=args.table)

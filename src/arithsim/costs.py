@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .bitvec import BitVector, ModelIntegrityError
-from . import flash, multiplier
+from . import cascade, flash, multiplier
 from .multiplier import RowSet, Schedule
 
 
@@ -109,13 +109,13 @@ class ScheduleComparison:
 def cascade_gates(k: int) -> int:
     """Special AND gates in the k-stage cascade adder: k * 2**(k-1) - 1.
 
-    Cross-checked against the per-level summation: the step leaving level l
-    spends (2**l + 1) gates on each of 2**(k-l-1) increment units.
+    Cross-checked against the per-level summation of the simulator's
+    `cascade.step_gate_count`.
     """
     if k < 1:
         raise ValueError(f"stage count must be positive, got {k}")
     closed = k * (1 << (k - 1)) - 1
-    summed = sum(((1 << l) + 1) * (1 << (k - l - 1)) for l in range(1, k))
+    summed = sum(cascade.step_gate_count(k, level) for level in range(1, k))
     if closed != summed:
         raise ModelIntegrityError("cascade gate forms disagree")
     return closed

@@ -138,40 +138,54 @@ def sc_and(state: HalfAddState, i: int, j: int) -> int:
     return (state.c.value >> i) & 1
 
 
-def fire_set(state: HalfAddState) -> FireSet:
-    """Evaluate all N(N+1)/2 gates on the original wires.
-
-    Gates are evaluated row by row (fixed i, ascending j). Once a row's
-    running conjunction hits zero, every remaining gate in it reads 0 by the
-    same conjunction, so the rest of the row is tallied in bulk.
-    """
-    n = state.n
-    s = state.s.value
-    c = state.c.value
-    firings = []
-    gates = 0
-    for i in range(n):
-        if not (c >> i) & 1:
-            gates += n - i  # every gate in the row conjoins c_i = 0
-            continue
-        j = i + 1
-        while True:
-            gates += 1
-            if not (s >> j) & 1:
-                firings.append((i, j))
-                break
-            j += 1
-            if j > n:
-                raise ModelIntegrityError(f"carry {i} found no absorbing gate")
-        gates += n - j  # gates beyond j conjoin the 0 found at s_j
-    if gates != n * (n + 1) // 2:
-        raise ModelIntegrityError("gate tally disagrees with the network size")
-    return FireSet(width=n, firings=tuple(firings), gates_evaluated=gates)
-
-
 def segment_mask(i: int, j: int) -> int:
     """Bit mask of the complement segment s_{i+1}..s_j for firing (i, j)."""
     return ((1 << (j - i)) - 1) << (i + 1)
+
+
+def find_firings(s: int, carries: int) -> tuple[tuple[int, int], ...]:
+    """The carry-absorbing AND network's firing search.
+
+    For each set bit i of `carries`, ascending, the gate AND(i, j) that fires
+    sits at the lowest 0 of the wires `s` above i, found by the trailing-ones
+    detector. Wires above the top of `s` read 0, so every carry finds a gate.
+    """
+    firings = []
+    while carries:
+        i = (carries & -carries).bit_length() - 1
+        j = increment_mask(s, i + 1).bit_length() - 1  # the lowest 0 above i
+        firings.append((i, j))
+        carries &= carries - 1
+    return tuple(firings)
+
+
+def complement_segments(s: int, firings) -> int:
+    """Complement every fired segment s_{i+1}..s_j of `s` simultaneously.
+
+    Simultaneous complements only add up to the carries' weight when no two
+    segments share a wire, so an overlap is a model break.
+    """
+    union = 0
+    for i, j in firings:
+        seg = segment_mask(i, j)
+        if union & seg:
+            raise ModelIntegrityError("complement segments overlap")
+        union |= seg
+    return s ^ union
+
+
+def fire_set(state: HalfAddState) -> FireSet:
+    """Evaluate all N(N+1)/2 gates on the original wires.
+
+    Each set carry's row fires exactly one gate and every other gate in the
+    network conjoins a 0, so the tally is the whole network.
+    """
+    n = state.n
+    return FireSet(
+        width=n,
+        firings=find_firings(state.s.value, state.c.value),
+        gates_evaluated=n * (n + 1) // 2,
+    )
 
 
 def apply_firings_sequentially(
@@ -193,13 +207,7 @@ def apply_firings_sequentially(
 def resolve(state: HalfAddState) -> ResolveResult:
     """Tick 2: fire the gate network and complement all segments at once."""
     firings = fire_set(state)
-    union = 0
-    for i, j in firings:
-        seg = segment_mask(i, j)
-        if union & seg:
-            raise ModelIntegrityError("complement segments overlap")
-        union |= seg
-    total = state.s.value ^ union
+    total = complement_segments(state.s.value, firings)
     if total != state.total():
         raise ModelIntegrityError("carry absorption changed the running total")
     return ResolveResult(
@@ -263,15 +271,16 @@ def is_power_of_four(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0 and (n.bit_length() - 1) % 2 == 0
 
 
-def blocked_add(a: BitVector, b: BitVector, blocks: int | None = None) -> BlockedResult:
+def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
     """Add two 2N-bit values in three ticks via sqrt(N) equal blocks.
 
     Tick 1 pair-adds all bit couples through the 16-entry lookup units.
-    Tick 2 resolves each block's pair carries inside the block with the
-    carry-absorbing AND network, emitting one carry per block. Tick 3 absorbs
-    every block carry into the bits above it with one trailing-ones increment
-    unit per block, all firing together. N must be a power of four so the
-    block count sqrt(N) is a power of two and blocks divide the width evenly.
+    Tick 2 runs the carry-absorbing AND network inside each block on the pair
+    sums, each pair's carry standing on the pair's top wire; a segment that
+    reaches the block top is the block's carry out. Tick 3 runs the network
+    once more over the whole word, with the block carries at the block tops.
+    N must be a power of four so the block count sqrt(N) is a power of two
+    and blocks divide the width evenly.
     """
     width = a.width
     if b.width != width:
@@ -281,11 +290,7 @@ def blocked_add(a: BitVector, b: BitVector, blocks: int | None = None) -> Blocke
     half = width // 2
     if not is_power_of_four(half):
         raise ValueError(f"half-width {half} must be a power of four")
-    root = isqrt(half)
-    if blocks is None:
-        blocks = root
-    if blocks != root:
-        raise ValueError(f"block count must be sqrt({half}) = {root}, got {blocks}")
+    blocks = isqrt(half)
     bw = width // blocks  # 2 * sqrt(N) bits per block
 
     # tick 1: pair-leaf initialization
@@ -294,44 +299,24 @@ def blocked_add(a: BitVector, b: BitVector, blocks: int | None = None) -> Blocke
     if s_val + carried_weight != a.value + b.value:
         raise ModelIntegrityError("pair-leaf initialization lost value")
 
-    # tick 2: absorb pair carries inside each block, one carry out per block
-    flips = 0
+    # tick 2: the network inside each block, one carry out per block
+    block_mask = (1 << bw) - 1
+    resolved = 0
     block_carries = []
-    for bk in range(blocks):
-        base = bk * bw
-        top = base + bw
-        below_top = (1 << top) - 1
-        carry_out = 0
-        for q in range(bw // 2):
-            if not pair_carries[base // 2 + q]:
-                continue
-            seg = increment_mask(s_val & below_top, base + 2 * q + 2)
-            if seg >> top:
-                # the run of ones reaches the block top, which carries out
-                if carry_out:
-                    raise ModelIntegrityError("two carries reached one block top")
-                carry_out = 1
-                seg &= below_top
-            if flips & seg:
-                raise ModelIntegrityError("in-block complement segments overlap")
-            flips |= seg
-        block_carries.append(carry_out)
-    resolved = s_val ^ flips
+    for base in range(0, width, bw):
+        block_s = (s_val >> base) & block_mask
+        # pair p's carry, of weight 2**(2p+2), stands on wire 2p+1
+        block_c = (carried_weight >> (base + 1)) & block_mask
+        block = complement_segments(block_s, find_firings(block_s, block_c))
+        resolved |= (block & block_mask) << base
+        block_carries.append(block >> bw)
     carry_weight = sum(c << ((bk + 1) * bw) for bk, c in enumerate(block_carries))
     if resolved + carry_weight != a.value + b.value:
         raise ModelIntegrityError("in-block resolution lost value")
 
-    # tick 3: one increment unit per block carry, spanning up to the top bit
-    flips = 0
-    for bk, carry in enumerate(block_carries):
-        if not carry:
-            continue
-        # the top block's carry lands on the overflow bit; bits above it are 0
-        seg = increment_mask(resolved, (bk + 1) * bw)
-        if flips & seg:
-            raise ModelIntegrityError("cross-block complement segments overlap")
-        flips |= seg
-    total = resolved ^ flips
+    # tick 3: the network across blocks; the top block's carry lands on the
+    # overflow bit
+    total = complement_segments(resolved, find_firings(resolved, carry_weight >> 1))
     if total != a.value + b.value:
         raise ModelIntegrityError("cross-block resolution lost value")
     return BlockedResult(

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from arithsim import flash
+
 # the exhaustive sweeps dwarf hypothesis runtime; don't let its deadline
 # heuristics flake on a loaded CI box
 settings.register_profile(
@@ -14,3 +16,32 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return random.Random(0xA11CE)
+
+
+@pytest.fixture
+def shortened_segment(monkeypatch):
+    """Fault injection: the shared firing search ends its first segment one
+    wire early."""
+    original = flash.find_firings
+
+    def shortened(s, carries):
+        firings = original(s, carries)
+        if not firings:
+            return firings
+        (i, j), *rest = firings
+        return ((i, j - 1), *rest)
+
+    monkeypatch.setattr(flash, "find_firings", shortened)
+
+
+@pytest.fixture
+def duplicated_segment(monkeypatch):
+    """Fault injection: the shared firing search reports its first segment
+    twice."""
+    original = flash.find_firings
+
+    def duplicated(s, carries):
+        firings = original(s, carries)
+        return firings[:1] + firings
+
+    monkeypatch.setattr(flash, "find_firings", duplicated)

@@ -7,7 +7,6 @@ from arithsim.bitvec import (
     lowest_zero_index,
     oracle_add,
     oracle_mul,
-    to_value,
 )
 
 
@@ -16,7 +15,6 @@ def test_basic_construction():
     assert v.width == 4
     assert v.value == 11
     assert int(v) == 11
-    assert to_value(v) == 11
 
 
 def test_width_must_hold_value():

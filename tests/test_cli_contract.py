@@ -15,7 +15,7 @@ def run_cli(capsys, argv):
 
 @pytest.mark.parametrize("design", cli.ADDER_DESIGNS)
 def test_add_accepts_exactly_the_widths_cost_accepts(capsys, design):
-    for width in range(1, 131):
+    for width in range(0, 131):
         add_code, _, _ = run_cli(capsys, ["add", "--design", design, "--width", str(width), "1", "1"])
         cost_code, _, err = run_cli(capsys, ["cost", "--design", design, "--width", str(width)])
         if (design, width) == ("blocked_double", 2):
@@ -69,3 +69,14 @@ def test_verify_counts_a_model_break_as_a_failed_pair(capsys, monkeypatch):
     assert code == 1
     assert "result: 255/256 pass" in out
     assert "first counterexample: a=5,b=9,error=" in out
+
+
+def test_verify_reports_a_broken_firing_search(capsys, shortened_segment):
+    code, out, err = run_cli(
+        capsys, ["verify", "--design", "blocked_double", "--width", "8", "--format", "structured"]
+    )
+    assert code == 1
+    assert (
+        "counterexample=a=1,b=3,error=ModelIntegrityError:_in-block_resolution_lost_value\n"
+    ) in out
+    assert "Traceback" not in out + err

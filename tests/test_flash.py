@@ -271,8 +271,6 @@ def test_blocked_add_rejects_bad_shapes():
         blocked_add(BitVector(8, 0), BitVector(16, 0))
     with pytest.raises(ValueError):
         blocked_add(BitVector(16, 0), BitVector(16, 0))  # half 8 not a power of 4
-    with pytest.raises(ValueError):
-        blocked_add(BitVector(8, 0), BitVector(8, 0), blocks=4)
 
 
 def test_blocked_add_exhaustive_small():
@@ -314,3 +312,18 @@ def test_blocked_add_any_supported_width(width, data):
     b = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
     result = blocked_add(BitVector(width, a), BitVector(width, b))
     assert result.sum.value == a + b
+
+
+def test_a_shortened_segment_is_a_model_break(shortened_segment):
+    with pytest.raises(ModelIntegrityError, match="changed the running total"):
+        resolve(half_add(BitVector(4, 5), BitVector(4, 3)))
+    with pytest.raises(ModelIntegrityError, match="in-block resolution lost value"):
+        blocked_add(BitVector(8, 0xFF), BitVector(8, 0x01))
+
+
+def test_a_duplicated_segment_trips_the_overlap_checks(duplicated_segment):
+    with pytest.raises(ModelIntegrityError, match="complement segments overlap"):
+        blocked_add(BitVector(8, 0xFF), BitVector(8, 0x01))
+    # the flash adder's FireSet rejects the repeated carry before complementing
+    with pytest.raises(ValueError, match="strictly ascending"):
+        resolve(half_add(BitVector(4, 5), BitVector(4, 3)))
