@@ -125,3 +125,19 @@ def increment_mask(value: int, i: int = 0) -> int:
         raise ValueError("value must be nonnegative")
     m = value >> i
     return (m ^ (m + 1)) << i
+
+
+def block_bottoms(width: int, w: int) -> int:
+    """The bottom bit of every w-bit block of a width-bit word."""
+    return ((1 << width) - 1) // ((1 << w) - 1)
+
+
+def blockwise_add(x: int, y: int, width: int, w: int) -> tuple[int, int]:
+    """Add x and y inside every w-bit block, carries cut at the block edges
+    (Warren, Hacker's Delight, section 2-18): returns the sums and a carry
+    word holding block i's carry at bit (i+1)*w, its weight."""
+    top = block_bottoms(width, w) << (w - 1)
+    t = (x & ~top) + (y & ~top)  # below the block tops, so no block carries out
+    sums = t ^ ((x ^ y) & top)
+    carries = (((x & y) | ((x ^ y) & t)) & top) << 1
+    return sums, carries

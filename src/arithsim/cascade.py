@@ -3,24 +3,24 @@
 Tick 1 adds the operands two bits at a time through 16-entry lookup units,
 leaving one saved carry per two-bit block. Each later tick glues adjacent
 blocks: the even block's carry drives a single-tick increment unit on the odd
-block, halving the number of blocks until one sum and one carry remain.
+block, halving the number of blocks until one sum and one carry remain. So
+level l holds a + b added inside 2**l-bit blocks, each tick is one call of
+`bitvec.blockwise_add`, and the saved carries form one word, block i's carry
+at bit (i+1)*w, its weight.
 
 Every state retains the original operands so the block-sum balance
 
     carry_i * 2**w + sum_block_i == a_block_i + b_block_i      (w = block width)
 
-can be re-checked at every level; states that break it cannot be constructed.
-All functions are pure and all values immutable.
+can be re-checked at every level, without the kernel; states that break it
+cannot be constructed. All functions are pure and all values immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitvec import BitVector, ModelIntegrityError, increment_mask
-
-LEAF_TICKS = 1
-STEP_TICKS = 1
+from .bitvec import BitVector, ModelIntegrityError, block_bottoms, blockwise_add, increment_mask
 
 # 16-entry lookup programmed with two-bit addition: the table index packs the
 # operand bit pairs, the entry holds (two sum bits, carry). This stands in for
@@ -36,13 +36,14 @@ class CascadeState:
     """Sums and saved carries after some level of the cascade.
 
     Level l partitions the width into blocks of 2**l bits with one saved
-    carry each; the operands ride along purely for invariant checking.
+    carry each, block i's at bit (i+1)*2**l of `carry_word`; the operands
+    ride along purely for invariant checking.
     """
 
     k: int
     level: int
     sums: BitVector
-    carries: tuple[int, ...]
+    carry_word: int
     a: BitVector
     b: BitVector
 
@@ -53,40 +54,43 @@ class CascadeState:
         for name, vec in (("sums", self.sums), ("a", self.a), ("b", self.b)):
             if vec.width != width:
                 raise ValueError(f"{name} must be {width} bits wide, got {vec.width}")
-        if len(self.carries) != 1 << (self.k - self.level):
-            raise ValueError(
-                f"level {self.level} needs {1 << (self.k - self.level)} carries, "
-                f"got {len(self.carries)}"
-            )
-        if any(c not in (0, 1) for c in self.carries):
-            raise ValueError("carries must be 0 or 1")
+        w = 1 << self.level
+        if self.carry_word & ~(block_bottoms(width, w) << w):
+            raise ValueError(f"level {self.level} carries must sit at bits (i+1)*{w}")
         self._check_block_sums()
 
     def _check_block_sums(self) -> None:
+        """The balance, bit by bit and without the kernel: s ^ a ^ b is each
+        bit's carry in. None may enter a block bottom; the rest, like the saved
+        carries, are the majority of the a, b and carry-in bits below them."""
+        w = 1 << self.level
+        s, a, b = self.sums.value, self.a.value, self.b.value
+        bottoms = block_bottoms(self.sums.width, w)
+        carry_in = s ^ a ^ b
+        carry_out = ((a & b) | ((a ^ b) & carry_in)) << 1
+        # a broken rule marks a bit of its block: a carry into a bottom marks
+        # that bit, a wrong carry out marks the bit it came from
+        wrong_out = carry_out ^ (carry_in & ~bottoms) ^ self.carry_word
+        broken = (carry_in & bottoms) | wrong_out >> 1
+        if broken:
+            block = ((broken & -broken).bit_length() - 1) >> self.level
+            raise ModelIntegrityError(
+                f"block-sum balance broken at level {self.level}, block {block}"
+            )
+
+    def _per_block(self, word: int) -> tuple[int, ...]:
         w = 1 << self.level
         mask = (1 << w) - 1
-        for i, carry in enumerate(self.carries):
-            shift = i * w
-            s_blk = (self.sums.value >> shift) & mask
-            a_blk = (self.a.value >> shift) & mask
-            b_blk = (self.b.value >> shift) & mask
-            if (carry << w) + s_blk != a_blk + b_blk:
-                raise ModelIntegrityError(
-                    f"block-sum balance broken at level {self.level}, block {i}"
-                )
-            if carry and s_blk > mask - 1:
-                # a block that carried out cannot also be saturated
-                raise ModelIntegrityError(
-                    f"saturation bound broken at level {self.level}, block {i}"
-                )
+        return tuple((word >> (i * w)) & mask for i in range(1 << (self.k - self.level)))
+
+    @property
+    def carries(self) -> tuple[int, ...]:
+        """The saved carries, lowest block first."""
+        return self._per_block(self.carry_word >> (1 << self.level))
 
     def block_values(self) -> tuple[int, ...]:
         """Sum-block values at this level, lowest block first."""
-        w = 1 << self.level
-        mask = (1 << w) - 1
-        return tuple(
-            (self.sums.value >> (i * w)) & mask for i in range(len(self.carries))
-        )
+        return self._per_block(self.sums.value)
 
 
 @dataclass(frozen=True)
@@ -126,20 +130,6 @@ class CascadeResult:
     trace: CascadeTrace
 
 
-def _pair_add_leaves(a: int, b: int, width: int) -> tuple[int, tuple[int, ...]]:
-    """One tick of 16-entry lookups over every bit pair of two even-width
-    values: returns the two-bit pair sums packed into one word and the
-    pair carries, lowest pair first."""
-    sums = 0
-    carries = []
-    for i in range(width // 2):
-        index = ((a >> (2 * i)) & 3) | (((b >> (2 * i)) & 3) << 2)
-        pair_sum, carry = PAIR_ADD_TABLE[index]
-        sums |= pair_sum << (2 * i)
-        carries.append(carry)
-    return sums, tuple(carries)
-
-
 def leaf_init(a: BitVector, b: BitVector) -> CascadeState:
     """Tick 1: add all bit pairs through the 16-entry lookup units."""
     if a.width != b.width:
@@ -147,12 +137,12 @@ def leaf_init(a: BitVector, b: BitVector) -> CascadeState:
     width = a.width
     if width < 2 or width & (width - 1):
         raise ValueError(f"width must be a power of two >= 2, got {width}")
-    sums, carries = _pair_add_leaves(a.value, b.value, width)
+    sums, carry_word = blockwise_add(a.value, b.value, width, 2)
     return CascadeState(
         k=width.bit_length() - 1,
         level=1,
         sums=BitVector(width, sums),
-        carries=carries,
+        carry_word=carry_word,
         a=a,
         b=b,
     )
@@ -182,27 +172,22 @@ def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVecto
 
 
 def cascade_step(state: CascadeState) -> CascadeState:
-    """One tick: absorb every even block's carry into its odd neighbour."""
+    """One tick: absorb every even block's carry, which sits on its odd
+    neighbour's bottom bit, into that neighbour, all pairs in one blockwise add."""
     if state.level >= state.k:
         raise ValueError(f"cascade already complete at level {state.k}")
     w = 1 << state.level
-    mask = (1 << w) - 1
-    pairs = len(state.carries) // 2
-    sums = 0
-    carries = []
-    for i in range(pairs):
-        even = (state.sums.value >> (2 * i * w)) & mask
-        odd = (state.sums.value >> ((2 * i + 1) * w)) & mask
-        word, carry = increment_unit(
-            BitVector(w, odd), state.carries[2 * i + 1], state.carries[2 * i]
-        )
-        sums |= (even | (word.value << w)) << (2 * i * w)
-        carries.append(carry)
+    width = state.sums.width
+    even_carries = state.carry_word & (block_bottoms(width, 2 * w) << w)
+    sums, overflow = blockwise_add(state.sums.value, even_carries, width, 2 * w)
+    odd_carries = state.carry_word ^ even_carries
+    if overflow & odd_carries:
+        raise ModelIntegrityError("saturated word cannot hold a high carry")
     return CascadeState(
         k=state.k,
         level=state.level + 1,
-        sums=BitVector(state.sums.width, sums),
-        carries=tuple(carries),
+        sums=BitVector(width, sums),
+        carry_word=overflow | odd_carries,
         a=state.a,
         b=state.b,
     )
@@ -224,4 +209,4 @@ def cascade_add(a: BitVector, b: BitVector) -> CascadeResult:
         state = cascade_step(state)
         states.append(state)
     trace = CascadeTrace(tuple(states), ticks=state.k, special_and_gates=gates)
-    return CascadeResult(sum=state.sums, carry=state.carries[0], trace=trace)
+    return CascadeResult(sum=state.sums, carry=state.carry_word >> state.sums.width, trace=trace)

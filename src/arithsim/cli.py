@@ -209,10 +209,10 @@ def _verify_pairs(config: RunConfig, exhaustive: bool):
 
 
 def cmd_verify(config: RunConfig) -> int:
-    """Check every pair against the oracle. A model break counts as a failed
-    pair; its counterexample names the operands and the error, with spaces
-    in the error text turned into underscores to keep the record one line of
-    key=value fields."""
+    """Check every pair against the oracle. A model break or a state failing
+    its validation (widths are checked first) counts as a failed pair; its
+    counterexample names the operands and the error, spaces turned into
+    underscores to keep the record one line of key=value fields."""
     if config.design == "mult":
         check_multiplier_width(config.width)
         schedule = config.schedule
@@ -257,7 +257,7 @@ def cmd_verify(config: RunConfig) -> int:
     for a, b in _verify_pairs(config, exhaustive):
         try:
             got = run(BitVector(width, a), BitVector(width, b))
-        except ModelIntegrityError as exc:
+        except (ModelIntegrityError, ValueError) as exc:
             failed += 1
             if counterexample is None:
                 error = "_".join(f"{type(exc).__name__}: {exc}".split())

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .bitvec import BitVector, ModelIntegrityError, increment_mask
-from .cascade import _pair_add_leaves
+from .bitvec import BitVector, ModelIntegrityError, blockwise_add, increment_mask
 
 HALF_ADD_TICKS = 1
 RESOLVE_TICKS = 1
@@ -293,9 +292,8 @@ def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
     blocks = isqrt(half)
     bw = width // blocks  # 2 * sqrt(N) bits per block
 
-    # tick 1: pair-leaf initialization
-    s_val, pair_carries = _pair_add_leaves(a.value, b.value, width)
-    carried_weight = sum(c << (2 * p + 2) for p, c in enumerate(pair_carries))
+    # tick 1: pair-leaf initialization, the 16-entry lookups as one blockwise add
+    s_val, carried_weight = blockwise_add(a.value, b.value, width, 2)
     if s_val + carried_weight != a.value + b.value:
         raise ModelIntegrityError("pair-leaf initialization lost value")
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from arithsim import flash
+from arithsim import cascade, flash
 
 # the exhaustive sweeps dwarf hypothesis runtime; don't let its deadline
 # heuristics flake on a loaded CI box
@@ -45,3 +45,16 @@ def duplicated_segment(monkeypatch):
         return firings[:1] + firings
 
     monkeypatch.setattr(flash, "find_firings", duplicated)
+
+
+@pytest.fixture
+def flipped_leaf_sum(monkeypatch):
+    """Fault injection: the blockwise-add kernel hands the cascade sums with
+    their lowest bit flipped."""
+    original = cascade.blockwise_add
+
+    def flipped(x, y, width, w):
+        sums, carries = original(x, y, width, w)
+        return sums ^ 1, carries
+
+    monkeypatch.setattr(cascade, "blockwise_add", flipped)

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithsim.bitvec import BitVector, ModelIntegrityError, oracle_add
+from arithsim.bitvec import BitVector, ModelIntegrityError, blockwise_add, oracle_add
 from arithsim.cascade import (
     PAIR_ADD_TABLE,
     CascadeState,
@@ -118,7 +120,7 @@ def test_state_validation_catches_tampered_carries():
             k=state.k,
             level=state.level,
             sums=state.sums,
-            carries=(0, 0),  # the low block did carry
+            carry_word=0,  # the low block did carry
             a=state.a,
             b=state.b,
         )
@@ -127,11 +129,11 @@ def test_state_validation_catches_tampered_carries():
 def test_state_validation_checks_shapes():
     v = BitVector(4, 0)
     with pytest.raises(ValueError):
-        CascadeState(k=2, level=3, sums=v, carries=(0,), a=v, b=v)
+        CascadeState(k=2, level=3, sums=v, carry_word=0, a=v, b=v)
     with pytest.raises(ValueError):
-        CascadeState(k=2, level=1, sums=v, carries=(0,), a=v, b=v)
+        CascadeState(k=2, level=1, sums=v, carry_word=0b1000, a=v, b=v)
     with pytest.raises(ValueError):
-        CascadeState(k=2, level=1, sums=v, carries=(0, 2), a=v, b=v)
+        CascadeState(k=2, level=1, sums=v, carry_word=2 << 4, a=v, b=v)
 
 
 def _check_levels_independently(result, a, b):
@@ -227,3 +229,93 @@ def test_trace_records_serialize():
     assert [r["level"] for r in records] == [1, 2]
     assert records[0]["carries"] == [1, 0]
     assert records[1]["sums"] == "1"
+
+
+def _blocks(value, w, count):
+    return [(value >> (i * w)) & ((1 << w) - 1) for i in range(count)]
+
+
+def test_blockwise_add_at_width_2_is_the_pair_add_table():
+    for index in range(16):
+        sums, carries = blockwise_add(index & 3, index >> 2, 2, 2)
+        assert (sums, carries >> 2) == PAIR_ADD_TABLE[index]
+
+
+def test_blockwise_add_is_per_block_addition_exhaustively():
+    for width in range(1, 9):
+        for w in range(1, width + 1):
+            if width % w:
+                continue
+            count = width // w
+            for x, y in itertools.product(range(1 << width), repeat=2):
+                want_sums = want_carries = 0
+                for i, (xb, yb) in enumerate(zip(_blocks(x, w, count), _blocks(y, w, count))):
+                    want_sums |= ((xb + yb) & ((1 << w) - 1)) << (i * w)
+                    want_carries |= ((xb + yb) >> w) << ((i + 1) * w)
+                assert blockwise_add(x, y, width, w) == (want_sums, want_carries)
+
+
+def _step_by_increment_units(state):
+    """cascade_step as the paper draws it: one increment unit per block pair."""
+    w = 1 << state.level
+    sums_in = _blocks(state.sums.value, w, len(state.carries))
+    sums = 0
+    carries = []
+    for i in range(len(state.carries) // 2):
+        word, carry = increment_unit(
+            BitVector(w, sums_in[2 * i + 1]), state.carries[2 * i + 1], state.carries[2 * i]
+        )
+        sums |= (sums_in[2 * i] | word.value << w) << (2 * i * w)
+        carries.append(carry)
+    return sums, tuple(carries)
+
+
+def _assert_steps_match_increment_units(a, b):
+    state = leaf_init(a, b)
+    while state.level < state.k:
+        stepped = cascade_step(state)
+        assert (stepped.sums.value, stepped.carries) == _step_by_increment_units(state)
+        state = stepped
+
+
+def test_cascade_step_is_the_increment_units_exhaustively():
+    for width in (2, 4, 8):
+        for a, b in itertools.product(range(1 << width), repeat=2):
+            _assert_steps_match_increment_units(BitVector(width, a), BitVector(width, b))
+
+
+def test_cascade_step_is_the_increment_units_n128(rng):
+    for _ in range(500):
+        _assert_steps_match_increment_units(
+            BitVector(128, rng.getrandbits(128)), BitVector(128, rng.getrandbits(128))
+        )
+
+
+def test_block_sum_check_accepts_exactly_the_balanced_states():
+    # every sum word and carry word at width 4, against each block's balance
+    for level, w in ((1, 2), (2, 4)):
+        count = 4 // w
+        for a, b, s in itertools.product(range(16), repeat=3):
+            blocks = list(zip(_blocks(s, w, count), _blocks(a, w, count), _blocks(b, w, count)))
+            for carries in itertools.product((0, 1), repeat=count):
+                fields = dict(
+                    k=2,
+                    level=level,
+                    sums=BitVector(4, s),
+                    carry_word=sum(c << ((i + 1) * w) for i, c in enumerate(carries)),
+                    a=BitVector(4, a),
+                    b=BitVector(4, b),
+                )
+                broken = [
+                    i for i, (sb, ab, bb) in enumerate(blocks) if (carries[i] << w) + sb != ab + bb
+                ]
+                if broken:
+                    with pytest.raises(ModelIntegrityError, match=f"level {level}, block {broken[0]}$"):
+                        CascadeState(**fields)
+                else:
+                    assert CascadeState(**fields).carries == carries
+
+
+def test_a_flipped_leaf_sum_is_a_block_sum_break(flipped_leaf_sum):
+    with pytest.raises(ModelIntegrityError, match="balance broken at level 1, block 0$"):
+        cascade_add(BitVector(8, 0xA5), BitVector(8, 0x3C))

@@ -1,10 +1,20 @@
 """The CLI's input contract: each adder's width rule, shared with `cost`,
 the multiplier's widths, and model breaks reported as failed pairs."""
 
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from arithsim import cli
-from arithsim.bitvec import ModelIntegrityError
+from arithsim.bitvec import BitVector, ModelIntegrityError
+from arithsim.costs import check_width
+
+# `_adder_record_digest()` of the simulators before the cascade and the
+# blocked adder's leaf tick moved onto `bitvec.blockwise_add`; a refactor
+# must leave every sum, carry, tick count and trace field unchanged.
+ADDER_RECORD_DIGEST = "755640e415637bc67b8756493035b53911b06f01a0e2f8113f758be31b117515"
 
 
 def run_cli(capsys, argv):
@@ -80,3 +90,52 @@ def test_verify_reports_a_broken_firing_search(capsys, shortened_segment):
         "counterexample=a=1,b=3,error=ModelIntegrityError:_in-block_resolution_lost_value\n"
     ) in out
     assert "Traceback" not in out + err
+
+
+def _adder_record_digest() -> str:
+    """sha256 over every adder's sum, carry, ticks and trace fields, as
+    `cli.ADDERS` reports them: all pairs at widths 4 and 8 where the design
+    takes the width, then 300 seeded pairs at width 128."""
+    digest = hashlib.sha256()
+    rng = random.Random(0xB17E)
+    wide = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(300)]
+    for design, adder in cli.ADDERS.items():
+        for width in (4, 8, 128):
+            try:
+                check_width(design, width)
+            except ValueError:
+                continue
+            pairs = wide if width == 128 else itertools.product(range(1 << width), repeat=2)
+            for a, b in pairs:
+                sum_vec, carry, ticks, result = adder.run(BitVector(width, a), BitVector(width, b))
+                fields = list(adder.trace(result))
+                digest.update(f"{design.value} {width} {a:x} {b:x} {sum_vec.to_hex()} "
+                              f"{carry} {ticks} {fields}\n".encode())
+    return digest.hexdigest()
+
+
+def test_adder_records_are_byte_identical_to_the_pinned_digest():
+    assert _adder_record_digest() == ADDER_RECORD_DIGEST
+
+
+def test_verify_counts_a_failed_state_validation_as_a_failed_pair(capsys, duplicated_segment):
+    code, out, err = run_cli(
+        capsys, ["verify", "--design", "flash", "--width", "4", "--format", "structured"]
+    )
+    assert code == 1
+    assert (
+        "counterexample=a=1,b=1,error=ValueError:_firings_must_have_strictly_ascending_carry_indices\n"
+    ) in out
+    assert err == ""
+
+
+def test_verify_reports_a_broken_blockwise_add(capsys, flipped_leaf_sum):
+    code, out, err = run_cli(
+        capsys, ["verify", "--design", "cascade", "--width", "8", "--format", "structured"]
+    )
+    assert code == 1
+    assert "record=verify passed=0 failed=65536 " in out
+    assert (
+        "counterexample=a=0,b=0,error=ModelIntegrityError:_block-sum_balance_broken_at_level_1,_block_0\n"
+    ) in out
+    assert err == ""
