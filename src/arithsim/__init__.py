@@ -35,8 +35,6 @@ from .multiplier import (
     StageRecord,
     multiply,
     partial_products,
-    run_schedule_a,
-    run_schedule_b,
 )
 
 __all__ = [
@@ -69,7 +67,5 @@ __all__ = [
     "partial_products",
     "reference_table",
     "resolve",
-    "run_schedule_a",
-    "run_schedule_b",
     "sc_and",
 ]

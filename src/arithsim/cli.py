@@ -312,10 +312,7 @@ def cmd_cost(config: RunConfig, table: bool) -> int:
 def cmd_schedule(config: RunConfig, rows: int) -> int:
     if not 3 <= rows <= PUBLISHED_ROW_COUNT:
         raise ValueError(f"row count must be 3..{PUBLISHED_ROW_COUNT}, got {rows}")
-    width = 2 * PUBLISHED_ROW_COUNT
-    zero = BitVector(width, 0)
-    rowset = RowSet(width, (zero,) * rows)
-    _, report = consolidate(rowset, config.schedule)
+    _, report = consolidate(RowSet(2 * PUBLISHED_ROW_COUNT, (0,) * rows), config.schedule)
     structured = config.output_format == "structured"
     for index, stage in enumerate(report.stages):
         fields = dict(

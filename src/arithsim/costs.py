@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
-from .bitvec import BitVector, ModelIntegrityError
+from .bitvec import ModelIntegrityError
 from . import cascade, flash, multiplier
 from .multiplier import RowSet, Schedule
 
@@ -193,12 +193,8 @@ CONVENTIONAL_ADDER_TICKS = 15
 @lru_cache(maxsize=None)
 def _simulated_schedule_ticks(schedule: Schedule) -> int:
     """Stage ticks of the published 64-row schedule, taken from a real run."""
-    zero = BitVector(2 * multiplier.PUBLISHED_ROW_COUNT, 0)
-    rows = RowSet(zero.width, (zero,) * multiplier.PUBLISHED_ROW_COUNT)
-    runner = (
-        multiplier.run_schedule_a if schedule is Schedule.A else multiplier.run_schedule_b
-    )
-    _, report = runner(rows)
+    rows = RowSet(2 * multiplier.PUBLISHED_ROW_COUNT, (0,) * multiplier.PUBLISHED_ROW_COUNT)
+    _, report = multiplier.consolidate(rows, schedule)
     return report.total_ticks
 
 

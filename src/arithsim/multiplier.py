@@ -1,13 +1,15 @@
 """Carry-save multiplier: shrink N partial-product rows to two, then add.
 
-Two consolidation stage kinds exist. A 3:2 stage partitions the rows into
-triples and replaces each with a bitwise-sum row and a shifted majority row
-in one tick. A quantizer stage counts the 1-bits per column across up to
-`capacity` consumed rows in two ticks and redistributes each count's binary
-digits: bit q of the count in column p lands in column p+q of output row q,
-so the stage emits floor(log2(capacity)) + 1 rows plus any rows left out.
-Both kinds preserve the running sum, which is asserted after every stage.
+A row is a plain int of the row set's width. Two consolidation stage kinds
+exist. A 3:2 stage partitions the rows into triples and replaces each with a
+bitwise-sum row and a shifted majority row in one tick. A quantizer stage
+counts the 1-bits per column across its consumed rows in two ticks and
+redistributes each count's binary digits: bit q of the count in column p
+lands in column p+q of output row q, so the stage emits
+floor(log2(consumed)) + 1 rows plus any rows left out. Both kinds preserve
+the running sum, which is asserted after every stage.
 
+`consolidate(rows, schedule)` runs either schedule from any row count.
 Schedule A uses only 3:2 stages; schedule B quantizes until three rows remain
 and finishes with one 3:2 stage. The surviving two rows are added by the
 three-tick double-width adder.
@@ -41,20 +43,19 @@ MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 
 @dataclass(frozen=True)
 class RowSet:
-    """An unordered-sum collection of equal-width rows; zero rows count."""
+    """An unordered-sum collection of `width`-bit int rows; zero rows count."""
 
     width: int
-    rows: tuple[BitVector, ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        limit = 1 << self.width
         for index, row in enumerate(self.rows):
-            if row.width != self.width:
-                raise ValueError(
-                    f"row {index} is {row.width} bits wide, expected {self.width}"
-                )
+            if not 0 <= row < limit:
+                raise ValueError(f"row {index} = {row} does not fit in {self.width} bits")
 
     def total(self) -> int:
-        return sum(row.value for row in self.rows)
+        return sum(self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -125,23 +126,18 @@ def partial_products(a: BitVector, b: BitVector) -> RowSet:
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
     n = a.width
-    rows = tuple(
-        BitVector(2 * n, a.value << i if (b.value >> i) & 1 else 0) for i in range(n)
-    )
+    rows = tuple(a.value << i if (b.value >> i) & 1 else 0 for i in range(n))
     return RowSet(width=2 * n, rows=rows)
 
 
-def csa_3_2(r1: BitVector, r2: BitVector, r3: BitVector) -> tuple[BitVector, BitVector]:
-    """One tick: three rows become a bitwise-sum row and a shifted-majority row."""
-    width = r1.width
-    if r2.width != width or r3.width != width:
-        raise ValueError("rows must share one width")
-    majority = (r1.value & r2.value) | (r1.value & r3.value) | (r2.value & r3.value)
-    if (majority >> (width - 1)) & 1:
+def csa_3_2(r1: int, r2: int, r3: int, width: int) -> tuple[int, int]:
+    """One tick: three `width`-bit rows become a bitwise-sum row and a
+    shifted-majority row."""
+    majority = (r1 & r2) | (r1 & r3) | (r2 & r3)
+    if majority >> (width - 1):
         raise ValueError("carry row would overflow the declared width")
-    sum_row = BitVector(width, r1.value ^ r2.value ^ r3.value)
-    carry_row = BitVector(width, majority << 1)
-    if sum_row.value + carry_row.value != r1.value + r2.value + r3.value:
+    sum_row, carry_row = r1 ^ r2 ^ r3, majority << 1
+    if sum_row + carry_row != r1 + r2 + r3:
         raise ModelIntegrityError("3:2 consolidation lost value")
     return sum_row, carry_row
 
@@ -153,9 +149,7 @@ def csa_stage(rows: RowSet) -> tuple[RowSet, StageRecord]:
         raise ValueError(f"a 3:2 stage needs at least three rows, got {n}")
     out = []
     for t in range(n // 3):
-        sum_row, carry_row = csa_3_2(*rows.rows[3 * t : 3 * t + 3])
-        out.append(sum_row)
-        out.append(carry_row)
+        out.extend(csa_3_2(*rows.rows[3 * t : 3 * t + 3], rows.width))
     out.extend(rows.rows[3 * (n // 3) :])
     result = RowSet(rows.width, tuple(out))
     if result.total() != rows.total():
@@ -174,41 +168,27 @@ def csa_stage(rows: RowSet) -> tuple[RowSet, StageRecord]:
 def column_counts(rows: RowSet) -> tuple[int, ...]:
     """Per-column 1-bit counts, the quantity a quantizer stage digitizes."""
     return tuple(
-        sum((row.value >> p) & 1 for row in rows.rows) for p in range(rows.width)
+        sum((row >> p) & 1 for row in rows.rows) for p in range(rows.width)
     )
 
 
-def quantize_columns(
-    rows: RowSet, capacity: int, leave_out: int = 0
-) -> tuple[RowSet, StageRecord]:
+def quantize_columns(rows: RowSet, leave_out: int = 0) -> tuple[RowSet, StageRecord]:
     """Two ticks: count 1-bits per column, then spread the counts' digits.
 
     The first len(rows) - leave_out rows are consumed; the rest pass through
-    unchanged. One quantizer per column digitizes its count, and bit q of the
-    count in column p feeds column p+q of output row q. A capacity-nu
-    quantizer emits floor(log2(nu)) + 1 rows, so the capacity must sit in the
-    same power-of-two bracket as the consumed row count, or the stage's
-    row-count law would bend.
+    unchanged. One quantizer per column, its capacity the consumed row count,
+    digitizes its count, and bit q of the count in column p feeds column p+q
+    of output row q, so the stage emits floor(log2(consumed)) + 1 rows.
     """
     n = len(rows)
     consumed = n - leave_out
-    if capacity < 3:
-        raise ValueError(f"quantizer capacity must be at least 3, got {capacity}")
     if leave_out < 0 or consumed < 3:
         raise ValueError(f"cannot consume {consumed} of {n} rows")
-    if consumed > capacity:
-        raise ValueError(f"{consumed} rows exceed quantizer capacity {capacity}")
-    planes_needed = capacity.bit_length()
-    if consumed.bit_length() != planes_needed:
-        raise ValueError(
-            f"capacity {capacity} and consumed count {consumed} span different "
-            "power-of-two brackets"
-        )
     # Per-column counting runs over all columns at once: plane q holds bit q
     # of every column's running count, and adding a row ripples plane by plane.
+    planes_needed = consumed.bit_length()
     planes = [0] * planes_needed
-    for row in rows.rows[:consumed]:
-        carry = row.value
+    for carry in rows.rows[:consumed]:
         for q in range(planes_needed):
             if not carry:
                 break
@@ -221,7 +201,7 @@ def quantize_columns(
         shifted = plane << q
         if shifted >> rows.width:
             raise ModelIntegrityError("a count digit escaped the row width")
-        out.append(BitVector(rows.width, shifted))
+        out.append(shifted)
     out.extend(rows.rows[consumed:])
     result = RowSet(rows.width, tuple(out))
     if result.total() != rows.total():
@@ -243,8 +223,9 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
     Schedule A applies 3:2 stages throughout. Schedule B quantizes while more
     than three rows remain, consuming all rows, except that a power-of-two
     row count consumes one row fewer (leaving the last row out): that keeps
-    the quantizer capacity below the next power of two at the same output
-    count. Three remaining rows always finish through one 3:2 stage.
+    the consumed count, and so each quantizer's capacity, below the next
+    power of two at the same output count. Three remaining rows always
+    finish through one 3:2 stage.
     """
     if len(rows) < 3:
         raise ValueError(f"consolidation needs at least three rows, got {len(rows)}")
@@ -257,9 +238,9 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
         if schedule is Schedule.A or n == 3:
             current, record = csa_stage(current)
         elif n & (n - 1) == 0:
-            current, record = quantize_columns(current, capacity=n - 1, leave_out=1)
+            current, record = quantize_columns(current, leave_out=1)
         else:
-            current, record = quantize_columns(current, capacity=n)
+            current, record = quantize_columns(current)
         stages.append(record)
         trajectory.append(len(current))
         ticks += record.ticks
@@ -268,28 +249,6 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
         row_trajectory=tuple(trajectory),
         total_ticks=ticks,
     )
-
-
-def _pad_to_published(rows: RowSet) -> RowSet:
-    if len(rows) > PUBLISHED_ROW_COUNT:
-        raise ValueError(
-            f"published schedules take at most {PUBLISHED_ROW_COUNT} rows, got {len(rows)}"
-        )
-    if len(rows) == PUBLISHED_ROW_COUNT:
-        return rows
-    zero = BitVector(rows.width, 0)
-    padding = (zero,) * (PUBLISHED_ROW_COUNT - len(rows))
-    return RowSet(rows.width, rows.rows + padding)
-
-
-def run_schedule_a(rows: RowSet) -> tuple[RowSet, ScheduleReport]:
-    """The 64-row 3:2-only schedule; shorter inputs are padded with zero rows."""
-    return consolidate(_pad_to_published(rows), Schedule.A)
-
-
-def run_schedule_b(rows: RowSet) -> tuple[RowSet, ScheduleReport]:
-    """The 64-row quantizer schedule; shorter inputs are padded with zero rows."""
-    return consolidate(_pad_to_published(rows), Schedule.B)
 
 
 def check_multiplier_width(width: int) -> None:
@@ -306,7 +265,7 @@ def multiply(a: BitVector, b: BitVector, schedule: Schedule) -> MultiplyResult:
     check_multiplier_width(n)
     rows = partial_products(a, b)
     final_rows, report = consolidate(rows, schedule)
-    r1, r2 = final_rows.rows
+    r1, r2 = (BitVector(2 * n, row) for row in final_rows.rows)
     added = flash.double_width_add(*r1.halves(), *r2.halves())
     if (added.sum.value >> (2 * n)) & 1:
         raise ModelIntegrityError("product escaped its 2N-bit width")

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from arithsim import cascade, flash
+from arithsim import cascade, flash, multiplier
 
 # the exhaustive sweeps dwarf hypothesis runtime; don't let its deadline
 # heuristics flake on a loaded CI box
@@ -58,3 +58,35 @@ def flipped_leaf_sum(monkeypatch):
         return sums ^ 1, carries
 
     monkeypatch.setattr(cascade, "blockwise_add", flipped)
+
+
+@pytest.fixture
+def flipped_csa_carry(monkeypatch):
+    """Fault injection: the 3:2 counter hands its stage a carry row with
+    bit 1 flipped."""
+    original = multiplier.csa_3_2
+
+    def flipped(r1, r2, r3, width):
+        sum_row, carry_row = original(r1, r2, r3, width)
+        return sum_row, carry_row ^ 2
+
+    monkeypatch.setattr(multiplier, "csa_3_2", flipped)
+
+
+@pytest.fixture
+def stage_totals(monkeypatch):
+    """Spy: the list of the rows' running totals after each stage that
+    `consolidate` runs, in order."""
+    totals = []
+
+    def spy(stage):
+        def spied(*args, **kwargs):
+            rows, record = stage(*args, **kwargs)
+            totals.append(rows.total())
+            return rows, record
+
+        return spied
+
+    for name in ("csa_stage", "quantize_columns"):
+        monkeypatch.setattr(multiplier, name, spy(getattr(multiplier, name)))
+    return totals

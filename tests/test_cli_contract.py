@@ -1,7 +1,9 @@
 """The CLI's input contract: each adder's width rule, shared with `cost`,
 the multiplier's widths, and model breaks reported as failed pairs."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import random
 
@@ -15,6 +17,11 @@ from arithsim.costs import check_width
 # blocked adder's leaf tick moved onto `bitvec.blockwise_add`; a refactor
 # must leave every sum, carry, tick count and trace field unchanged.
 ADDER_RECORD_DIGEST = "755640e415637bc67b8756493035b53911b06f01a0e2f8113f758be31b117515"
+
+# `_multiplier_record_digest()` of the CLI while multiplier rows were still
+# `BitVector`s; a refactor must leave every product, tick count, trajectory,
+# stage record, cost and error message unchanged.
+MULTIPLIER_RECORD_DIGEST = "6f99572feb2a7470a2eb0634b5b9c7f17652326f1e1e6bb8bc62bac08e8d9ad6"
 
 
 def run_cli(capsys, argv):
@@ -118,6 +125,40 @@ def test_adder_records_are_byte_identical_to_the_pinned_digest():
     assert _adder_record_digest() == ADDER_RECORD_DIGEST
 
 
+def _multiplier_record_digest() -> str:
+    """sha256 over the exit code, stdout and stderr of the multiplier's CLI
+    commands: `mul` on every width-4 pair and 25 seeded pairs at each of the
+    widths 8, 16, 32 and 64; `schedule --rows 0..66`; `cost --table`; and
+    `cost` of both multiplier designs at widths 32 and 64. Each runs under
+    both schedules (where it takes one) and in both formats."""
+    rng = random.Random(0x3A2C)
+    argvs = []
+    for width in (4, 8, 16, 32, 64):
+        if width == 4:
+            pairs = list(itertools.product(range(16), repeat=2))
+        else:
+            pairs = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(25)]
+        argvs += [["mul", "--schedule", s, "--width", str(width), f"{a:x}", f"{b:x}"]
+                  for (a, b), s in itertools.product(pairs, "AB")]
+    argvs += [["schedule", "--schedule", s, "--rows", str(rows)]
+              for rows, s in itertools.product(range(67), "AB")]
+    argvs += [["cost", "--table"]]
+    argvs += [["cost", "--design", f"mult_schedule_{s}", "--width", str(width)]
+              for s, width in itertools.product("ab", (32, 64))]
+    digest = hashlib.sha256()
+    for argv, output_format in itertools.product(argvs, ("text", "structured")):
+        argv = argv + ["--format", output_format]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        digest.update(f"{argv} {code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+    return digest.hexdigest()
+
+
+def test_multiplier_records_are_byte_identical_to_the_pinned_digest():
+    assert _multiplier_record_digest() == MULTIPLIER_RECORD_DIGEST
+
+
 def test_verify_counts_a_failed_state_validation_as_a_failed_pair(capsys, duplicated_segment):
     code, out, err = run_cli(
         capsys, ["verify", "--design", "flash", "--width", "4", "--format", "structured"]
@@ -139,3 +180,14 @@ def test_verify_reports_a_broken_blockwise_add(capsys, flipped_leaf_sum):
         "counterexample=a=0,b=0,error=ModelIntegrityError:_block-sum_balance_broken_at_level_1,_block_0\n"
     ) in out
     assert err == ""
+
+
+def test_verify_reports_a_broken_3_2_counter(capsys, flipped_csa_carry):
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--design", "mult", "--width", "4", "--schedule", "A", "--format", "structured"],
+    )
+    assert code == 1
+    assert "record=verify passed=0 failed=256 " in out
+    assert "counterexample=a=0,b=0,error=ModelIntegrityError:_3:2_stage_lost_value\n" in out
+    assert "Traceback" not in out + err

@@ -17,18 +17,16 @@ from arithsim.multiplier import (
     multiply,
     partial_products,
     quantize_columns,
-    run_schedule_a,
-    run_schedule_b,
 )
 
 
 def rows_of(width, *values):
-    return RowSet(width, tuple(BitVector(width, v) for v in values))
+    return RowSet(width, values)
 
 
 def test_partial_products_5_times_3():
     rows = partial_products(BitVector(4, 5), BitVector(4, 3))
-    assert [r.value for r in rows.rows] == [5, 10, 0, 0]
+    assert rows.rows == (5, 10, 0, 0)
     assert rows.total() == 15
     assert rows.width == 8
 
@@ -49,17 +47,14 @@ def test_partial_products_sum_is_the_product(a, b):
 
 
 def test_csa_3_2_examples():
-    s, c = csa_3_2(BitVector(4, 5), BitVector(4, 3), BitVector(4, 6))
-    assert (s.value, c.value) == (0, 14)
-    s, c = csa_3_2(BitVector(4, 9), BitVector(4, 0), BitVector(4, 0))
-    assert (s.value, c.value) == (9, 0)
-    s, c = csa_3_2(BitVector(4, 1), BitVector(4, 1), BitVector(4, 1))
-    assert (s.value, c.value) == (1, 2)
+    assert csa_3_2(5, 3, 6, 4) == (0, 14)
+    assert csa_3_2(9, 0, 0, 4) == (9, 0)
+    assert csa_3_2(1, 1, 1, 4) == (1, 2)
 
 
 def test_csa_3_2_overflow_is_an_error():
     with pytest.raises(ValueError):
-        csa_3_2(BitVector(4, 8), BitVector(4, 8), BitVector(4, 0))
+        csa_3_2(8, 8, 0, 4)
 
 
 @given(st.data())
@@ -69,10 +64,10 @@ def test_csa_3_2_preserves_the_sum(data):
     r1 = data.draw(st.integers(min_value=0, max_value=bound))
     r2 = data.draw(st.integers(min_value=0, max_value=bound))
     r3 = data.draw(st.integers(min_value=0, max_value=bound))
-    s, c = csa_3_2(BitVector(12, r1), BitVector(12, r2), BitVector(12, r3))
-    assert s.value + c.value == r1 + r2 + r3
-    assert s.value == r1 ^ r2 ^ r3
-    assert c.value >> 1 == (r1 & r2) | (r1 & r3) | (r2 & r3)
+    s, c = csa_3_2(r1, r2, r3, 12)
+    assert s + c == r1 + r2 + r3
+    assert s == r1 ^ r2 ^ r3
+    assert c >> 1 == (r1 & r2) | (r1 & r3) | (r2 & r3)
 
 
 def test_csa_stage_row_counts():
@@ -85,7 +80,7 @@ def test_csa_stage_row_counts():
     assert record.ticks == 1
     assert out.total() == stage_in.total()
     # stragglers pass through at the tail
-    assert out.rows[-1].value == 6
+    assert out.rows[-1] == 6
 
     with pytest.raises(ValueError):
         csa_stage(rows_of(16, 1, 2))
@@ -97,8 +92,8 @@ def test_column_counts_oracle():
 
 
 def test_quantize_columns_example():
-    out, record = quantize_columns(rows_of(3, 3, 3, 1), capacity=3)
-    assert [r.value for r in out.rows] == [1, 6]
+    out, record = quantize_columns(rows_of(3, 3, 3, 1))
+    assert out.rows == (1, 6)
     assert record.kind is StageKind.QUANTIZER
     assert record.rows_out == 2
     assert record.ticks == 2
@@ -106,13 +101,13 @@ def test_quantize_columns_example():
 
 
 def test_quantize_columns_zero_rows():
-    out, _ = quantize_columns(rows_of(4, 0, 0, 0), capacity=3)
-    assert all(r.value == 0 for r in out.rows)
+    out, _ = quantize_columns(rows_of(4, 0, 0, 0))
+    assert all(r == 0 for r in out.rows)
 
 
 def test_quantize_columns_63_to_6():
     rows = rows_of(128, *([1] * 63))
-    out, record = quantize_columns(rows, capacity=63)
+    out, record = quantize_columns(rows)
     assert len(out) == 6
     assert record.rows_out == 6
     assert out.total() == 63
@@ -120,29 +115,23 @@ def test_quantize_columns_63_to_6():
 
 def test_quantize_columns_leave_out_passes_rows_through():
     rows = rows_of(16, 1, 2, 4, 8, 16, 32, 64, 0x8000)
-    out, record = quantize_columns(rows, capacity=7, leave_out=1)
+    out, record = quantize_columns(rows, leave_out=1)
     assert record.left_out == 1
     assert record.rows_out == 4
-    assert out.rows[-1].value == 0x8000  # untouched
+    assert out.rows[-1] == 0x8000  # untouched
     assert out.total() == rows.total()
 
 
 def test_quantize_columns_capacity_rules():
     rows = rows_of(8, 1, 2, 3, 4, 5)
     with pytest.raises(ValueError):
-        quantize_columns(rows, capacity=2)
-    with pytest.raises(ValueError):
-        quantize_columns(rows, capacity=4)  # 5 consumed > 4
-    with pytest.raises(ValueError):
-        quantize_columns(rows, capacity=63)  # different power-of-two bracket
-    with pytest.raises(ValueError):
-        quantize_columns(rows, capacity=7, leave_out=3)  # only 2 consumed
+        quantize_columns(rows, leave_out=3)  # only 2 consumed
 
 
 def test_quantize_columns_digit_escape_is_model_breakage():
     # three ones in the top column: count 3 needs a digit past the top
     with pytest.raises(ModelIntegrityError):
-        quantize_columns(rows_of(2, 2, 2, 2), capacity=3)
+        quantize_columns(rows_of(2, 2, 2, 2))
 
 
 @given(st.integers(min_value=3, max_value=9), st.data())
@@ -153,13 +142,13 @@ def test_quantize_columns_matches_column_count_oracle(n, data):
         for _ in range(n)
     ]
     rows = rows_of(width, *values)
-    out, _ = quantize_columns(rows, capacity=n)
+    out, _ = quantize_columns(rows)
     counts = column_counts(rows)
     expected = []
     for q in range(n.bit_length()):
         row = sum(((counts[p] >> q) & 1) << (p + q) for p in range(width))
         expected.append(row)
-    assert [r.value for r in out.rows] == expected
+    assert list(out.rows) == expected
     assert out.total() == rows.total()
 
 
@@ -167,10 +156,10 @@ def test_single_column_quantization_is_popcount():
     # m ones in one column quantize to the binary digits of m
     for m in (3, 5, 7):
         rows = rows_of(8, *([0b100] * m))
-        out, _ = quantize_columns(rows, capacity=m)
+        out, _ = quantize_columns(rows)
         assert out.total() == m << 2
         for q, row in enumerate(out.rows):
-            assert row.value == ((m >> q) & 1) << (2 + q)
+            assert row == ((m >> q) & 1) << (2 + q)
 
 
 def test_stage_record_laws_are_enforced():
@@ -208,7 +197,7 @@ def test_schedule_report_must_be_consistent():
 
 def test_schedule_a_from_64_zero_rows():
     rows = rows_of(128, *([0] * PUBLISHED_ROW_COUNT))
-    out, report = run_schedule_a(rows)
+    out, report = consolidate(rows, Schedule.A)
     assert report.row_trajectory == (64, 43, 29, 20, 14, 10, 7, 5, 4, 3, 2)
     assert report.total_ticks == 10
     assert len(out) == 2
@@ -216,7 +205,7 @@ def test_schedule_a_from_64_zero_rows():
 
 def test_schedule_b_from_64_zero_rows():
     rows = rows_of(128, *([0] * PUBLISHED_ROW_COUNT))
-    out, report = run_schedule_b(rows)
+    out, report = consolidate(rows, Schedule.B)
     assert report.row_trajectory == (64, 7, 3, 2)
     assert report.total_ticks == 5
     assert [s.kind for s in report.stages] == [
@@ -227,37 +216,24 @@ def test_schedule_b_from_64_zero_rows():
     assert len(out) == 2
 
 
-def test_published_schedules_pad_short_inputs(rng):
+def test_consolidate_stagewise_conservation(rng, stage_totals):
     a = BitVector(16, rng.getrandbits(16))
     b = BitVector(16, rng.getrandbits(16))
     rows = partial_products(a, b)
-    for runner in (run_schedule_a, run_schedule_b):
-        out, report = runner(rows)
-        assert report.row_trajectory[0] == 64
-        assert out.total() == a.value * b.value
-    with pytest.raises(ValueError):
-        run_schedule_a(rows_of(4, *([0] * 65)))
-
-
-def test_consolidate_stagewise_conservation(rng):
-    a = BitVector(16, rng.getrandbits(16))
-    b = BitVector(16, rng.getrandbits(16))
-    rows = partial_products(a, b)
+    total = rows.total()
     for schedule in Schedule:
-        current = rows
-        total = rows.total()
-        while len(current) > 2:
-            n = len(current)
-            if schedule is Schedule.A or n == 3:
-                current, _ = csa_stage(current)
-            elif n & (n - 1) == 0:
-                current, _ = quantize_columns(current, capacity=n - 1, leave_out=1)
-            else:
-                current, _ = quantize_columns(current, capacity=n)
-            assert current.total() == total
+        stage_totals.clear()
         final, report = consolidate(rows, schedule)
+        assert stage_totals == [total] * len(report.stages)
         assert final.total() == total
         assert report.row_trajectory[-1] == 2
+
+
+def test_a_flipped_csa_carry_is_a_model_break(flipped_csa_carry):
+    rows = partial_products(BitVector(8, 0xB7), BitVector(8, 0x5D))
+    for schedule in Schedule:
+        with pytest.raises(ModelIntegrityError, match="^3:2 stage lost value$"):
+            consolidate(rows, schedule)
 
 
 def test_consolidate_needs_three_rows():
@@ -326,4 +302,6 @@ def test_multiply_trajectories_are_width_dependent():
 
 def test_rowset_width_policing():
     with pytest.raises(ValueError):
-        RowSet(8, (BitVector(8, 1), BitVector(4, 1)))
+        RowSet(8, (1, 256))
+    with pytest.raises(ValueError):
+        RowSet(8, (1, -1))
