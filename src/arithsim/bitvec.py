@@ -102,18 +102,6 @@ def oracle_mul(a: int, b: int) -> int:
     return a * b
 
 
-def lowest_zero_index(value: int) -> int:
-    """Index of the least-significant 0 bit of a nonnegative integer.
-
-    This is the combinational function of a trailing-ones detector: the
-    returned index is the unique position j such that bits 0..j-1 are all 1
-    and bit j is 0.
-    """
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    return (value ^ (value + 1)).bit_length() - 1
-
-
 def increment_mask(value: int, i: int = 0) -> int:
     """The bits to complement in a nonnegative integer to add 2**i to it.
 

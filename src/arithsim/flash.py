@@ -24,11 +24,8 @@ from math import isqrt
 
 from .bitvec import BitVector, ModelIntegrityError, blockwise_add, increment_mask
 
-HALF_ADD_TICKS = 1
-RESOLVE_TICKS = 1
-FLASH_ADD_TICKS = HALF_ADD_TICKS + RESOLVE_TICKS
-INCREMENT_TICKS = 1
-DOUBLE_WIDTH_TICKS = FLASH_ADD_TICKS + INCREMENT_TICKS
+FLASH_ADD_TICKS = 2
+DOUBLE_WIDTH_TICKS = 3
 BLOCKED_TICKS = 3
 
 
@@ -58,29 +55,41 @@ class HalfAddState:
 
 @dataclass(frozen=True)
 class FireSet:
-    """The gates that fired: one (i, j) pair per set carry, segments disjoint."""
+    """The gates that fired, as two words: bit i of `carries` for each set
+    carry and bit j of `ends` for each fired gate AND(i, j)."""
 
     width: int
-    firings: tuple[tuple[int, int], ...]
+    carries: int
+    ends: int
     gates_evaluated: int
 
     def __post_init__(self) -> None:
-        previous_i = -1
-        previous_j = 0
-        for i, j in self.firings:
-            if not 0 <= i < j <= self.width:
-                raise ValueError(f"firing ({i}, {j}) out of range for width {self.width}")
-            if i <= previous_i:
-                raise ValueError("firings must have strictly ascending carry indices")
-            if i < previous_j:
-                raise ValueError(f"segment for carry {i} overlaps its predecessor")
-            previous_i, previous_j = i, j
+        if not 0 <= self.carries < 1 << self.width:
+            raise ValueError(f"carry word does not fit width {self.width}")
+        if not 0 <= self.ends < 2 << self.width:
+            raise ValueError(f"end word does not fit {self.width + 1} wires")
+        if self.carries.bit_count() != self.ends.bit_count():
+            raise ValueError("firings need one end per carry")
+
+    @property
+    def firings(self) -> tuple[tuple[int, int], ...]:
+        """The (i, j) gates, pairing the set bits of both words in ascending
+        order."""
+        pairs = []
+        carries, ends = self.carries, self.ends
+        while carries:
+            pairs.append(
+                ((carries & -carries).bit_length() - 1, (ends & -ends).bit_length() - 1)
+            )
+            carries &= carries - 1
+            ends &= ends - 1
+        return tuple(pairs)
 
     def __iter__(self):
         return iter(self.firings)
 
     def __len__(self) -> int:
-        return len(self.firings)
+        return self.carries.bit_count()
 
 
 @dataclass(frozen=True)
@@ -142,34 +151,34 @@ def segment_mask(i: int, j: int) -> int:
     return ((1 << (j - i)) - 1) << (i + 1)
 
 
-def find_firings(s: int, carries: int) -> tuple[tuple[int, int], ...]:
-    """The carry-absorbing AND network's firing search.
+def find_firings(s: int, carries: int) -> int:
+    """The carry-absorbing AND network's firing search, as an end word.
 
-    For each set bit i of `carries`, ascending, the gate AND(i, j) that fires
-    sits at the lowest 0 of the wires `s` above i, found by the trailing-ones
-    detector. Wires above the top of `s` read 0, so every carry finds a gate.
+    The gate AND(i, j) that fires for set carry bit i sits at the lowest 0 of
+    the wires `s` above i (wires above the top of `s` read 0). Adding the
+    carries' weight 2**(i+1) turns exactly those 0 wires into 1s, so bit j of
+    the result is set for each fired gate.
     """
-    firings = []
-    while carries:
-        i = (carries & -carries).bit_length() - 1
-        j = increment_mask(s, i + 1).bit_length() - 1  # the lowest 0 above i
-        firings.append((i, j))
-        carries &= carries - 1
-    return tuple(firings)
+    return (s + (carries << 1)) & ~s
 
 
-def complement_segments(s: int, firings) -> int:
+def complement_segments(s: int, carries: int, ends: int) -> int:
     """Complement every fired segment s_{i+1}..s_j of `s` simultaneously.
 
-    Simultaneous complements only add up to the carries' weight when no two
-    segments share a wire, so an overlap is a model break.
+    Pairing the carries and ends in ascending order, the segments' union is
+    (ends << 1) - (carries << 1). It is checked against the gate definition
+    on whole words: every end is a 0 wire, every other complemented wire is a
+    1 wire whose upper neighbour is complemented too, and the segments start
+    just above the carries. Only the segments that run from each carry to the
+    lowest 0 above it, sharing no wire, pass, so any other end word is a
+    model break.
     """
-    union = 0
-    for i, j in firings:
-        seg = segment_mask(i, j)
-        if union & seg:
-            raise ModelIntegrityError("complement segments overlap")
-        union |= seg
+    union = (ends << 1) - (carries << 1)
+    interior = union & ~ends
+    if union < 0 or ends & s or interior & ~(s & (union >> 1)):
+        raise ModelIntegrityError("a fired segment is not a run of 1 wires up to a 0 wire")
+    if union & ~(interior << 1) != carries << 1:
+        raise ModelIntegrityError("fired segments do not start just above their carries")
     return s ^ union
 
 
@@ -179,10 +188,11 @@ def fire_set(state: HalfAddState) -> FireSet:
     Each set carry's row fires exactly one gate and every other gate in the
     network conjoins a 0, so the tally is the whole network.
     """
-    n = state.n
+    n, carries = state.n, state.c.value
     return FireSet(
         width=n,
-        firings=find_firings(state.s.value, state.c.value),
+        carries=carries,
+        ends=find_firings(state.s.value, carries),
         gates_evaluated=n * (n + 1) // 2,
     )
 
@@ -206,7 +216,7 @@ def apply_firings_sequentially(
 def resolve(state: HalfAddState) -> ResolveResult:
     """Tick 2: fire the gate network and complement all segments at once."""
     firings = fire_set(state)
-    total = complement_segments(state.s.value, firings)
+    total = complement_segments(state.s.value, firings.carries, firings.ends)
     if total != state.total():
         raise ModelIntegrityError("carry absorption changed the running total")
     return ResolveResult(
@@ -230,7 +240,7 @@ def increment_by_pow2(x: BitVector, i: int) -> IncrementResult:
     if not 0 <= i < n:
         raise ValueError(f"increment index {i} out of range for width {n}")
     result = x.value ^ increment_mask(x.value, i)  # bit n is implicitly 0
-    return IncrementResult(sum=BitVector(n + 1, result), ticks=INCREMENT_TICKS)
+    return IncrementResult(sum=BitVector(n + 1, result), ticks=1)
 
 
 def double_width_add(
@@ -305,7 +315,7 @@ def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
         block_s = (s_val >> base) & block_mask
         # pair p's carry, of weight 2**(2p+2), stands on wire 2p+1
         block_c = (carried_weight >> (base + 1)) & block_mask
-        block = complement_segments(block_s, find_firings(block_s, block_c))
+        block = complement_segments(block_s, block_c, find_firings(block_s, block_c))
         resolved |= (block & block_mask) << base
         block_carries.append(block >> bw)
     carry_weight = sum(c << ((bk + 1) * bw) for bk, c in enumerate(block_carries))
@@ -314,7 +324,8 @@ def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
 
     # tick 3: the network across blocks; the top block's carry lands on the
     # overflow bit
-    total = complement_segments(resolved, find_firings(resolved, carry_weight >> 1))
+    block_tops = carry_weight >> 1
+    total = complement_segments(resolved, block_tops, find_firings(resolved, block_tops))
     if total != a.value + b.value:
         raise ModelIntegrityError("cross-block resolution lost value")
     return BlockedResult(

@@ -193,9 +193,6 @@ def quantize_columns(rows: RowSet, leave_out: int = 0) -> tuple[RowSet, StageRec
             if not carry:
                 break
             carry, planes[q] = planes[q] & carry, planes[q] ^ carry
-        else:
-            if carry:
-                raise ModelIntegrityError("a column count exceeded the capacity")
     out = []
     for q, plane in enumerate(planes):
         shifted = plane << q

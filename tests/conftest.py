@@ -20,31 +20,29 @@ def rng():
 
 @pytest.fixture
 def shortened_segment(monkeypatch):
-    """Fault injection: the shared firing search ends its first segment one
-    wire early."""
+    """Fault injection: the shared firing search moves its lowest end one
+    wire down, so the first segment stops one wire early."""
     original = flash.find_firings
 
     def shortened(s, carries):
-        firings = original(s, carries)
-        if not firings:
-            return firings
-        (i, j), *rest = firings
-        return ((i, j - 1), *rest)
+        ends = original(s, carries)
+        lowest = ends & -ends
+        return ends ^ lowest ^ (lowest >> 1)
 
     monkeypatch.setattr(flash, "find_firings", shortened)
 
 
 @pytest.fixture
-def duplicated_segment(monkeypatch):
-    """Fault injection: the shared firing search reports its first segment
-    twice."""
+def extra_end(monkeypatch):
+    """Fault injection: the shared firing search reports one end more, on the
+    lowest free wire above its lowest end."""
     original = flash.find_firings
 
-    def duplicated(s, carries):
-        firings = original(s, carries)
-        return firings[:1] + firings
+    def extra(s, carries):
+        ends = original(s, carries)
+        return ends | ((ends + (ends & -ends)) & ~ends)
 
-    monkeypatch.setattr(flash, "find_firings", duplicated)
+    monkeypatch.setattr(flash, "find_firings", extra)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from arithsim.bitvec import (
     BitVector,
-    lowest_zero_index,
+    increment_mask,
     oracle_add,
     oracle_mul,
 )
@@ -108,17 +108,20 @@ def test_oracle_random_sweep(rng):
         assert oracle_mul(a, b) == a * b
 
 
-def test_lowest_zero_index_examples():
-    assert lowest_zero_index(0) == 0
-    assert lowest_zero_index(0b1) == 1
-    assert lowest_zero_index(0b1011) == 2
-    assert lowest_zero_index(0b111) == 3
+def test_increment_mask_examples():
+    assert increment_mask(0) == 0b1
+    assert increment_mask(0b1) == 0b11
+    assert increment_mask(0b1011) == 0b111
+    assert increment_mask(0b111) == 0b1111
+    assert increment_mask(0b1011, 2) == 0b100
+    assert increment_mask(0b1101, 2) == 0b11100
     with pytest.raises(ValueError):
-        lowest_zero_index(-1)
+        increment_mask(-1)
 
 
-@given(st.integers(min_value=0, max_value=(1 << 80) - 1))
-def test_lowest_zero_index_defining_property(value):
-    j = lowest_zero_index(value)
-    assert (value >> j) & 1 == 0
-    assert value & ((1 << j) - 1) == (1 << j) - 1  # bits below j all set
+@given(
+    st.integers(min_value=0, max_value=(1 << 80) - 1),
+    st.integers(min_value=0, max_value=90),
+)
+def test_increment_mask_defining_property(value, i):
+    assert value ^ increment_mask(value, i) == value + 2**i

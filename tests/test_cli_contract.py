@@ -94,7 +94,8 @@ def test_verify_reports_a_broken_firing_search(capsys, shortened_segment):
     )
     assert code == 1
     assert (
-        "counterexample=a=1,b=3,error=ModelIntegrityError:_in-block_resolution_lost_value\n"
+        "counterexample=a=1,b=3,error=ModelIntegrityError:"
+        "_fired_segments_do_not_start_just_above_their_carries\n"
     ) in out
     assert "Traceback" not in out + err
 
@@ -159,13 +160,13 @@ def test_multiplier_records_are_byte_identical_to_the_pinned_digest():
     assert _multiplier_record_digest() == MULTIPLIER_RECORD_DIGEST
 
 
-def test_verify_counts_a_failed_state_validation_as_a_failed_pair(capsys, duplicated_segment):
+def test_verify_counts_a_failed_state_validation_as_a_failed_pair(capsys, extra_end):
     code, out, err = run_cli(
         capsys, ["verify", "--design", "flash", "--width", "4", "--format", "structured"]
     )
     assert code == 1
     assert (
-        "counterexample=a=1,b=1,error=ValueError:_firings_must_have_strictly_ascending_carry_indices\n"
+        "counterexample=a=1,b=1,error=ValueError:_firings_need_one_end_per_carry\n"
     ) in out
     assert err == ""
 

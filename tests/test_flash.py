@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithsim.bitvec import BitVector, ModelIntegrityError
+from arithsim.bitvec import BitVector, ModelIntegrityError, increment_mask
 from arithsim.flash import (
     FireSet,
     apply_firings_sequentially,
     blocked_add,
+    complement_segments,
     double_width_add,
     fire_set,
     flash_add,
@@ -71,10 +72,10 @@ def test_sc_and_rejects_bad_indices():
 
 def test_fire_set_examples():
     assert tuple(fire_set(half_add(BitVector(4, 5), BitVector(4, 3)))) == ((0, 3),)
-    assert tuple(fire_set(half_add(BitVector(4, 6), BitVector(4, 6)))) == (
-        (1, 2),
-        (2, 3),
-    )
+    doubled = fire_set(half_add(BitVector(4, 6), BitVector(4, 6)))
+    assert (doubled.carries, doubled.ends) == (0b0110, 0b01100)
+    assert doubled.firings == ((1, 2), (2, 3))
+    assert len(doubled) == 2
     assert len(fire_set(half_add(BitVector(4, 5), BitVector(4, 0)))) == 0
 
 
@@ -120,12 +121,42 @@ def test_fire_set_structure_exhaustive_n4():
 
 
 def test_fireset_type_rejects_overlap():
-    with pytest.raises(ValueError):
-        FireSet(width=4, firings=((0, 3), (2, 4)), gates_evaluated=10)
-    with pytest.raises(ValueError):
-        FireSet(width=4, firings=((1, 2), (0, 3)), gates_evaluated=10)
-    with pytest.raises(ValueError):
-        FireSet(width=4, firings=((3, 3),), gates_evaluated=10)
+    # word forms of ((0, 3), (2, 4)), ((1, 2), (0, 3)) and ((3, 3),): no wires
+    # make any of them the gate network's firing
+    for carries, ends in ((0b101, 0b11000), (0b011, 0b01100), (0b1000, 0b01000)):
+        fired = FireSet(width=4, carries=carries, ends=ends, gates_evaluated=10)
+        for s in range(1 << 5):
+            with pytest.raises(ModelIntegrityError):
+                complement_segments(s, fired.carries, fired.ends)
+    with pytest.raises(ValueError, match="carry word"):
+        FireSet(width=4, carries=1 << 4, ends=1 << 4, gates_evaluated=10)
+    with pytest.raises(ValueError, match="end word"):
+        FireSet(width=4, carries=1, ends=1 << 5, gates_evaluated=10)
+    with pytest.raises(ValueError, match="one end per carry"):
+        FireSet(width=4, carries=0b101, ends=0b1000, gates_evaluated=10)
+
+
+def test_complement_check_accepts_exactly_the_fired_ends():
+    # every 5-wire word and 4-bit carry word, against every end word: only the
+    # ends of the gate-by-gate firings pass, and only when no two segments
+    # share a wire
+    for s in range(1 << 5):
+        for carries in range(1 << 4):
+            firings = [
+                (i, increment_mask(s, i + 1).bit_length() - 1)
+                for i in range(4)
+                if carries >> i & 1
+            ]
+            disjoint = all(j <= i for (_, j), (i, _) in zip(firings, firings[1:]))
+            fired = sum(1 << j for _, j in firings)
+            for ends in range(1 << 6):
+                try:
+                    total = complement_segments(s, carries, ends)
+                except ModelIntegrityError:
+                    assert not disjoint or ends != fired
+                else:
+                    assert disjoint and ends == fired
+                    assert total == s + 2 * carries
 
 
 def test_resolve_examples():
@@ -315,15 +346,15 @@ def test_blocked_add_any_supported_width(width, data):
 
 
 def test_a_shortened_segment_is_a_model_break(shortened_segment):
-    with pytest.raises(ModelIntegrityError, match="changed the running total"):
+    with pytest.raises(ModelIntegrityError, match="not a run of 1 wires up to a 0 wire"):
         resolve(half_add(BitVector(4, 5), BitVector(4, 3)))
-    with pytest.raises(ModelIntegrityError, match="in-block resolution lost value"):
+    with pytest.raises(ModelIntegrityError, match="not a run of 1 wires up to a 0 wire"):
         blocked_add(BitVector(8, 0xFF), BitVector(8, 0x01))
 
 
-def test_a_duplicated_segment_trips_the_overlap_checks(duplicated_segment):
-    with pytest.raises(ModelIntegrityError, match="complement segments overlap"):
+def test_an_extra_end_trips_the_gate_checks(extra_end):
+    with pytest.raises(ModelIntegrityError, match="not a run of 1 wires up to a 0 wire"):
         blocked_add(BitVector(8, 0xFF), BitVector(8, 0x01))
-    # the flash adder's FireSet rejects the repeated carry before complementing
-    with pytest.raises(ValueError, match="strictly ascending"):
+    # the flash adder's FireSet rejects the unpaired end before complementing
+    with pytest.raises(ValueError, match="one end per carry"):
         resolve(half_add(BitVector(4, 5), BitVector(4, 3)))

@@ -128,6 +128,17 @@ def test_quantize_columns_capacity_rules():
         quantize_columns(rows, leave_out=3)  # only 2 consumed
 
 
+def test_quantize_columns_planes_hold_every_consumed_count():
+    # all-ones rows give every column the consumed count, the most it can
+    # reach: its digits fill the planes exactly, with no carry left over
+    ones = (1 << 8) - 1
+    for consumed in range(3, 65):
+        out, _ = quantize_columns(rows_of(16, *([ones] * consumed)))
+        assert out.rows == tuple(
+            (ones << q) * (consumed >> q & 1) for q in range(consumed.bit_length())
+        )
+
+
 def test_quantize_columns_digit_escape_is_model_breakage():
     # three ones in the top column: count 3 needs a digit past the top
     with pytest.raises(ModelIntegrityError):
@@ -201,6 +212,18 @@ def test_schedule_a_from_64_zero_rows():
     assert report.row_trajectory == (64, 43, 29, 20, 14, 10, 7, 5, 4, 3, 2)
     assert report.total_ticks == 10
     assert len(out) == 2
+
+
+def test_schedule_a_meets_the_dadda_heights():
+    # Dadda's heights d_0 = 2, d_(k+1) = floor(1.5 * d_k): k 3:2 stages can
+    # bring at most d_k rows down to two
+    heights = [2]
+    while heights[-1] < 64:
+        heights.append(heights[-1] * 3 // 2)
+    assert heights[:10] == [2, 3, 4, 6, 9, 13, 19, 28, 42, 63]
+    for r in range(3, 65):
+        _, report = consolidate(rows_of(128, *([0] * r)), Schedule.A)
+        assert len(report.stages) == next(k for k, d in enumerate(heights) if d >= r)
 
 
 def test_schedule_b_from_64_zero_rows():
