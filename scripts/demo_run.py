@@ -33,7 +33,7 @@ def show_flash(a: BitVector, b: BitVector) -> None:
     state = half_add(a, b)
     firings = fire_set(state)
     print(f"flash {a} + {b}")
-    print(f"  tick 1: s={state.s} c={state.c}")
+    print(f"  tick 1: s={state.s:0{state.n + 1}b} c={state.c:0{state.n}b}")
     fired = " ".join(f"({i},{j})" for i, j in firings) or "none"
     print(f"  tick 2: firings {fired} over {firings.gates_evaluated} gates")
     result = resolve(state)

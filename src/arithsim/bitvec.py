@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 _HEX = re.compile("[0-9a-fA-F]+")
@@ -115,8 +116,10 @@ def increment_mask(value: int, i: int = 0) -> int:
     return (m ^ (m + 1)) << i
 
 
+@lru_cache
 def block_bottoms(width: int, w: int) -> int:
-    """The bottom bit of every w-bit block of a width-bit word."""
+    """The bottom bit of every w-bit block of a width-bit word; cached, since
+    the cascade asks for the same few masks on every level of every add."""
     return ((1 << width) - 1) // ((1 << w) - 1)
 
 

@@ -8,12 +8,16 @@ level l holds a + b added inside 2**l-bit blocks, each tick is one call of
 `bitvec.blockwise_add`, and the saved carries form one word, block i's carry
 at bit (i+1)*w, its weight.
 
-Every state retains the original operands so the block-sum balance
+The ticks run on words: `leaf_init` returns level 1's (sums, carry word) and
+`cascade_step` maps one level's pair to the next. After every tick
+`cascade_add` re-checks the block-sum balance
 
     carry_i * 2**w + sum_block_i == a_block_i + b_block_i      (w = block width)
 
-can be re-checked at every level, without the kernel; states that break it
-cannot be constructed. All functions are pure and all values immutable.
+against the original operands, without the kernel; a level that breaks it is
+a model break. The trace keeps every level's words, and `CascadeState` is a
+checked view of one level, built only on request. All functions are pure and
+all values immutable.
 """
 
 from __future__ import annotations
@@ -31,13 +35,21 @@ PAIR_ADD_TABLE: tuple[tuple[int, int], ...] = tuple(
 )
 
 
+def level_carries(carry_word: int, width: int, level: int) -> tuple[int, ...]:
+    """The saved carries of a level's carry word, lowest block first."""
+    w = 1 << level
+    return tuple((carry_word >> bit) & 1 for bit in range(w, width + w, w))
+
+
 @dataclass(frozen=True)
 class CascadeState:
-    """Sums and saved carries after some level of the cascade.
+    """A view of the sums and saved carries after some level of the cascade.
 
     Level l partitions the width into blocks of 2**l bits with one saved
     carry each, block i's at bit (i+1)*2**l of `carry_word`; the operands
-    ride along purely for invariant checking.
+    ride along purely for invariant checking. The cascade itself runs on the
+    words and checks them with `_check_block_sums`; views are built only on
+    request, by `CascadeTrace.states`.
     """
 
     k: int
@@ -49,77 +61,94 @@ class CascadeState:
 
     def __post_init__(self) -> None:
         width = 1 << self.k
-        if not 1 <= self.level <= self.k:
-            raise ValueError(f"level {self.level} outside 1..{self.k}")
         for name, vec in (("sums", self.sums), ("a", self.a), ("b", self.b)):
             if vec.width != width:
                 raise ValueError(f"{name} must be {width} bits wide, got {vec.width}")
-        w = 1 << self.level
-        if self.carry_word & ~(block_bottoms(width, w) << w):
-            raise ValueError(f"level {self.level} carries must sit at bits (i+1)*{w}")
-        self._check_block_sums()
+        CascadeState._check_block_sums(
+            self.k, self.level, self.sums.value, self.carry_word, self.a.value, self.b.value
+        )
 
-    def _check_block_sums(self) -> None:
-        """The balance, bit by bit and without the kernel: s ^ a ^ b is each
-        bit's carry in. None may enter a block bottom; the rest, like the saved
-        carries, are the majority of the a, b and carry-in bits below them."""
-        w = 1 << self.level
-        s, a, b = self.sums.value, self.a.value, self.b.value
-        bottoms = block_bottoms(self.sums.width, w)
-        carry_in = s ^ a ^ b
+    @staticmethod
+    def _check_block_sums(k: int, level: int, sums: int, carry_word: int, a: int, b: int) -> None:
+        """The level check on words: the level range, the values' ranges, the
+        carry positions and the block-sum balance.
+
+        The balance is checked bit by bit and without the kernel: s ^ a ^ b is
+        each bit's carry in. None may enter a block bottom; the rest, like the
+        saved carries, are the majority of the a, b and carry-in bits below
+        them.
+        """
+        if not 1 <= level <= k:
+            raise ValueError(f"level {level} outside 1..{k}")
+        width = 1 << k
+        limit = 1 << width
+        for value in (sums, a, b):
+            if not 0 <= value < limit:
+                raise ValueError(f"value {value!r} does not fit in {width} bits")
+        w = 1 << level
+        bottoms = block_bottoms(width, w)
+        if carry_word & ~(bottoms << w):
+            raise ValueError(f"level {level} carries must sit at bits (i+1)*{w}")
+        carry_in = sums ^ a ^ b
         carry_out = ((a & b) | ((a ^ b) & carry_in)) << 1
         # a broken rule marks a bit of its block: a carry into a bottom marks
         # that bit, a wrong carry out marks the bit it came from
-        wrong_out = carry_out ^ (carry_in & ~bottoms) ^ self.carry_word
+        wrong_out = carry_out ^ (carry_in & ~bottoms) ^ carry_word
         broken = (carry_in & bottoms) | wrong_out >> 1
         if broken:
-            block = ((broken & -broken).bit_length() - 1) >> self.level
-            raise ModelIntegrityError(
-                f"block-sum balance broken at level {self.level}, block {block}"
-            )
-
-    def _per_block(self, word: int) -> tuple[int, ...]:
-        w = 1 << self.level
-        mask = (1 << w) - 1
-        return tuple((word >> (i * w)) & mask for i in range(1 << (self.k - self.level)))
+            block = ((broken & -broken).bit_length() - 1) >> level
+            raise ModelIntegrityError(f"block-sum balance broken at level {level}, block {block}")
 
     @property
     def carries(self) -> tuple[int, ...]:
         """The saved carries, lowest block first."""
-        return self._per_block(self.carry_word >> (1 << self.level))
-
-    def block_values(self) -> tuple[int, ...]:
-        """Sum-block values at this level, lowest block first."""
-        return self._per_block(self.sums.value)
+        return level_carries(self.carry_word, self.sums.width, self.level)
 
 
 @dataclass(frozen=True)
 class CascadeTrace:
-    """All intermediate levels of one addition, kept for inspection."""
+    """All intermediate levels of one addition, kept for inspection: the
+    operands and each level's (sums, carry word), level 1 first."""
 
-    states: tuple[CascadeState, ...]
+    a: BitVector
+    b: BitVector
+    levels: tuple[tuple[int, int], ...]
     ticks: int
     special_and_gates: int
 
     def __post_init__(self) -> None:
-        if not self.states:
+        if not self.levels:
             raise ValueError("trace needs at least the leaf state")
-        k = self.states[0].k
-        for offset, state in enumerate(self.states):
-            if state.level != offset + 1 or state.k != k:
-                raise ValueError("trace levels must ascend 1..k for a single width")
-        if self.ticks != k or self.states[-1].level != k:
+        if self.ticks != self.a.width.bit_length() - 1 or len(self.levels) != self.ticks:
             raise ValueError("trace must cover all k levels at one tick each")
+
+    @property
+    def states(self) -> tuple[CascadeState, ...]:
+        """One checked view per level."""
+        width = self.a.width
+        return tuple(
+            CascadeState(
+                k=self.ticks,
+                level=level,
+                sums=BitVector(width, sums),
+                carry_word=carry_word,
+                a=self.a,
+                b=self.b,
+            )
+            for level, (sums, carry_word) in enumerate(self.levels, start=1)
+        )
 
     def to_records(self) -> list[dict[str, object]]:
         """One serializable record per level."""
+        width = self.a.width
+        digits = "0{}x".format((width + 3) // 4)
         return [
             {
-                "level": state.level,
-                "sums": state.sums.to_hex(),
-                "carries": list(state.carries),
+                "level": level,
+                "sums": format(sums, digits),
+                "carries": list(level_carries(carry_word, width, level)),
             }
-            for state in self.states
+            for level, (sums, carry_word) in enumerate(self.levels, start=1)
         ]
 
 
@@ -130,22 +159,15 @@ class CascadeResult:
     trace: CascadeTrace
 
 
-def leaf_init(a: BitVector, b: BitVector) -> CascadeState:
-    """Tick 1: add all bit pairs through the 16-entry lookup units."""
+def leaf_init(a: BitVector, b: BitVector) -> tuple[int, int]:
+    """Tick 1: add all bit pairs through the 16-entry lookup units, giving
+    level 1's sums and carry word."""
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
     width = a.width
     if width < 2 or width & (width - 1):
         raise ValueError(f"width must be a power of two >= 2, got {width}")
-    sums, carry_word = blockwise_add(a.value, b.value, width, 2)
-    return CascadeState(
-        k=width.bit_length() - 1,
-        level=1,
-        sums=BitVector(width, sums),
-        carry_word=carry_word,
-        a=a,
-        b=b,
-    )
+    return blockwise_add(a.value, b.value, width, 2)
 
 
 def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVector, int]:
@@ -171,26 +193,19 @@ def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVecto
     return BitVector(w, full & ((1 << w) - 1)), full >> w
 
 
-def cascade_step(state: CascadeState) -> CascadeState:
-    """One tick: absorb every even block's carry, which sits on its odd
-    neighbour's bottom bit, into that neighbour, all pairs in one blockwise add."""
-    if state.level >= state.k:
-        raise ValueError(f"cascade already complete at level {state.k}")
-    w = 1 << state.level
-    width = state.sums.width
-    even_carries = state.carry_word & (block_bottoms(width, 2 * w) << w)
-    sums, overflow = blockwise_add(state.sums.value, even_carries, width, 2 * w)
-    odd_carries = state.carry_word ^ even_carries
+def cascade_step(sums: int, carry_word: int, width: int, level: int) -> tuple[int, int]:
+    """One tick from `level` to the next: absorb every even block's carry,
+    which sits on its odd neighbour's bottom bit, into that neighbour, all
+    pairs in one blockwise add."""
+    w = 1 << level
+    if w >= width:
+        raise ValueError(f"cascade already complete at level {width.bit_length() - 1}")
+    even_carries = carry_word & (block_bottoms(width, 2 * w) << w)
+    sums, overflow = blockwise_add(sums, even_carries, width, 2 * w)
+    odd_carries = carry_word ^ even_carries
     if overflow & odd_carries:
         raise ModelIntegrityError("saturated word cannot hold a high carry")
-    return CascadeState(
-        k=state.k,
-        level=state.level + 1,
-        sums=BitVector(width, sums),
-        carry_word=overflow | odd_carries,
-        a=state.a,
-        b=state.b,
-    )
+    return sums, overflow | odd_carries
 
 
 def step_gate_count(k: int, level: int) -> int:
@@ -201,12 +216,16 @@ def step_gate_count(k: int, level: int) -> int:
 
 def cascade_add(a: BitVector, b: BitVector) -> CascadeResult:
     """Add two 2**k-bit vectors in k ticks, re-checking every level."""
-    state = leaf_init(a, b)
-    states = [state]
+    sums, carry_word = leaf_init(a, b)
+    width = a.width
+    k = width.bit_length() - 1
+    CascadeState._check_block_sums(k, 1, sums, carry_word, a.value, b.value)
+    levels = [(sums, carry_word)]
     gates = 0
-    for _ in range(state.k - 1):
-        gates += step_gate_count(state.k, state.level)
-        state = cascade_step(state)
-        states.append(state)
-    trace = CascadeTrace(tuple(states), ticks=state.k, special_and_gates=gates)
-    return CascadeResult(sum=state.sums, carry=state.carry_word >> state.sums.width, trace=trace)
+    for level in range(1, k):
+        gates += step_gate_count(k, level)
+        sums, carry_word = cascade_step(sums, carry_word, width, level)
+        CascadeState._check_block_sums(k, level + 1, sums, carry_word, a.value, b.value)
+        levels.append((sums, carry_word))
+    trace = CascadeTrace(a, b, tuple(levels), ticks=k, special_and_gates=gates)
+    return CascadeResult(sum=BitVector(width, sums), carry=carry_word >> width, trace=trace)

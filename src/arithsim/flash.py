@@ -31,26 +31,27 @@ BLOCKED_TICKS = 3
 
 @dataclass(frozen=True)
 class HalfAddState:
-    """Wires after tick 1: s = a xor b over N+1 bits (top bit 0), c = a and b."""
+    """The wire words after tick 1: s = a xor b over N+1 bits (top bit 0) and
+    c = a and b over N bits."""
 
     n: int
-    s: BitVector
-    c: BitVector
+    s: int
+    c: int
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"width must be positive, got {self.n}")
-        if self.s.width != self.n + 1 or self.c.width != self.n:
+        if not (0 <= self.s < 2 << self.n and 0 <= self.c < 1 << self.n):
             raise ValueError("wire widths must be n+1 sum bits and n carry bits")
-        if (self.s.value >> self.n) & 1:
+        if self.s >> self.n:
             raise ValueError("top sum wire must start at 0")
-        if self.s.value & self.c.value:
+        if self.s & self.c:
             # a xor b and a and b can never be high on the same index
             raise ValueError("sum and carry wires overlap; not a half-add output")
 
     def total(self) -> int:
         """The value the wires stand for; constant until the carries resolve."""
-        return self.s.value + 2 * self.c.value
+        return self.s + 2 * self.c
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,7 @@ def half_add(a: BitVector, b: BitVector) -> HalfAddState:
     """Tick 1: all sum and carry wires in parallel."""
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    n = a.width
-    return HalfAddState(
-        n=n,
-        s=BitVector(n + 1, a.value ^ b.value),
-        c=BitVector(n, a.value & b.value),
-    )
+    return HalfAddState(n=a.width, s=a.value ^ b.value, c=a.value & b.value)
 
 
 def sc_and(state: HalfAddState, i: int, j: int) -> int:
@@ -138,12 +134,12 @@ def sc_and(state: HalfAddState, i: int, j: int) -> int:
     n = state.n
     if not 0 <= i < j <= n:
         raise ValueError(f"gate indices need 0 <= i < j <= {n}, got ({i}, {j})")
-    if (state.s.value >> j) & 1:
+    if (state.s >> j) & 1:
         return 0
     between = ((1 << (j - i - 1)) - 1) << (i + 1)  # s_{i+1} .. s_{j-1}
-    if state.s.value & between != between:
+    if state.s & between != between:
         return 0
-    return (state.c.value >> i) & 1
+    return (state.c >> i) & 1
 
 
 def segment_mask(i: int, j: int) -> int:
@@ -188,35 +184,33 @@ def fire_set(state: HalfAddState) -> FireSet:
     Each set carry's row fires exactly one gate and every other gate in the
     network conjoins a 0, so the tally is the whole network.
     """
-    n, carries = state.n, state.c.value
+    n, carries = state.n, state.c
     return FireSet(
         width=n,
         carries=carries,
-        ends=find_firings(state.s.value, carries),
+        ends=find_firings(state.s, carries),
         gates_evaluated=n * (n + 1) // 2,
     )
 
 
-def apply_firings_sequentially(
-    s: BitVector, firings, order: list[int] | None = None
-) -> BitVector:
-    """Complement the fired segments one at a time, optionally permuted.
+def apply_firings_sequentially(s: int, firings, order: list[int] | None = None) -> int:
+    """Complement the fired segments of the sum wires `s` one at a time,
+    optionally permuted.
 
     Disjointness makes the order irrelevant; tests lean on that.
     """
     pairs = list(firings)
     if order is not None:
         pairs = [pairs[t] for t in order]
-    value = s.value
     for i, j in pairs:
-        value ^= segment_mask(i, j)
-    return BitVector(s.width, value)
+        s ^= segment_mask(i, j)
+    return s
 
 
 def resolve(state: HalfAddState) -> ResolveResult:
     """Tick 2: fire the gate network and complement all segments at once."""
     firings = fire_set(state)
-    total = complement_segments(state.s.value, firings.carries, firings.ends)
+    total = complement_segments(state.s, firings.carries, firings.ends)
     if total != state.total():
         raise ModelIntegrityError("carry absorption changed the running total")
     return ResolveResult(

@@ -49,8 +49,10 @@ class RowSet:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        limit = 1 << self.width
-        for index, row in enumerate(self.rows):
+        rows, limit = self.rows, 1 << self.width
+        if not rows or (min(rows) >= 0 and max(rows) < limit):
+            return
+        for index, row in enumerate(rows):  # name the first row that does not fit
             if not 0 <= row < limit:
                 raise ValueError(f"row {index} = {row} does not fit in {self.width} bits")
 

@@ -59,6 +59,19 @@ def flipped_leaf_sum(monkeypatch):
 
 
 @pytest.fixture
+def flipped_step_sum(monkeypatch):
+    """Fault injection: the cascade tick that leaves level 2 hands back its
+    sums with the lowest bit flipped."""
+    original = cascade.cascade_step
+
+    def flipped(sums, carry_word, width, level):
+        sums, carry_word = original(sums, carry_word, width, level)
+        return (sums ^ 1 if level == 2 else sums), carry_word
+
+    monkeypatch.setattr(cascade, "cascade_step", flipped)
+
+
+@pytest.fixture
 def flipped_csa_carry(monkeypatch):
     """Fault injection: the 3:2 counter hands its stage a carry row with
     bit 1 flipped."""

@@ -130,7 +130,7 @@ def test_criterion_3_carry_gate_structure(verdict):
             if firings.gates_evaluated != 36 or gate_budget != 36:
                 violations += 1
             fired_carries = [i for i, _ in firings]
-            expected = [i for i in range(8) if state.c.bit(i)]
+            expected = [i for i in range(8) if (state.c >> i) & 1]
             if fired_carries != expected:  # uniqueness: one firing per carry
                 violations += 1
             union = 0
@@ -140,7 +140,7 @@ def test_criterion_3_carry_gate_structure(verdict):
                     violations += 1
                 union |= seg
                 for mid in range(i + 1, j):  # dead zone
-                    if state.c.bit(mid):
+                    if (state.c >> mid) & 1:
                         violations += 1
     verdict(
         3,
@@ -318,7 +318,7 @@ def test_criterion_9_order_independence(verdict):
         for _ in range(10):
             rng.shuffle(order)
             permuted = apply_firings_sequentially(state.s, firings, order)
-            if permuted.value != reference:
+            if permuted != reference:
                 mismatches += 1
     verdict(
         9,

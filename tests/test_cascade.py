@@ -12,6 +12,7 @@ from arithsim.cascade import (
     cascade_step,
     increment_unit,
     leaf_init,
+    level_carries,
     step_gate_count,
 )
 from arithsim.costs import cascade_gates
@@ -27,25 +28,24 @@ def test_pair_add_table_is_two_bit_addition():
 
 
 def test_leaf_init_zero():
-    state = leaf_init(BitVector(4, 0), BitVector(4, 0))
-    assert state.sums.value == 0
-    assert state.carries == (0, 0)
-    assert state.level == 1
+    sums, carry_word = leaf_init(BitVector(4, 0), BitVector(4, 0))
+    assert sums == 0
+    assert level_carries(carry_word, 4, 1) == (0, 0)
 
 
 def test_leaf_init_11_plus_6():
     # low block 3+2=5: sum bits 01, carry 1; high block 2+1=3: sum bits 11
-    state = leaf_init(BitVector(4, 11), BitVector(4, 6))
-    assert state.sums.to_binary() == "1101"
-    assert state.carries == (1, 0)
-    assert state.block_values() == (1, 3)
+    sums, carry_word = leaf_init(BitVector(4, 11), BitVector(4, 6))
+    assert sums == 0b1101
+    assert level_carries(carry_word, 4, 1) == (1, 0)
+    assert (sums & 0b11, sums >> 2) == (1, 3)
 
 
 def test_leaf_init_all_ones():
     # each block 3+3=6: sum bits 10, carry 1
-    state = leaf_init(BitVector(4, 15), BitVector(4, 15))
-    assert state.sums.to_binary() == "1010"
-    assert state.carries == (1, 1)
+    sums, carry_word = leaf_init(BitVector(4, 15), BitVector(4, 15))
+    assert sums == 0b1010
+    assert level_carries(carry_word, 4, 1) == (1, 1)
 
 
 def test_leaf_init_rejects_bad_widths():
@@ -97,32 +97,30 @@ def test_increment_unit_adds_exactly_inc(width_log, high_carry, inc, data):
 
 
 def test_cascade_step_merges_blocks():
-    state = leaf_init(BitVector(4, 11), BitVector(4, 6))
-    merged = cascade_step(state)
-    assert merged.level == 2
-    assert merged.sums.to_binary() == "0001"
-    assert merged.carries == (1,)
+    sums, carry_word = cascade_step(*leaf_init(BitVector(4, 11), BitVector(4, 6)), 4, 1)
+    assert sums == 0b0001
+    assert level_carries(carry_word, 4, 2) == (1,)
     with pytest.raises(ValueError):
-        cascade_step(merged)  # already at level k
+        cascade_step(sums, carry_word, 4, 2)  # already at level k
 
 
 def test_cascade_step_all_ones():
-    state = leaf_init(BitVector(4, 15), BitVector(4, 15))
-    merged = cascade_step(state)
-    assert merged.sums.to_binary() == "1110"
-    assert merged.carries == (1,)
+    sums, carry_word = cascade_step(*leaf_init(BitVector(4, 15), BitVector(4, 15)), 4, 1)
+    assert sums == 0b1110
+    assert level_carries(carry_word, 4, 2) == (1,)
 
 
 def test_state_validation_catches_tampered_carries():
-    state = leaf_init(BitVector(4, 11), BitVector(4, 6))
+    a, b = BitVector(4, 11), BitVector(4, 6)
+    sums, _ = leaf_init(a, b)
     with pytest.raises(ModelIntegrityError):
         CascadeState(
-            k=state.k,
-            level=state.level,
-            sums=state.sums,
+            k=2,
+            level=1,
+            sums=BitVector(4, sums),
             carry_word=0,  # the low block did carry
-            a=state.a,
-            b=state.b,
+            a=a,
+            b=b,
         )
 
 
@@ -134,6 +132,8 @@ def test_state_validation_checks_shapes():
         CascadeState(k=2, level=1, sums=v, carry_word=0b1000, a=v, b=v)
     with pytest.raises(ValueError):
         CascadeState(k=2, level=1, sums=v, carry_word=2 << 4, a=v, b=v)
+    with pytest.raises(ValueError, match="value 16 does not fit in 4 bits"):
+        CascadeState._check_block_sums(2, 1, 16, 0, 0, 0)
 
 
 def _check_levels_independently(result, a, b):
@@ -255,15 +255,16 @@ def test_blockwise_add_is_per_block_addition_exhaustively():
                 assert blockwise_add(x, y, width, w) == (want_sums, want_carries)
 
 
-def _step_by_increment_units(state):
+def _step_by_increment_units(sums_word, carry_word, width, level):
     """cascade_step as the paper draws it: one increment unit per block pair."""
-    w = 1 << state.level
-    sums_in = _blocks(state.sums.value, w, len(state.carries))
+    w = 1 << level
+    carries_in = level_carries(carry_word, width, level)
+    sums_in = _blocks(sums_word, w, len(carries_in))
     sums = 0
     carries = []
-    for i in range(len(state.carries) // 2):
+    for i in range(len(carries_in) // 2):
         word, carry = increment_unit(
-            BitVector(w, sums_in[2 * i + 1]), state.carries[2 * i + 1], state.carries[2 * i]
+            BitVector(w, sums_in[2 * i + 1]), carries_in[2 * i + 1], carries_in[2 * i]
         )
         sums |= (sums_in[2 * i] | word.value << w) << (2 * i * w)
         carries.append(carry)
@@ -271,11 +272,12 @@ def _step_by_increment_units(state):
 
 
 def _assert_steps_match_increment_units(a, b):
-    state = leaf_init(a, b)
-    while state.level < state.k:
-        stepped = cascade_step(state)
-        assert (stepped.sums.value, stepped.carries) == _step_by_increment_units(state)
-        state = stepped
+    width = a.width
+    sums, carry_word = leaf_init(a, b)
+    for level in range(1, width.bit_length() - 1):
+        want = _step_by_increment_units(sums, carry_word, width, level)
+        sums, carry_word = cascade_step(sums, carry_word, width, level)
+        assert (sums, level_carries(carry_word, width, level + 1)) == want
 
 
 def test_cascade_step_is_the_increment_units_exhaustively():
@@ -291,31 +293,51 @@ def test_cascade_step_is_the_increment_units_n128(rng):
         )
 
 
+def _outcome(check, *args, **kwargs):
+    try:
+        check(*args, **kwargs)
+    except (ValueError, ModelIntegrityError) as error:
+        return type(error), str(error)
+    return None
+
+
 def test_block_sum_check_accepts_exactly_the_balanced_states():
-    # every sum word and carry word at width 4, against each block's balance
+    # every sum word, carry word and operand pair at width 4, levels 1 and 2:
+    # the level check on words and the CascadeState view give the same verdict
+    # and message, and accept exactly the states whose carries sit at their
+    # blocks' weights and balance every block
     for level, w in ((1, 2), (2, 4)):
         count = 4 // w
+        placed = {
+            sum(c << ((i + 1) * w) for i, c in enumerate(carries)): carries
+            for carries in itertools.product((0, 1), repeat=count)
+        }
         for a, b, s in itertools.product(range(16), repeat=3):
             blocks = list(zip(_blocks(s, w, count), _blocks(a, w, count), _blocks(b, w, count)))
-            for carries in itertools.product((0, 1), repeat=count):
-                fields = dict(
-                    k=2,
-                    level=level,
-                    sums=BitVector(4, s),
-                    carry_word=sum(c << ((i + 1) * w) for i, c in enumerate(carries)),
-                    a=BitVector(4, a),
-                    b=BitVector(4, b),
-                )
+            views = dict(k=2, level=level, sums=BitVector(4, s), a=BitVector(4, a), b=BitVector(4, b))
+            for carry_word in range(1 << 5):
+                got = _outcome(CascadeState._check_block_sums, 2, level, s, carry_word, a, b)
+                assert _outcome(CascadeState, carry_word=carry_word, **views) == got
+                carries = placed.get(carry_word)
+                if carries is None:
+                    assert got == (ValueError, f"level {level} carries must sit at bits (i+1)*{w}")
+                    continue
                 broken = [
                     i for i, (sb, ab, bb) in enumerate(blocks) if (carries[i] << w) + sb != ab + bb
                 ]
                 if broken:
-                    with pytest.raises(ModelIntegrityError, match=f"level {level}, block {broken[0]}$"):
-                        CascadeState(**fields)
+                    message = f"block-sum balance broken at level {level}, block {broken[0]}"
+                    assert got == (ModelIntegrityError, message)
                 else:
-                    assert CascadeState(**fields).carries == carries
+                    assert got is None
+                    assert CascadeState(carry_word=carry_word, **views).carries == carries
 
 
 def test_a_flipped_leaf_sum_is_a_block_sum_break(flipped_leaf_sum):
     with pytest.raises(ModelIntegrityError, match="balance broken at level 1, block 0$"):
+        cascade_add(BitVector(8, 0xA5), BitVector(8, 0x3C))
+
+
+def test_a_flipped_step_sum_is_a_later_level_break(flipped_step_sum):
+    with pytest.raises(ModelIntegrityError, match="balance broken at level 3, block 0$"):
         cascade_add(BitVector(8, 0xA5), BitVector(8, 0x3C))

@@ -183,6 +183,18 @@ def test_verify_reports_a_broken_blockwise_add(capsys, flipped_leaf_sum):
     assert err == ""
 
 
+def test_verify_reports_a_broken_later_cascade_tick(capsys, flipped_step_sum):
+    code, out, err = run_cli(
+        capsys, ["verify", "--design", "cascade", "--width", "8", "--format", "structured"]
+    )
+    assert code == 1
+    assert "record=verify passed=0 failed=65536 " in out
+    assert (
+        "counterexample=a=0,b=0,error=ModelIntegrityError:_block-sum_balance_broken_at_level_3,_block_0\n"
+    ) in out
+    assert "Traceback" not in out + err
+
+
 def test_verify_reports_a_broken_3_2_counter(capsys, flipped_csa_carry):
     code, out, err = run_cli(
         capsys,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from arithsim.bitvec import BitVector, ModelIntegrityError, increment_mask
 from arithsim.flash import (
     FireSet,
+    HalfAddState,
     apply_firings_sequentially,
     blocked_add,
     complement_segments,
@@ -21,27 +22,40 @@ from arithsim.flash import (
 
 def test_half_add_5_plus_3():
     state = half_add(BitVector(4, 5), BitVector(4, 3))
-    assert state.s.to_binary() == "00110"
-    assert state.c.to_binary() == "0001"
+    assert state.s == 0b00110
+    assert state.c == 0b0001
     assert state.total() == 8
 
 
 def test_half_add_6_plus_6():
     state = half_add(BitVector(4, 6), BitVector(4, 6))
-    assert state.s.value == 0
-    assert state.c.to_binary() == "0110"
+    assert state.s == 0
+    assert state.c == 0b0110
 
 
 def test_half_add_identity():
     state = half_add(BitVector(4, 9), BitVector(4, 0))
-    assert state.s.value == 9
-    assert state.c.value == 0
+    assert state.s == 9
+    assert state.c == 0
 
 
 def test_half_add_top_sum_wire_is_clear():
     state = half_add(BitVector(4, 15), BitVector(4, 15))
-    assert state.s.width == 5
-    assert state.s.bit(4) == 0
+    assert state.s < 1 << 5
+    assert (state.s >> 4) & 1 == 0
+
+
+def test_half_add_state_checks_its_wires():
+    for n, s, c, message in (
+        (0, 0, 0, "width must be positive"),
+        (4, 1 << 5, 0, "wire widths"),
+        (4, -1, 0, "wire widths"),
+        (4, 0, 1 << 4, "wire widths"),
+        (4, 1 << 4, 0, "top sum wire"),
+        (4, 0b0110, 0b0100, "overlap"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            HalfAddState(n=n, s=s, c=c)
 
 
 def test_half_add_rejects_width_mismatch():
@@ -109,7 +123,7 @@ def test_fire_set_structure_exhaustive_n4():
             state = half_add(BitVector(4, a), BitVector(4, b))
             firings = fire_set(state)
             assert {i for i, _ in firings} == {
-                i for i in range(4) if state.c.bit(i)
+                i for i in range(4) if (state.c >> i) & 1
             }
             union = 0
             for i, j in firings:
@@ -117,7 +131,7 @@ def test_fire_set_structure_exhaustive_n4():
                 assert union & seg == 0
                 union |= seg
                 for mid in range(i + 1, j):
-                    assert state.c.bit(mid) == 0  # dead zone
+                    assert (state.c >> mid) & 1 == 0  # dead zone
 
 
 def test_fireset_type_rejects_overlap():
@@ -207,7 +221,7 @@ def test_order_independence_spot(rng):
         )
         firings = fire_set(state)
         reference = apply_firings_sequentially(state.s, firings)
-        assert reference.value == resolve(state).sum.value
+        assert reference == resolve(state).sum.value
         order = list(range(len(firings)))
         for _ in range(5):
             rng.shuffle(order)
