@@ -9,6 +9,10 @@ lands in column p+q of output row q, so the stage emits
 floor(log2(consumed)) + 1 rows plus any rows left out. Both kinds preserve
 the running sum, which is asserted after every stage.
 
+Zero rows count, so a schedule's shape depends only on the row count. Each
+`StageRecord` and `ScheduleReport` is therefore built and validated once per
+distinct value by a memoized constructor, and reused on every later call.
+
 `consolidate(rows, schedule)` runs either schedule from any row count.
 Schedule A uses only 3:2 stages; schedule B quantizes until three rows remain
 and finishes with one 3:2 stage. The surviving two rows are added by the
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .bitvec import BitVector, ModelIntegrityError
 from . import flash
@@ -112,6 +117,27 @@ class ScheduleReport:
             raise ValueError("total_ticks must equal the sum of stage ticks")
 
 
+# Memoized constructors for every stage record and schedule report: each
+# distinct value is built and validated once; a failed check caches nothing.
+@lru_cache
+def csa_record(rows_in: int, rows_out: int) -> StageRecord:
+    return StageRecord(
+        StageKind.CSA_3_2, rows_in, rows_out, rows_in % 3, CSA_STAGE_TICKS, rows_in // 3
+    )
+
+
+@lru_cache
+def quantizer_record(rows_in: int, rows_out: int, left_out: int, width: int) -> StageRecord:
+    return StageRecord(StageKind.QUANTIZER, rows_in, rows_out, left_out, QUANTIZER_TICKS, width)
+
+
+@lru_cache
+def schedule_report(
+    stages: tuple[StageRecord, ...], trajectory: tuple[int, ...], ticks: int
+) -> ScheduleReport:
+    return ScheduleReport(stages, trajectory, ticks)
+
+
 @dataclass(frozen=True)
 class MultiplyResult:
     product: BitVector  # width 2N
@@ -127,9 +153,8 @@ def partial_products(a: BitVector, b: BitVector) -> RowSet:
     """
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    n = a.width
-    rows = tuple(a.value << i if (b.value >> i) & 1 else 0 for i in range(n))
-    return RowSet(width=2 * n, rows=rows)
+    n, av, bv = a.width, a.value, b.value
+    return RowSet(2 * n, tuple([av << i if (bv >> i) & 1 else 0 for i in range(n)]))
 
 
 def csa_3_2(r1: int, r2: int, r3: int, width: int) -> tuple[int, int]:
@@ -146,25 +171,16 @@ def csa_3_2(r1: int, r2: int, r3: int, width: int) -> tuple[int, int]:
 
 def csa_stage(rows: RowSet) -> tuple[RowSet, StageRecord]:
     """Consolidate rows in triples, first to last; stragglers pass through."""
-    n = len(rows)
+    r, width, csa = rows.rows, rows.width, csa_3_2
+    n = len(r)
     if n < 3:
         raise ValueError(f"a 3:2 stage needs at least three rows, got {n}")
-    out = []
-    for t in range(n // 3):
-        out.extend(csa_3_2(*rows.rows[3 * t : 3 * t + 3], rows.width))
-    out.extend(rows.rows[3 * (n // 3) :])
-    result = RowSet(rows.width, tuple(out))
+    out = [row for x, y, z in zip(r[0::3], r[1::3], r[2::3]) for row in csa(x, y, z, width)]
+    out += r[n - n % 3 :]
+    result = RowSet(width, tuple(out))
     if result.total() != rows.total():
         raise ModelIntegrityError("3:2 stage lost value")
-    record = StageRecord(
-        kind=StageKind.CSA_3_2,
-        rows_in=n,
-        rows_out=len(result),
-        left_out=n % 3,
-        ticks=CSA_STAGE_TICKS,
-        circuits_used=n // 3,
-    )
-    return result, record
+    return result, csa_record(n, len(out))
 
 
 def column_counts(rows: RowSet) -> tuple[int, ...]:
@@ -172,6 +188,18 @@ def column_counts(rows: RowSet) -> tuple[int, ...]:
     return tuple(
         sum((row >> p) & 1 for row in rows.rows) for p in range(rows.width)
     )
+
+
+def count_planes(rows: tuple[int, ...]) -> list[int]:
+    """Per-column 1-bit counts of all columns at once, as bit planes: plane q
+    holds bit q of every column's count. Adding a row ripples plane by plane."""
+    planes = [0] * len(rows).bit_length()
+    for carry in rows:
+        for q, plane in enumerate(planes):
+            if not carry:
+                break
+            carry, planes[q] = plane & carry, plane ^ carry
+    return planes
 
 
 def quantize_columns(rows: RowSet, leave_out: int = 0) -> tuple[RowSet, StageRecord]:
@@ -186,34 +214,17 @@ def quantize_columns(rows: RowSet, leave_out: int = 0) -> tuple[RowSet, StageRec
     consumed = n - leave_out
     if leave_out < 0 or consumed < 3:
         raise ValueError(f"cannot consume {consumed} of {n} rows")
-    # Per-column counting runs over all columns at once: plane q holds bit q
-    # of every column's running count, and adding a row ripples plane by plane.
-    planes_needed = consumed.bit_length()
-    planes = [0] * planes_needed
-    for carry in rows.rows[:consumed]:
-        for q in range(planes_needed):
-            if not carry:
-                break
-            carry, planes[q] = planes[q] & carry, planes[q] ^ carry
     out = []
-    for q, plane in enumerate(planes):
+    for q, plane in enumerate(count_planes(rows.rows[:consumed])):
         shifted = plane << q
         if shifted >> rows.width:
             raise ModelIntegrityError("a count digit escaped the row width")
         out.append(shifted)
-    out.extend(rows.rows[consumed:])
+    out += rows.rows[consumed:]
     result = RowSet(rows.width, tuple(out))
     if result.total() != rows.total():
         raise ModelIntegrityError("quantizer stage lost value")
-    record = StageRecord(
-        kind=StageKind.QUANTIZER,
-        rows_in=n,
-        rows_out=len(result),
-        left_out=leave_out,
-        ticks=QUANTIZER_TICKS,
-        circuits_used=rows.width,
-    )
-    return result, record
+    return result, quantizer_record(n, len(out), leave_out, rows.width)
 
 
 def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleReport]:
@@ -228,12 +239,11 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
     """
     if len(rows) < 3:
         raise ValueError(f"consolidation needs at least three rows, got {len(rows)}")
-    trajectory = [len(rows)]
+    trajectory = [len(rows.rows)]
     stages = []
     ticks = 0
     current = rows
-    while len(current) > 2:
-        n = len(current)
+    while (n := len(current.rows)) > 2:
         if schedule is Schedule.A or n == 3:
             current, record = csa_stage(current)
         elif n & (n - 1) == 0:
@@ -241,13 +251,9 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
         else:
             current, record = quantize_columns(current)
         stages.append(record)
-        trajectory.append(len(current))
+        trajectory.append(record.rows_out)
         ticks += record.ticks
-    return current, ScheduleReport(
-        stages=tuple(stages),
-        row_trajectory=tuple(trajectory),
-        total_ticks=ticks,
-    )
+    return current, schedule_report(tuple(stages), tuple(trajectory), ticks)
 
 
 def check_multiplier_width(width: int) -> None:
@@ -264,8 +270,11 @@ def multiply(a: BitVector, b: BitVector, schedule: Schedule) -> MultiplyResult:
     check_multiplier_width(n)
     rows = partial_products(a, b)
     final_rows, report = consolidate(rows, schedule)
-    r1, r2 = (BitVector(2 * n, row) for row in final_rows.rows)
-    added = flash.double_width_add(*r1.halves(), *r2.halves())
+    (r1, r2), mask = final_rows.rows, (1 << n) - 1
+    added = flash.double_width_add(
+        BitVector(n, r1 & mask), BitVector(n, r1 >> n),
+        BitVector(n, r2 & mask), BitVector(n, r2 >> n),
+    )
     if (added.sum.value >> (2 * n)) & 1:
         raise ModelIntegrityError("product escaped its 2N-bit width")
     return MultiplyResult(

@@ -85,6 +85,32 @@ def flipped_csa_carry(monkeypatch):
 
 
 @pytest.fixture
+def extra_zero_row(monkeypatch):
+    """Fault injection: the 3:2 counter hands its stage a zero row besides
+    its two, so the stage's total balances but its row count is wrong."""
+    original = multiplier.csa_3_2
+
+    def extra(r1, r2, r3, width):
+        return (*original(r1, r2, r3, width), 0)
+
+    monkeypatch.setattr(multiplier, "csa_3_2", extra)
+
+
+@pytest.fixture
+def flipped_plane_bit(monkeypatch):
+    """Fault injection: the quantizer's plane ripple hands its stage plane 0
+    with bit 0 flipped."""
+    original = multiplier.count_planes
+
+    def flipped(rows):
+        planes = original(rows)
+        planes[0] ^= 1
+        return planes
+
+    monkeypatch.setattr(multiplier, "count_planes", flipped)
+
+
+@pytest.fixture
 def stage_totals(monkeypatch):
     """Spy: the list of the rows' running totals after each stage that
     `consolidate` runs, in order."""

@@ -204,3 +204,28 @@ def test_verify_reports_a_broken_3_2_counter(capsys, flipped_csa_carry):
     assert "record=verify passed=0 failed=256 " in out
     assert "counterexample=a=0,b=0,error=ModelIntegrityError:_3:2_stage_lost_value\n" in out
     assert "Traceback" not in out + err
+
+
+def test_verify_reports_a_wrong_3_2_row_count_after_a_warm_run(capsys, request):
+    argv = ["verify", "--design", "mult", "--width", "4", "--schedule", "A",
+            "--format", "structured"]
+    assert run_cli(capsys, argv)[0] == 0  # warms the record caches
+    request.getfixturevalue("extra_zero_row")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert "record=verify passed=0 failed=256 " in out
+    assert (
+        "counterexample=a=0,b=0,error=ValueError:_a_3:2_stage_keeps_rows_in_-_rows_in//3_rows\n"
+    ) in out
+    assert "Traceback" not in out + err
+
+
+def test_verify_reports_a_broken_quantizer(capsys, flipped_plane_bit):
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--design", "mult", "--width", "4", "--schedule", "B", "--format", "structured"],
+    )
+    assert code == 1
+    assert "record=verify passed=0 failed=256 " in out
+    assert "counterexample=a=0,b=0,error=ModelIntegrityError:_quantizer_stage_lost_value\n" in out
+    assert "Traceback" not in out + err

@@ -259,6 +259,49 @@ def test_a_flipped_csa_carry_is_a_model_break(flipped_csa_carry):
             consolidate(rows, schedule)
 
 
+def test_a_flipped_plane_bit_is_a_model_break(flipped_plane_bit):
+    rows = partial_products(BitVector(8, 0xB7), BitVector(8, 0x5D))
+    with pytest.raises(ModelIntegrityError, match="^quantizer stage lost value$"):
+        consolidate(rows, Schedule.B)
+
+
+def test_a_warm_record_cache_still_checks_the_row_count(request):
+    a, b = BitVector(8, 0xB7), BitVector(8, 0x5D)
+    assert multiply(a, b, Schedule.A).product.value == 0xB7 * 0x5D  # warms the caches
+    request.getfixturevalue("extra_zero_row")
+    with pytest.raises(ValueError, match=r"^a 3:2 stage keeps rows_in - rows_in//3 rows$"):
+        consolidate(partial_products(a, b), Schedule.A)
+
+
+def fresh_report(r, schedule, width):
+    """The report of `schedule` from r rows, from freshly built records."""
+    stages, trajectory = [], [r]
+    while r > 2:
+        if schedule is Schedule.A or r == 3:
+            stage = StageRecord(StageKind.CSA_3_2, r, r - r // 3, r % 3, 1, r // 3)
+        else:
+            left = int(r & (r - 1) == 0)
+            stage = StageRecord(
+                StageKind.QUANTIZER, r, (r - left).bit_length() + left, left, 2, width
+            )
+        stages.append(stage)
+        r = stage.rows_out
+        trajectory.append(r)
+    return ScheduleReport(tuple(stages), tuple(trajectory), sum(s.ticks for s in stages))
+
+
+def test_memoized_reports_equal_freshly_built_ones():
+    for r in range(3, 67):
+        rows = rows_of(128, *([0] * r))
+        for schedule in Schedule:
+            _, report = consolidate(rows, schedule)
+            assert report == fresh_report(r, schedule, 128)
+            assert consolidate(rows, schedule)[1] == report
+    for schedule in Schedule:
+        report = multiply(BitVector(64, 0xB7), BitVector(64, 0x5D), schedule).report
+        assert report == fresh_report(PUBLISHED_ROW_COUNT, schedule, 128)
+
+
 def test_consolidate_needs_three_rows():
     with pytest.raises(ValueError):
         consolidate(rows_of(8, 1, 2), Schedule.A)
