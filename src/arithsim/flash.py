@@ -11,15 +11,20 @@ Complementing the wire segment s_{i+1}..s_j adds 2**(i+1), which is the
 carry's weight; fired segments never overlap, so all complements happen
 simultaneously. The full network has N(N+1)/2 gates.
 
-Built on the same trailing-ones trick: a one-tick add of 2**i into a vector,
-a three-tick double-width adder (two parallel halves plus a cross-carry
-increment), and a three-tick blocked adder that cascades square-root-sized
-blocks instead of doubling block sizes level by level.
+Built on the same trailing-ones trick: a one-tick add of 2**i into a vector
+and two three-tick adders. Both start with the pair-leaf network inside
+blocks (`pair_leaf_blocks`): the 16-entry pair-add lookups, then the AND
+network on the pair sums, confined to each block. The double-width adder
+runs it with its two halves as the two blocks and then folds in one
+cross-carry increment; the blocked adder runs it on square-root-sized blocks
+and then absorbs the block carries across the whole word, instead of
+doubling block sizes level by level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .bitvec import BitVector, ModelIntegrityError, blockwise_add, increment_mask
@@ -110,8 +115,6 @@ class IncrementResult:
 class DoubleWidthResult:
     sum: BitVector  # width 2n+1
     ticks: int
-    low: ResolveResult
-    high: ResolveResult
     cross_carry: int
 
 
@@ -237,35 +240,82 @@ def increment_by_pow2(x: BitVector, i: int) -> IncrementResult:
     return IncrementResult(sum=BitVector(n + 1, result), ticks=1)
 
 
+@lru_cache
+def block_parity_masks(width: int, block_width: int) -> tuple[int, int]:
+    """The wires of the even and of the odd `block_width`-bit blocks of a
+    `width`-bit word; cached, since each adder asks for the same few."""
+    low = (1 << block_width) - 1
+    even = sum(low << base for base in range(0, width, 2 * block_width))
+    return even, ((1 << width) - 1) ^ even
+
+
+def pair_leaf_blocks(x: int, y: int, width: int, block_width: int) -> tuple[int, int]:
+    """Ticks 1-2 of the pair-leaf network: add x and y inside every
+    `block_width`-bit block, returning the resolved sum wires and the carry
+    word, block k's carry out at bit (k+1)*block_width, its weight.
+
+    Tick 1 pair-adds all bit couples through the 16-entry lookup units. Tick 2
+    runs the carry-absorbing AND network on the pair sums, each pair's carry
+    standing on the pair's top wire: once on the even blocks and once on the
+    odd blocks. The wires of the other parity read 0, so every segment stops
+    at its block's top, and an end just above the top is the block's carry
+    out.
+    """
+    if block_width % 2 or width % block_width:
+        raise ValueError(f"{width} bits do not split into even {block_width}-bit blocks")
+
+    # tick 1: pair-leaf initialization, the 16-entry lookups as one blockwise add
+    s_val, carried_weight = blockwise_add(x, y, width, 2)
+    if s_val + carried_weight != x + y:
+        raise ModelIntegrityError("pair-leaf initialization lost value")
+
+    # tick 2: the network inside every block; pair p's carry, of weight
+    # 2**(2p+2), stands on wire 2p+1
+    carries = carried_weight >> 1
+    resolved = carry_weight = 0
+    for mask in block_parity_masks(width, block_width):
+        s, c = s_val & mask, carries & mask
+        blocks = complement_segments(s, c, find_firings(s, c))
+        resolved |= blocks & mask
+        carry_weight |= blocks & ~mask
+    if resolved + carry_weight != x + y:
+        raise ModelIntegrityError("in-block resolution lost value")
+    return resolved, carry_weight
+
+
 def double_width_add(
     a_lo: BitVector, a_hi: BitVector, b_lo: BitVector, b_hi: BitVector
 ) -> DoubleWidthResult:
     """Add two 2N-bit values as parallel N-bit halves plus one cross carry.
 
-    Ticks 1-2 run both halves' flash additions side by side; tick 3 folds the
-    low half's carry-out into the high half's N+1 result bits. The latency is
-    three ticks whether or not the cross carry fires.
+    Ticks 1-2 run the pair-leaf network with the two halves as its two
+    blocks; an odd half gets one zero top wire, so no pair straddles the
+    halves. Tick 3 folds the low half's carry-out into the high half's N+1
+    result bits. The latency is three ticks whether or not the cross carry
+    fires.
     """
     n = a_lo.width
     for name, vec in (("a_hi", a_hi), ("b_lo", b_lo), ("b_hi", b_hi)):
         if vec.width != n:
             raise ValueError(f"{name} must be {n} bits wide, got {vec.width}")
-    low = flash_add(a_lo, b_lo)
-    high = flash_add(a_hi, b_hi)
-    cross = (low.sum.value >> n) & 1
-    high_value = high.sum.value
+    bw = n + (n & 1)
+    resolved, carry_weight = pair_leaf_blocks(
+        a_lo.value | (a_hi.value << bw), b_lo.value | (b_hi.value << bw), 2 * bw, bw
+    )
+    # each half's N+1 sum wires: its block's wires and its carry out on top
+    low = (resolved & ((1 << bw) - 1)) | (carry_weight & (1 << bw))
+    high = (resolved >> bw) | (carry_weight >> (2 * bw) << bw)
+    if (low | high) >> (n + 1):
+        raise ModelIntegrityError("a half's sum does not fit its n+1 wires")
+    cross = low >> n
     if cross:
-        mask = increment_mask(high_value)
+        mask = increment_mask(high)
         if mask >> (n + 1):
             raise ModelIntegrityError("cross-carry increment escaped the high half")
-        high_value ^= mask
-    total = (high_value << n) | (low.sum.value & ((1 << n) - 1))
+        high ^= mask
+    total = (high << n) | (low & ((1 << n) - 1))
     return DoubleWidthResult(
-        sum=BitVector(2 * n + 1, total),
-        ticks=DOUBLE_WIDTH_TICKS,
-        low=low,
-        high=high,
-        cross_carry=cross,
+        sum=BitVector(2 * n + 1, total), ticks=DOUBLE_WIDTH_TICKS, cross_carry=cross
     )
 
 
@@ -277,9 +327,7 @@ def is_power_of_four(n: int) -> bool:
 def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
     """Add two 2N-bit values in three ticks via sqrt(N) equal blocks.
 
-    Tick 1 pair-adds all bit couples through the 16-entry lookup units.
-    Tick 2 runs the carry-absorbing AND network inside each block on the pair
-    sums, each pair's carry standing on the pair's top wire; a segment that
+    Ticks 1-2 are the pair-leaf network inside each block; a segment that
     reaches the block top is the block's carry out. Tick 3 runs the network
     once more over the whole word, with the block carries at the block tops.
     N must be a power of four so the block count sqrt(N) is a power of two
@@ -295,26 +343,7 @@ def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
         raise ValueError(f"half-width {half} must be a power of four")
     blocks = isqrt(half)
     bw = width // blocks  # 2 * sqrt(N) bits per block
-
-    # tick 1: pair-leaf initialization, the 16-entry lookups as one blockwise add
-    s_val, carried_weight = blockwise_add(a.value, b.value, width, 2)
-    if s_val + carried_weight != a.value + b.value:
-        raise ModelIntegrityError("pair-leaf initialization lost value")
-
-    # tick 2: the network inside each block, one carry out per block
-    block_mask = (1 << bw) - 1
-    resolved = 0
-    block_carries = []
-    for base in range(0, width, bw):
-        block_s = (s_val >> base) & block_mask
-        # pair p's carry, of weight 2**(2p+2), stands on wire 2p+1
-        block_c = (carried_weight >> (base + 1)) & block_mask
-        block = complement_segments(block_s, block_c, find_firings(block_s, block_c))
-        resolved |= (block & block_mask) << base
-        block_carries.append(block >> bw)
-    carry_weight = sum(c << ((bk + 1) * bw) for bk, c in enumerate(block_carries))
-    if resolved + carry_weight != a.value + b.value:
-        raise ModelIntegrityError("in-block resolution lost value")
+    resolved, carry_weight = pair_leaf_blocks(a.value, b.value, width, bw)
 
     # tick 3: the network across blocks; the top block's carry lands on the
     # overflow bit
@@ -325,5 +354,5 @@ def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
     return BlockedResult(
         sum=BitVector(width + 1, total),
         ticks=BLOCKED_TICKS,
-        block_carries=tuple(block_carries),
+        block_carries=tuple((carry_weight >> top) & 1 for top in range(bw, width + 1, bw)),
     )

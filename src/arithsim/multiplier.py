@@ -10,8 +10,8 @@ floor(log2(consumed)) + 1 rows plus any rows left out. Both kinds preserve
 the running sum, which is asserted after every stage.
 
 Zero rows count, so a schedule's shape depends only on the row count. Each
-`StageRecord` and `ScheduleReport` is therefore built and validated once per
-distinct value by a memoized constructor, and reused on every later call.
+`StageRecord` is therefore built and validated once per distinct value by a
+memoized constructor, and reused on every later call.
 
 `consolidate(rows, schedule)` runs either schedule from any row count.
 Schedule A uses only 3:2 stages; schedule B quantizes until three rows remain
@@ -117,8 +117,8 @@ class ScheduleReport:
             raise ValueError("total_ticks must equal the sum of stage ticks")
 
 
-# Memoized constructors for every stage record and schedule report: each
-# distinct value is built and validated once; a failed check caches nothing.
+# Memoized constructors for every stage record: each distinct value is built
+# and validated once; a failed check caches nothing.
 @lru_cache
 def csa_record(rows_in: int, rows_out: int) -> StageRecord:
     return StageRecord(
@@ -129,13 +129,6 @@ def csa_record(rows_in: int, rows_out: int) -> StageRecord:
 @lru_cache
 def quantizer_record(rows_in: int, rows_out: int, left_out: int, width: int) -> StageRecord:
     return StageRecord(StageKind.QUANTIZER, rows_in, rows_out, left_out, QUANTIZER_TICKS, width)
-
-
-@lru_cache
-def schedule_report(
-    stages: tuple[StageRecord, ...], trajectory: tuple[int, ...], ticks: int
-) -> ScheduleReport:
-    return ScheduleReport(stages, trajectory, ticks)
 
 
 @dataclass(frozen=True)
@@ -253,7 +246,7 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
         stages.append(record)
         trajectory.append(record.rows_out)
         ticks += record.ticks
-    return current, schedule_report(tuple(stages), tuple(trajectory), ticks)
+    return current, ScheduleReport(tuple(stages), tuple(trajectory), ticks)
 
 
 def check_multiplier_width(width: int) -> None:

@@ -89,15 +89,17 @@ def test_verify_counts_a_model_break_as_a_failed_pair(capsys, monkeypatch):
 
 
 def test_verify_reports_a_broken_firing_search(capsys, shortened_segment):
-    code, out, err = run_cli(
-        capsys, ["verify", "--design", "blocked_double", "--width", "8", "--format", "structured"]
-    )
-    assert code == 1
-    assert (
-        "counterexample=a=1,b=3,error=ModelIntegrityError:"
-        "_fired_segments_do_not_start_just_above_their_carries\n"
-    ) in out
-    assert "Traceback" not in out + err
+    # both three-tick adders run the shared pair-leaf network
+    for design in ("blocked_double", "flash_double"):
+        code, out, err = run_cli(
+            capsys, ["verify", "--design", design, "--width", "8", "--format", "structured"]
+        )
+        assert code == 1
+        assert (
+            "counterexample=a=1,b=3,error=ModelIntegrityError:"
+            "_fired_segments_do_not_start_just_above_their_carries\n"
+        ) in out
+        assert "Traceback" not in out + err
 
 
 def _adder_record_digest() -> str:

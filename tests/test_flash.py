@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithsim.bitvec import BitVector, ModelIntegrityError, increment_mask
+from arithsim.bitvec import BitVector, ModelIntegrityError, blockwise_add, increment_mask
 from arithsim.flash import (
     FireSet,
     HalfAddState,
@@ -10,10 +10,12 @@ from arithsim.flash import (
     blocked_add,
     complement_segments,
     double_width_add,
+    find_firings,
     fire_set,
     flash_add,
     half_add,
     increment_by_pow2,
+    pair_leaf_blocks,
     resolve,
     sc_and,
     segment_mask,
@@ -270,7 +272,8 @@ def test_double_width_add_examples():
 
 
 def test_double_width_add_exhaustive_small():
-    for half in (1, 2, 4):
+    # half 3 runs its halves as 4-bit blocks with a zero top wire
+    for half in (1, 2, 3, 4):
         width = 2 * half
         for a in range(1 << width):
             for b in range(1 << width):
@@ -299,6 +302,42 @@ def test_double_width_add_random_n64(rng):
         )
         assert result.sum.value == a + b
         assert result.ticks == 3
+
+
+def per_block_network(x, y, width, block_width):
+    """The reference for `pair_leaf_blocks`: the pair-leaf tick, then the
+    AND network run block by block, each carry out read off the block top."""
+    s_val, carried_weight = blockwise_add(x, y, width, 2)
+    block_mask = (1 << block_width) - 1
+    resolved = carry_weight = 0
+    for base in range(0, width, block_width):
+        block_s = (s_val >> base) & block_mask
+        block_c = (carried_weight >> (base + 1)) & block_mask
+        block = complement_segments(block_s, block_c, find_firings(block_s, block_c))
+        resolved |= (block & block_mask) << base
+        carry_weight |= (block >> block_width) << (base + block_width)
+    return resolved, carry_weight
+
+
+def test_pair_leaf_blocks_match_the_per_block_loop(rng):
+    for block_width in (2, 4, 8):
+        for a in range(256):
+            for b in range(256):
+                assert pair_leaf_blocks(a, b, 8, block_width) == per_block_network(
+                    a, b, 8, block_width
+                )
+    # the blocked adder's blocks and the double-width adder's halves
+    for width, block_widths in ((32, (2, 8, 16)), (128, (2, 16, 64))):
+        for _ in range(2_000):
+            a, b = rng.getrandbits(width), rng.getrandbits(width)
+            for block_width in block_widths:
+                assert pair_leaf_blocks(a, b, width, block_width) == per_block_network(
+                    a, b, width, block_width
+                )
+    with pytest.raises(ValueError):
+        pair_leaf_blocks(0, 0, 8, 3)
+    with pytest.raises(ValueError):
+        pair_leaf_blocks(0, 0, 12, 8)
 
 
 def test_blocked_add_examples():
@@ -364,11 +403,15 @@ def test_a_shortened_segment_is_a_model_break(shortened_segment):
         resolve(half_add(BitVector(4, 5), BitVector(4, 3)))
     with pytest.raises(ModelIntegrityError, match="not a run of 1 wires up to a 0 wire"):
         blocked_add(BitVector(8, 0xFF), BitVector(8, 0x01))
+    with pytest.raises(ModelIntegrityError, match="not a run of 1 wires up to a 0 wire"):
+        double_width_add(BitVector(4, 0xF), BitVector(4, 0), BitVector(4, 1), BitVector(4, 0))
 
 
 def test_an_extra_end_trips_the_gate_checks(extra_end):
     with pytest.raises(ModelIntegrityError, match="not a run of 1 wires up to a 0 wire"):
         blocked_add(BitVector(8, 0xFF), BitVector(8, 0x01))
+    with pytest.raises(ModelIntegrityError, match="not a run of 1 wires up to a 0 wire"):
+        double_width_add(BitVector(4, 0xF), BitVector(4, 0), BitVector(4, 1), BitVector(4, 0))
     # the flash adder's FireSet rejects the unpaired end before complementing
     with pytest.raises(ValueError, match="one end per carry"):
         resolve(half_add(BitVector(4, 5), BitVector(4, 3)))
