@@ -11,7 +11,6 @@ against the closed-form count, so the table doubles as a smoke test.
 
 import argparse
 import random
-from dataclasses import dataclass
 
 from arithsim.bitvec import BitVector
 from arithsim.cli import ADDERS
@@ -25,20 +24,13 @@ from arithsim.costs import (
 from arithsim.multiplier import Schedule
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    widths: tuple[int, ...] = (8, 32, 128)
-    samples: int = 200
-    seed: int = 2024
-
-
-def run_design(design: Design, width: int, config: SweepConfig) -> tuple[int, str]:
+def run_design(design: Design, width: int, samples: int, seed: int) -> tuple[int, str]:
     """Random-sweep one adder; returns (passes, simulated gate tally or -)."""
     adder = ADDERS[design]
-    rng = random.Random(config.seed ^ width)
+    rng = random.Random(seed ^ width)
     passes = 0
     tally = "-"
-    for _ in range(config.samples):
+    for _ in range(samples):
         a = rng.getrandbits(width)
         b = rng.getrandbits(width)
         sum_vec, carry, _, result = adder.run(BitVector(width, a), BitVector(width, b))
@@ -54,24 +46,20 @@ def main() -> int:
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2024)
     args = parser.parse_args()
-    config = SweepConfig(
-        widths=tuple(int(w) for w in args.widths.split(",")),
-        samples=args.samples,
-        seed=args.seed,
-    )
+    widths = [int(w) for w in args.widths.split(",")]
 
     print(
         f"{'design':16s} {'width':>5s} {'gates':>7s} {'tally':>7s} "
         f"{'ticks':>5s} {'checked':>8s}"
     )
-    for width in config.widths:
+    for width in widths:
         for design in ADDERS:
             try:
                 report = cost_report(design, width)  # applies the design's width rule
             except ValueError:
                 continue
-            passes, tally = run_design(design, width, config)
-            if passes != config.samples:
+            passes, tally = run_design(design, width, args.samples, args.seed)
+            if passes != args.samples:
                 raise SystemExit(f"{design.value} width {width}: {passes} passes")
             if tally not in ("-", str(report.special_and_gates)):
                 raise SystemExit(
@@ -81,7 +69,7 @@ def main() -> int:
             print(
                 f"{report.design.value:16s} {report.width:5d} "
                 f"{report.special_and_gates:7d} {tally:>7s} {report.ticks:5d} "
-                f"{passes:5d}/{config.samples}"
+                f"{passes:5d}/{args.samples}"
             )
 
     print()

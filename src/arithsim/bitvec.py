@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 _HEX = re.compile("[0-9a-fA-F]+")
 
@@ -34,30 +33,12 @@ class BitVector:
             raise ValueError(f"value {self.value!r} does not fit in {self.width} bits")
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> BitVector:
-        """Build from an LSB-first sequence of 0/1 values."""
-        seq = tuple(bits)
-        if not seq:
-            raise ValueError("bit sequence must be non-empty")
-        value = 0
-        for index, bit in enumerate(seq):
-            if bit not in (0, 1):
-                raise ValueError(f"bit at index {index} must be 0 or 1, got {bit!r}")
-            value |= bit << index
-        return cls(len(seq), value)
-
-    @classmethod
     def from_hex(cls, text: str, width: int) -> BitVector:
         """Parse unprefixed hex text (digits 0-9, a-f, A-F only) into a
         width-checked vector."""
         if not isinstance(text, str) or not _HEX.fullmatch(text):
             raise ValueError(f"malformed hex string: {text!r}")
         return cls(width, int(text, 16))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """The bit sequence, LSB first."""
-        return tuple((self.value >> j) & 1 for j in range(self.width))
 
     def bit(self, index: int) -> int:
         if not 0 <= index < self.width:

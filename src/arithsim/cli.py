@@ -15,7 +15,6 @@ import itertools
 import os
 import random
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .bitvec import BitVector, ModelIntegrityError, oracle_add, oracle_mul
@@ -38,24 +37,6 @@ FORMAT_ENV_VAR = "ARITHSIM_FORMAT"
 
 EXHAUSTIVE_ADDER_WIDTH = 8
 EXHAUSTIVE_MULT_WIDTH = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    design: str = Design.FLASH.value
-    width: int = 64
-    schedule: Schedule = Schedule.B
-    trials: int = 10000
-    seed: int = 0
-    output_format: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be positive, got {self.width}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.output_format not in ("text", "structured"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 class Adder(NamedTuple):
@@ -133,24 +114,23 @@ def _record(__label: str, **fields) -> str:
     return " ".join(parts)
 
 
-def _adder(config: RunConfig) -> Adder:
-    design = Design(config.design)
-    check_width(design, config.width)
+def _adder(args: argparse.Namespace) -> Adder:
+    design = Design(args.design)
+    check_width(design, args.width)
     return ADDERS[design]
 
 
-def cmd_add(config: RunConfig, a_hex: str, b_hex: str, trace: bool = False) -> int:
-    adder = _adder(config)
-    a = BitVector.from_hex(a_hex, config.width)
-    b = BitVector.from_hex(b_hex, config.width)
+def cmd_add(args: argparse.Namespace, structured: bool) -> int:
+    adder = _adder(args)
+    a = BitVector.from_hex(args.a_hex, args.width)
+    b = BitVector.from_hex(args.b_hex, args.width)
     sum_vec, carry, ticks, result = adder.run(a, b)
-    structured = config.output_format == "structured"
     if structured:
         print(
             _record(
                 "add",
-                design=config.design,
-                width=config.width,
+                design=args.design,
+                width=args.width,
                 a=a.to_hex(),
                 b=b.to_hex(),
                 sum=sum_vec.to_hex(),
@@ -159,29 +139,29 @@ def cmd_add(config: RunConfig, a_hex: str, b_hex: str, trace: bool = False) -> i
             )
         )
     else:
-        print(f"add design={config.design} width={config.width}")
+        print(f"add design={args.design} width={args.width}")
         print(f"a      = {a.to_hex()} ({a.to_binary()})")
         print(f"b      = {b.to_hex()} ({b.to_binary()})")
         print(f"sum    = {sum_vec.to_hex()} ({sum_vec.to_binary()})")
         print(f"carry  = {carry}")
         print(f"ticks  = {ticks}")
-    if trace:
+    if args.trace:
         for fields in adder.trace(result):
             print(_record(adder.label, **fields) if structured else adder.template.format(**fields))
     return 0
 
 
-def cmd_mul(config: RunConfig, a_hex: str, b_hex: str) -> int:
-    a = BitVector.from_hex(a_hex, config.width)
-    b = BitVector.from_hex(b_hex, config.width)
-    result = multiply(a, b, config.schedule)
+def cmd_mul(args: argparse.Namespace, structured: bool) -> int:
+    a = BitVector.from_hex(args.a_hex, args.width)
+    b = BitVector.from_hex(args.b_hex, args.width)
+    result = multiply(a, b, Schedule(args.schedule))
     trajectory = ",".join(str(n) for n in result.report.row_trajectory)
-    if config.output_format == "structured":
+    if structured:
         print(
             _record(
                 "mul",
-                schedule=config.schedule.value,
-                width=config.width,
+                schedule=args.schedule,
+                width=args.width,
                 a=a.to_hex(),
                 b=b.to_hex(),
                 product=result.product.to_hex(),
@@ -190,7 +170,7 @@ def cmd_mul(config: RunConfig, a_hex: str, b_hex: str) -> int:
             )
         )
     else:
-        print(f"mul schedule={config.schedule.value} width={config.width}")
+        print(f"mul schedule={args.schedule} width={args.width}")
         print(f"a          = {a.to_hex()}")
         print(f"b          = {b.to_hex()}")
         print(f"product    = {result.product.to_hex()}")
@@ -199,30 +179,30 @@ def cmd_mul(config: RunConfig, a_hex: str, b_hex: str) -> int:
     return 0
 
 
-def _verify_pairs(config: RunConfig, exhaustive: bool):
+def _verify_pairs(args: argparse.Namespace, exhaustive: bool):
     """(a, b) value pairs: all of them when exhaustive, else seeded random ones."""
+    width = args.width
     if exhaustive:
-        return itertools.product(range(1 << config.width), repeat=2)
-    rng = random.Random(config.seed)
-    width = config.width
-    return ((rng.getrandbits(width), rng.getrandbits(width)) for _ in range(config.trials))
+        return itertools.product(range(1 << width), repeat=2)
+    rng = random.Random(args.seed)
+    return ((rng.getrandbits(width), rng.getrandbits(width)) for _ in range(args.trials))
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     """Check every pair against the oracle. A model break or a state failing
     its validation (widths are checked first) counts as a failed pair; its
     counterexample names the operands and the error, spaces turned into
     underscores to keep the record one line of key=value fields."""
-    if config.design == "mult":
-        check_multiplier_width(config.width)
-        schedule = config.schedule
+    if args.design == "mult":
+        check_multiplier_width(args.width)
+        schedule = Schedule(args.schedule)
 
         def run(a: BitVector, b: BitVector) -> int:
             return multiply(a, b, schedule).product.value
 
         oracle, limit, schedule_field = oracle_mul, EXHAUSTIVE_MULT_WIDTH, schedule.value
     else:
-        run_adder = _adder(config).run
+        run_adder = _adder(args).run
 
         def run(a: BitVector, b: BitVector) -> int:
             sum_vec, carry, _, _ = run_adder(a, b)
@@ -230,18 +210,18 @@ def cmd_verify(config: RunConfig) -> int:
 
         oracle, limit, schedule_field = oracle_add, EXHAUSTIVE_ADDER_WIDTH, "-"
 
-    exhaustive = config.width <= limit
-    total = (1 << config.width) ** 2 if exhaustive else config.trials
+    width = args.width
+    exhaustive = width <= limit
+    total = (1 << width) ** 2 if exhaustive else args.trials
     mode = "exhaustive" if exhaustive else "random"
-    structured = config.output_format == "structured"
     header_fields = dict(
         command="verify",
-        design=config.design,
-        width=config.width,
+        design=args.design,
+        width=width,
         schedule=schedule_field,
         mode=mode,
         trials=total,
-        seed="-" if exhaustive else config.seed,
+        seed="-" if exhaustive else args.seed,
         generator=GENERATOR_NAME,
     )
     if structured:
@@ -253,8 +233,7 @@ def cmd_verify(config: RunConfig) -> int:
     passed = 0
     failed = 0
     counterexample = None
-    width = config.width
-    for a, b in _verify_pairs(config, exhaustive):
+    for a, b in _verify_pairs(args, exhaustive):
         try:
             got = run(BitVector(width, a), BitVector(width, b))
         except (ModelIntegrityError, ValueError) as exc:
@@ -279,16 +258,15 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if failed == 0 else 1
 
 
-def cmd_cost(config: RunConfig, table: bool) -> int:
-    structured = config.output_format == "structured"
-    if table:
+def cmd_cost(args: argparse.Namespace, structured: bool) -> int:
+    if args.table:
         for name, value in reference_table():
             if structured:
                 print(_record("cost", name=name, value=value))
             else:
                 print(f"{name:34s} {value}")
         return 0
-    report = cost_report(Design(config.design), config.width)
+    report = cost_report(Design(args.design), args.width)
     if structured:
         print(
             _record(
@@ -309,11 +287,11 @@ def cmd_cost(config: RunConfig, table: bool) -> int:
     return 0
 
 
-def cmd_schedule(config: RunConfig, rows: int) -> int:
+def cmd_schedule(args: argparse.Namespace, structured: bool) -> int:
+    rows = args.rows
     if not 3 <= rows <= PUBLISHED_ROW_COUNT:
         raise ValueError(f"row count must be 3..{PUBLISHED_ROW_COUNT}, got {rows}")
-    _, report = consolidate(RowSet(2 * PUBLISHED_ROW_COUNT, (0,) * rows), config.schedule)
-    structured = config.output_format == "structured"
+    _, report = consolidate(RowSet(2 * PUBLISHED_ROW_COUNT, (0,) * rows), Schedule(args.schedule))
     for index, stage in enumerate(report.stages):
         fields = dict(
             index=index + 1,
@@ -333,14 +311,14 @@ def cmd_schedule(config: RunConfig, rows: int) -> int:
         print(
             _record(
                 "schedule",
-                schedule=config.schedule.value,
+                schedule=args.schedule,
                 rows=rows,
                 trajectory=trajectory,
                 total_ticks=report.total_ticks,
             )
         )
     else:
-        print(f"schedule {config.schedule.value}: trajectory=[{trajectory}] total_ticks={report.total_ticks}")
+        print(f"schedule {args.schedule}: trajectory=[{trajectory}] total_ticks={report.total_ticks}")
     return 0
 
 
@@ -397,46 +375,18 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     output_format = args.format or os.environ.get(FORMAT_ENV_VAR) or "text"
     try:
-        if args.command == "add":
-            config = RunConfig(
-                design=args.design,
-                width=args.width,
-                output_format=output_format,
-            )
-            return cmd_add(config, args.a_hex, args.b_hex, trace=args.trace)
-        if args.command == "mul":
-            config = RunConfig(
-                width=args.width,
-                schedule=Schedule(args.schedule),
-                output_format=output_format,
-            )
-            return cmd_mul(config, args.a_hex, args.b_hex)
-        if args.command == "verify":
-            config = RunConfig(
-                design=args.design,
-                width=args.width,
-                schedule=Schedule(args.schedule),
-                trials=args.trials,
-                seed=args.seed,
-                output_format=output_format,
-            )
-            return cmd_verify(config)
-        if args.command == "cost":
-            if not args.table and (args.design is None or args.width is None):
-                raise ValueError("cost needs --design and --width, or --table")
-            config = RunConfig(
-                design=args.design or Design.FLASH.value,
-                width=64 if args.width is None else args.width,
-                output_format=output_format,
-            )
-            return cmd_cost(config, table=args.table)
-        if args.command == "schedule":
-            config = RunConfig(
-                schedule=Schedule(args.schedule),
-                output_format=output_format,
-            )
-            return cmd_schedule(config, rows=args.rows)
-        raise ValueError(f"unknown command {args.command!r}")
+        if args.command == "cost" and not args.table and None in (args.design, args.width):
+            raise ValueError("cost needs --design and --width, or --table")
+        width, trials = getattr(args, "width", None), getattr(args, "trials", 1)
+        if width is not None and width < 1:
+            raise ValueError(f"width must be positive, got {width}")
+        if trials < 1:
+            raise ValueError(f"trials must be positive, got {trials}")
+        if output_format not in ("text", "structured"):
+            raise ValueError(f"unknown output format {output_format!r}")
+        # looked up at call time, so a wrapper installed on cmd_* is the one that runs
+        command = globals()[f"cmd_{args.command}"]
+        return command(args, output_format == "structured")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,16 +82,10 @@ class MultiplierEstimate:
     csa_memory_entries: int  # 8 two-bit entries per 3:2 circuit
     quantizers_63_to_6: int
     quantizer_memory_entries: int  # 64 six-bit entries per quantizer
-    quantizers_7_to_3: int
-    second_stage_memory_entries: int  # 8 three-bit entries per 7-to-3 quantizer
     ticks: int
 
     def total_memory_entries(self) -> int:
-        return (
-            self.csa_memory_entries
-            + self.quantizer_memory_entries
-            + self.second_stage_memory_entries
-        )
+        return self.csa_memory_entries + self.quantizer_memory_entries
 
 
 @dataclass(frozen=True)
@@ -121,17 +115,11 @@ def cascade_gates(k: int) -> int:
     return closed
 
 
-def flash_gates(n: int, pair_leaf: bool = False) -> int:
-    """Gates in the two-tick adder's network: n(n+1)/2, halved by pair-leaf
-    initialization (which needs n(n+1)/2 even to stay integral)."""
+def flash_gates(n: int) -> int:
+    """Gates in the two-tick adder's network: n(n+1)/2."""
     if n < 1:
         raise ValueError(f"width must be positive, got {n}")
-    full = n * (n + 1) // 2
-    if not pair_leaf:
-        return full
-    if full % 2:
-        raise ValueError(f"pair-leaf halving of {full} gates is not integral")
-    return full // 2
+    return n * (n + 1) // 2
 
 
 def double_width_gates(n: int) -> int:
@@ -227,18 +215,15 @@ def schedule_speedup() -> int:
     return a // b
 
 
-def mult_hardware_estimate(
-    schedule: Schedule, width: int = 64, reuse: bool = True
-) -> MultiplierEstimate:
+def mult_hardware_estimate(schedule: Schedule, width: int = 64) -> MultiplierEstimate:
     """Hardware budget for the published 64-bit multiplier.
 
     Schedule A sizes its 3:2 bank for the first (widest) stage: the 21 row
     triples cover staggered rows, so triple i spans 6i + 1 active columns,
     21 * 61 = 1281 circuits in all, each an 8-entry two-bit lookup. Schedule
     B pairs one 64-level quantizer with each of the 128 product columns (64
-    six-bit entries apiece) plus the final 3:2 stage's 128 circuits; with
-    `reuse` disabled, a second bank of 128 eight-entry 7-to-3 quantizers
-    serves the second stage instead of reusing the first bank.
+    six-bit entries apiece) plus the final 3:2 stage's 128 circuits; its
+    second quantizer stage reuses the first bank.
     """
     if width != 64:
         raise ValueError(f"hardware estimate is defined for width 64 only, got {width}")
@@ -253,12 +238,9 @@ def mult_hardware_estimate(
             csa_memory_entries=circuits * 8,
             quantizers_63_to_6=0,
             quantizer_memory_entries=0,
-            quantizers_7_to_3=0,
-            second_stage_memory_entries=0,
             ticks=end_to_end_ticks(schedule),
         )
     columns = 2 * width
-    second_bank = 0 if reuse else columns
     return MultiplierEstimate(
         schedule=schedule,
         width=width,
@@ -266,8 +248,6 @@ def mult_hardware_estimate(
         csa_memory_entries=columns * 8,
         quantizers_63_to_6=columns,
         quantizer_memory_entries=64 * columns,
-        quantizers_7_to_3=second_bank,
-        second_stage_memory_entries=second_bank * 8,
         ticks=end_to_end_ticks(schedule),
     )
 

@@ -41,7 +41,6 @@ class StageKind(Enum):
 
 CSA_STAGE_TICKS = 1
 QUANTIZER_TICKS = 2
-FINAL_ADD_TICKS = flash.DOUBLE_WIDTH_TICKS
 PUBLISHED_ROW_COUNT = 64
 MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 

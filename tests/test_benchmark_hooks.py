@@ -1,0 +1,44 @@
+"""The attributes the benchmark harness wraps while it traces a run.
+
+`perfbench/tracing.py` patches stage functions, check hooks and the CLI's
+entry points by name, and its own self-tests are not part of this suite, so
+these tests keep a rename or a deletion from breaking the benchmark
+silently.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import arithsim
+from arithsim import cli
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_is_defined_on_its_owner():
+    tracing = load_tracing()
+    targets = tracing.layer_targets(arithsim) + tracing.cli_targets(arithsim)
+    targets.append((cli, "cmd_verify", "cli.verify"))
+    missing = [(owner, attr) for owner, attr, *_ in targets if attr not in vars(owner)]
+    assert missing == []
+
+
+def test_main_runs_the_cmd_verify_installed_at_call_time(capsys):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    original = cli.cmd_verify
+    targets = [(cli, "cmd_verify", "cli.verify")] + tracing.cli_targets(arithsim)
+    with tracer.installed(targets):
+        code = cli.main(["verify", "--design", "flash", "--width", "4", "--format", "structured"])
+    assert code == 0
+    assert "record=verify passed=256 failed=0" in capsys.readouterr().out
+    calls = {name: entry[0] for name, entry in tracing.summarize(tracer.take()[0]).items()}
+    assert calls == {"cli.verify": 1, "flash.flash_add": 256}
+    assert cli.cmd_verify is original

@@ -29,7 +29,6 @@ def test_width_must_hold_value():
 
 def test_bits_are_lsb_first():
     v = BitVector(4, 0b1011)
-    assert v.bits == (1, 1, 0, 1)
     assert v.bit(0) == 1
     assert v.bit(2) == 0
     with pytest.raises(ValueError):
@@ -69,19 +68,10 @@ def test_from_hex_rejects_garbage():
             BitVector.from_hex(text, 8)
 
 
-def test_from_bits():
-    assert BitVector.from_bits([1, 1, 0, 1]) == BitVector(4, 0b1011)
-    with pytest.raises(ValueError):
-        BitVector.from_bits([])
-    with pytest.raises(ValueError):
-        BitVector.from_bits([0, 2])
-
-
 @given(st.integers(min_value=1, max_value=256), st.data())
 def test_round_trips(width, data):
     value = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
     v = BitVector(width, value)
-    assert BitVector.from_bits(v.bits) == v
     assert BitVector.from_hex(v.to_hex(), width) == v
     assert int(v.to_binary(), 2) == value
     assert len(v.to_binary()) == width

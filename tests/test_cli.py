@@ -216,6 +216,36 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, ["verify", "--design", "cascade", "--width", "64", "--trials", "0"])
     assert code == 2
 
+    for argv in (
+        ["mul", "--width", "0", "1", "1"],
+        ["add", "--width", "-3", "1", "1"],
+        ["cost", "--table", "--width", "0"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "width must be positive" in err, argv
+    # width 8 sweeps exhaustively and ignores --trials, which is still checked
+    code, out, err = run_cli(
+        capsys, ["verify", "--design", "flash", "--width", "8", "--trials", "0"]
+    )
+    assert (code, out, err) == (2, "", "error: trials must be positive, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["add", "--design", "flash", "--width", "8", "ff", "01"],
+        ["mul", "--width", "8", "ff", "01"],
+        ["verify", "--design", "flash", "--width", "4"],
+        ["cost", "--design", "flash", "--width", "8"],
+        ["cost", "--table"],
+        ["schedule", "--schedule", "A"],
+    ],
+)
+def test_unknown_format_env_var_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv(cli.FORMAT_ENV_VAR, "xml")
+    assert run_cli(capsys, argv) == (2, "", "error: unknown output format 'xml'\n")
+
 
 def test_unknown_subcommand_exits_nonzero(capsys):
     assert cli.main(["frobnicate"]) != 0

@@ -33,13 +33,6 @@ def test_flash_gates_values():
         flash_gates(0)
 
 
-def test_flash_gates_pair_leaf_halves_the_network():
-    assert flash_gates(8, pair_leaf=True) == 18
-    assert flash_gates(64, pair_leaf=True) == 1040
-    with pytest.raises(ValueError):
-        flash_gates(2, pair_leaf=True)  # 3 gates don't halve
-
-
 def test_fire_set_budget_agrees_with_the_formula():
     for n in (4, 8, 16, 64):
         state = half_add(BitVector(n, 0), BitVector(n, 0))
@@ -116,13 +109,8 @@ def test_schedule_b_hardware_estimate():
     assert estimate.quantizer_memory_entries == 8192
     assert estimate.csa_circuits == 128
     assert estimate.csa_memory_entries == 1024
-    assert estimate.quantizers_7_to_3 == 0  # first bank is reused
+    assert estimate.total_memory_entries() == 9216
     assert estimate.ticks == 8
-
-    dedicated = mult_hardware_estimate(Schedule.B, reuse=False)
-    assert dedicated.quantizers_7_to_3 == 128
-    assert dedicated.second_stage_memory_entries == 1024
-    assert dedicated.total_memory_entries() == 10240
 
 
 def test_hardware_estimate_is_width_64_only():
