@@ -1,0 +1,164 @@
+"""`arithsim verify` output pinned byte for byte: a corpus of argvs over every
+design, both sweep modes, odd and wide widths, several seeds, trial counts
+that fill no whole batch, both formats, and every fault fixture.
+
+Each digest is the sha256 of every argv, its exit code and its stdout, in
+order. They were taken while `verify` still checked one pair per call, so a
+change in how it sweeps must leave every count, counterexample and byte as
+they were.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from arithsim import cli
+
+CORPUS_DIGEST = "4091a47f9d4f73bbf1b1cc3456510962aa9cdff476fdf3ba3f1f7cdc09f08fce"
+
+FAULT_DIGESTS = {
+    "shortened_segment": "834027b01f0030eaf50c536dd5fe313a83efd11f6e1cc03584a747da2db45fc4",
+    "extra_end": "94655a1b033addb0c6ef6ef3a118f03a6dd2afaf8faed04fed3d384490b103e9",
+    "flipped_leaf_sum": "5558beeffe35ecab6a2e6baf274f6212067cd0e9c2f44f65a0435f539460e344",
+    "flipped_step_sum": "211a15ff8de41b60b99b67bee35531ac6a7eb8715c2f4ecce1908dc837659fe2",
+    "flipped_csa_carry": "14f4d69123fc448d10b236c2031956330e5e2b062e3b180f85c6180e4a5523d2",
+    "extra_zero_row": "8273609863ee812e3825f1dd78be90ade0de96020743809c63c87dd15051d414",
+    "flipped_plane_bit": "6b0aeaec79a86c6196f4d045e0a7182760aeb2ee633ed1e4a4ae62a85e560671",
+}
+
+
+def verify_argv(design, width, *extra, schedule=None, structured=False):
+    argv = ["verify", "--design", design, "--width", str(width)]
+    if schedule is not None:
+        argv += ["--schedule", schedule]
+    argv += list(extra)
+    if structured:
+        argv += ["--format", "structured"]
+    return argv
+
+
+def corpus_argvs():
+    """At least 100 argvs: exhaustive sweeps at every small width each design
+    takes, then seeded random sweeps at 1, 7 and 1001 trials."""
+    argvs = []
+    exhaustive = {
+        "flash": (1, 3, 5, 8),
+        "cascade": (2, 4, 8),
+        "flash_double": (2, 4, 6, 8),
+        "blocked_double": (2, 8),
+    }
+    for design, widths in exhaustive.items():
+        for index, width in enumerate(widths):
+            argvs.append(verify_argv(design, width, structured=index % 2 == 0))
+    for schedule in ("A", "B"):
+        argvs.append(verify_argv("mult", 4, schedule=schedule, structured=schedule == "A"))
+        argvs.append(verify_argv("mult", 4, schedule=schedule, structured=schedule == "B"))
+    random_widths = {
+        "flash": (9, 64, 128),
+        "cascade": (16, 64, 128),
+        "flash_double": (10, 64, 128),
+        "blocked_double": (32, 128),
+    }
+    for design, widths in random_widths.items():
+        for width in widths:
+            for trials, seed in ((1, 0), (7, 1), (7, 12345), (1001, 7)):
+                for structured in (False, True):
+                    if trials == 1001 and structured != (width == 128):
+                        continue
+                    argvs.append(verify_argv(design, width, "--trials", str(trials),
+                                             "--seed", str(seed), structured=structured))
+    for schedule in ("A", "B"):
+        for width in (8, 16, 64):
+            for trials, seed in ((1, 0), (7, 3), (1001, 5)):
+                if trials == 1001 and width != 64:
+                    continue
+                argvs.append(verify_argv("mult", width, "--trials", str(trials), "--seed",
+                                         str(seed), schedule=schedule,
+                                         structured=(seed + width) % 2 == 0))
+    # the default trial count and seed
+    argvs.append(verify_argv("flash", 16))
+    argvs.append(verify_argv("cascade", 32, structured=True))
+    return argvs
+
+
+# Each fixture in exhaustive mode and in a random mode, on the designs whose
+# stage it breaks.
+FAULT_ARGVS = {
+    "shortened_segment": [
+        verify_argv("flash", 4, structured=True),
+        verify_argv("flash_double", 8),
+        verify_argv("blocked_double", 8, structured=True),
+        verify_argv("flash", 64, "--trials", "1001", "--seed", "2", structured=True),
+        verify_argv("flash_double", 128, "--trials", "7", "--seed", "4"),
+        verify_argv("blocked_double", 32, "--trials", "7", "--seed", "4", structured=True),
+        verify_argv("mult", 16, "--trials", "7", schedule="B", structured=True),
+    ],
+    "extra_end": [
+        verify_argv("flash", 3),
+        verify_argv("flash", 8, structured=True),
+        verify_argv("flash_double", 6, structured=True),
+        verify_argv("blocked_double", 8),
+        verify_argv("flash", 128, "--trials", "1001", "--seed", "9"),
+        verify_argv("blocked_double", 128, "--trials", "7", structured=True),
+    ],
+    "flipped_leaf_sum": [
+        verify_argv("cascade", 8, structured=True),
+        verify_argv("cascade", 2),
+        verify_argv("cascade", 128, "--trials", "1001", "--seed", "3", structured=True),
+        verify_argv("cascade", 64, "--trials", "7"),
+    ],
+    "flipped_step_sum": [
+        verify_argv("cascade", 8, structured=True),
+        verify_argv("cascade", 4),
+        verify_argv("cascade", 128, "--trials", "1001", "--seed", "3"),
+        verify_argv("cascade", 16, "--trials", "7", structured=True),
+    ],
+    "flipped_csa_carry": [
+        verify_argv("mult", 4, schedule="A", structured=True),
+        verify_argv("mult", 4, schedule="B"),
+        verify_argv("mult", 64, "--trials", "7", "--seed", "1", schedule="A"),
+        verify_argv("mult", 16, "--trials", "1001", schedule="B", structured=True),
+    ],
+    "extra_zero_row": [
+        verify_argv("mult", 4, schedule="A"),
+        verify_argv("mult", 4, schedule="B", structured=True),
+        verify_argv("mult", 32, "--trials", "7", schedule="A", structured=True),
+        verify_argv("mult", 8, "--trials", "1001", schedule="B"),
+    ],
+    "flipped_plane_bit": [
+        verify_argv("mult", 4, schedule="B", structured=True),
+        verify_argv("mult", 4, schedule="A"),
+        verify_argv("mult", 64, "--trials", "7", "--seed", "6", schedule="B"),
+        verify_argv("mult", 8, "--trials", "1001", schedule="B", structured=True),
+    ],
+}
+
+
+def digest_of(argvs):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def test_the_corpus_covers_what_it_claims():
+    argvs = corpus_argvs()
+    assert len(argvs) >= 100
+    seen = {tuple(argv) for argv in argvs}
+    assert len(seen) == len(argvs)
+    assert set(FAULT_ARGVS) == set(FAULT_DIGESTS)
+
+
+def test_verify_corpus_output_is_pinned():
+    assert digest_of(corpus_argvs()) == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("fixture", sorted(FAULT_ARGVS))
+def test_verify_under_a_fault_fixture_is_pinned(request, fixture):
+    request.getfixturevalue(fixture)
+    assert digest_of(FAULT_ARGVS[fixture]) == FAULT_DIGESTS[fixture]
