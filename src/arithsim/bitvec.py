@@ -104,6 +104,28 @@ def block_bottoms(width: int, w: int) -> int:
     return ((1 << width) - 1) // ((1 << w) - 1)
 
 
+def lane_stride(width: int) -> int:
+    """The lane stride of `width`-bit adder operands: 2 * width rounded up to
+    whole bytes. Each lane holds its sum and carry wires with zero padding
+    above them, the stride is a multiple of every block width, and with odd
+    halves it is four of the double-width adder's padded half blocks."""
+    return (2 * width + 7) // 8 * 8
+
+
+@lru_cache
+def lane_mask(bits: int, stride: int, lanes: int = 1) -> int:
+    """The low `bits` bits of every lane of a word of `lanes` `stride`-bit
+    lanes; cached, since every tick of a batch asks for the same few."""
+    return block_bottoms(stride * lanes, stride) * ((1 << bits) - 1)
+
+
+def pack_lanes(values, stride: int) -> int:
+    """One word holding `values` side by side, the first in the lowest lane;
+    `stride` is a whole number of bytes."""
+    size = stride // 8
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
 def blockwise_add(x: int, y: int, width: int, w: int) -> tuple[int, int]:
     """Add x and y inside every w-bit block, carries cut at the block edges
     (Warren, Hacker's Delight, section 2-18): returns the sums and a carry

@@ -9,8 +9,8 @@ level l holds a + b added inside 2**l-bit blocks, each tick is one call of
 at bit (i+1)*w, its weight.
 
 The ticks run on words: `leaf_init` returns level 1's (sums, carry word) and
-`cascade_step` maps one level's pair to the next. After every tick
-`cascade_add` re-checks the block-sum balance
+`cascade_step` maps one level's pair to the next. After every tick the lane
+kernel `cascade_lanes` re-checks the block-sum balance
 
     carry_i * 2**w + sum_block_i == a_block_i + b_block_i      (w = block width)
 
@@ -18,13 +18,27 @@ against the original operands, without the kernel; a level that breaks it is
 a model break. The trace keeps every level's words, and `CascadeState` is a
 checked view of one level, built only on request. All functions are pure and
 all values immutable.
+
+The kernel runs K additions side by side: the operands are packed at
+`bitvec.lane_stride`, twice the width, so every lane's blocks and saved
+carries, its top carry included, stay inside the lane and the block masks
+line up across lanes. `cascade_add` is its K = 1 call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .bitvec import BitVector, ModelIntegrityError, block_bottoms, blockwise_add, increment_mask
+from .bitvec import (
+    BitVector,
+    ModelIntegrityError,
+    block_bottoms,
+    blockwise_add,
+    increment_mask,
+    lane_mask,
+    lane_stride,
+)
 
 # 16-entry lookup programmed with two-bit addition: the table index packs the
 # operand bit pairs, the entry holds (two sum bits, carry). This stands in for
@@ -39,6 +53,23 @@ def level_carries(carry_word: int, width: int, level: int) -> tuple[int, ...]:
     """The saved carries of a level's carry word, lowest block first."""
     w = 1 << level
     return tuple((carry_word >> bit) & 1 for bit in range(w, width + w, w))
+
+
+@lru_cache
+def level_masks(width: int, level: int, lanes: int = 1) -> tuple[int, int, int]:
+    """A level's masks on `lanes` lanes of `width`-bit values: the value
+    bits, the block bottoms and the saved carries' bits, block i's at
+    (i+1)*2**level."""
+    stride = lane_stride(width)
+    fit = lane_mask(width, stride, lanes)
+    bottoms = block_bottoms(stride * lanes, 1 << level)
+    return fit, bottoms, (fit & bottoms) << (1 << level)
+
+
+@lru_cache
+def special_and_gates(k: int) -> int:
+    """Special AND gates the k-level cascade allocates."""
+    return sum(step_gate_count(k, level) for level in range(1, k))
 
 
 @dataclass(frozen=True)
@@ -69,9 +100,12 @@ class CascadeState:
         )
 
     @staticmethod
-    def _check_block_sums(k: int, level: int, sums: int, carry_word: int, a: int, b: int) -> None:
-        """The level check on words: the level range, the values' ranges, the
-        carry positions and the block-sum balance.
+    def _check_block_sums(
+        k: int, level: int, sums: int, carry_word: int, a: int, b: int, lanes: int = 1
+    ) -> None:
+        """The level check on the words of every lane: the level range, the
+        sums' range, the carry positions and the block-sum balance. The
+        operands fit their lanes; `cascade_lanes` checks them once per add.
 
         The balance is checked bit by bit and without the kernel: s ^ a ^ b is
         each bit's carry in. None may enter a block bottom; the rest, like the
@@ -81,14 +115,11 @@ class CascadeState:
         if not 1 <= level <= k:
             raise ValueError(f"level {level} outside 1..{k}")
         width = 1 << k
-        limit = 1 << width
-        for value in (sums, a, b):
-            if not 0 <= value < limit:
-                raise ValueError(f"value {value!r} does not fit in {width} bits")
-        w = 1 << level
-        bottoms = block_bottoms(width, w)
-        if carry_word & ~(bottoms << w):
-            raise ValueError(f"level {level} carries must sit at bits (i+1)*{w}")
+        fit, bottoms, slots = level_masks(width, level, lanes)
+        if sums & ~fit:
+            raise ValueError(f"value {sums!r} does not fit in {width} bits")
+        if carry_word & ~slots:
+            raise ValueError(f"level {level} carries must sit at bits (i+1)*{1 << level}")
         carry_in = sums ^ a ^ b
         carry_out = ((a & b) | ((a ^ b) & carry_in)) << 1
         # a broken rule marks a bit of its block: a carry into a bottom marks
@@ -96,7 +127,7 @@ class CascadeState:
         wrong_out = carry_out ^ (carry_in & ~bottoms) ^ carry_word
         broken = (carry_in & bottoms) | wrong_out >> 1
         if broken:
-            block = ((broken & -broken).bit_length() - 1) >> level
+            block = ((broken & -broken).bit_length() - 1) % lane_stride(width) >> level
             raise ModelIntegrityError(f"block-sum balance broken at level {level}, block {block}")
 
     @property
@@ -214,18 +245,37 @@ def step_gate_count(k: int, level: int) -> int:
     return (1 << (k - level - 1)) * ((1 << level) + 1)
 
 
-def cascade_add(a: BitVector, b: BitVector) -> CascadeResult:
-    """Add two 2**k-bit vectors in k ticks, re-checking every level."""
-    sums, carry_word = leaf_init(a, b)
-    width = a.width
+def cascade_lanes(a: int, b: int, width: int, lanes: int = 1) -> list[tuple[int, int]]:
+    """Add `lanes` pairs of 2**k-bit operands packed at `lane_stride(width)`
+    in k ticks, re-checking every level. Returns each level's (sums, carry
+    word) in the same lanes; the last carry word holds each lane's carry out
+    at bit `width` of the lane."""
+    if width < 2 or width & (width - 1):
+        raise ValueError(f"width must be a power of two >= 2, got {width}")
+    fit = level_masks(width, 1, lanes)[0]
+    for value in (a, b):
+        if value & ~fit:
+            raise ValueError(f"value {value!r} does not fit in {width} bits")
     k = width.bit_length() - 1
-    CascadeState._check_block_sums(k, 1, sums, carry_word, a.value, b.value)
+    packed = lane_stride(width) * lanes
+    check = CascadeState._check_block_sums
+    sums, carry_word = blockwise_add(a, b, packed, 2)  # tick 1: the leaf lookups
+    check(k, 1, sums, carry_word, a, b, lanes)
     levels = [(sums, carry_word)]
-    gates = 0
     for level in range(1, k):
-        gates += step_gate_count(k, level)
-        sums, carry_word = cascade_step(sums, carry_word, width, level)
-        CascadeState._check_block_sums(k, level + 1, sums, carry_word, a.value, b.value)
+        sums, carry_word = cascade_step(sums, carry_word, packed, level)
+        check(k, level + 1, sums, carry_word, a, b, lanes)
         levels.append((sums, carry_word))
-    trace = CascadeTrace(a, b, tuple(levels), ticks=k, special_and_gates=gates)
+    return levels
+
+
+def cascade_add(a: BitVector, b: BitVector) -> CascadeResult:
+    """Add two 2**k-bit vectors in k ticks; see `cascade_lanes`."""
+    if a.width != b.width:
+        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
+    width = a.width
+    levels = cascade_lanes(a.value, b.value, width)
+    k = len(levels)
+    trace = CascadeTrace(a, b, tuple(levels), ticks=k, special_and_gates=special_and_gates(k))
+    sums, carry_word = levels[-1]
     return CascadeResult(sum=BitVector(width, sums), carry=carry_word >> width, trace=trace)

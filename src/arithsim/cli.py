@@ -11,16 +11,31 @@ Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import random
 import sys
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .bitvec import BitVector, ModelIntegrityError, oracle_add, oracle_mul
-from .cascade import cascade_add
+from .bitvec import (
+    BitVector,
+    ModelIntegrityError,
+    lane_mask,
+    lane_stride,
+    oracle_add,
+    oracle_mul,
+    pack_lanes,
+)
+from .cascade import cascade_add, cascade_lanes
 from .costs import Design, check_width, cost_report, reference_table
-from .flash import blocked_add, double_width_add, flash_add
+from .flash import (
+    blocked_add,
+    blocked_lanes,
+    double_width_add,
+    double_width_lanes,
+    flash_add,
+    flash_lanes,
+)
 from .multiplier import (
     PUBLISHED_ROW_COUNT,
     RowSet,
@@ -28,6 +43,7 @@ from .multiplier import (
     check_multiplier_width,
     consolidate,
     multiply,
+    multiply_lanes,
 )
 
 # random.Random is CPython's Mersenne Twister; the name travels in every
@@ -38,6 +54,11 @@ FORMAT_ENV_VAR = "ARITHSIM_FORMAT"
 EXHAUSTIVE_ADDER_WIDTH = 8
 EXHAUSTIVE_MULT_WIDTH = 4
 
+# Pairs per `verify` batch: the lane kernels run this many circuits side by
+# side in one word. The fastest of 32, 64, 128 and 256 lanes for the 128-bit
+# adders and the 64-bit multiplier.
+VERIFY_LANES = 128
+
 
 class Adder(NamedTuple):
     """How the CLI runs and shows one adder design.
@@ -45,12 +66,15 @@ class Adder(NamedTuple):
     `run(a, b)` returns (display sum, carry bit, ticks, raw result). The
     display sum is the design's natural output: N bits with the carry held
     separately for the cascade, N+1 bits with the carry on top for the
-    others. `--trace` prints one `label` record, or one `template` line, per
+    others. `lanes(a, b, width, k)` adds k pairs packed at
+    `bitvec.lane_stride(width)` and returns their N+1-bit sums in the same
+    lanes. `--trace` prints one `label` record, or one `template` line, per
     field dict that `trace(raw result)` yields. `gates(raw result)` is the
     simulator's live gate tally, where it keeps one.
     """
 
     run: Callable[[BitVector, BitVector], tuple]
+    lanes: Callable[[int, int, int, int], int]
     label: str
     template: str
     trace: Callable[[object], Iterable[dict]]
@@ -75,6 +99,7 @@ def _run_cascade(a: BitVector, b: BitVector) -> tuple:
 ADDERS = {
     Design.CASCADE: Adder(
         run=_run_cascade,
+        lanes=lambda a, b, width, k: sum(cascade_lanes(a, b, width, k)[-1]),
         label="level",
         template="level {level}: sums={sums} carries={carries}",
         trace=lambda r: (
@@ -84,6 +109,7 @@ ADDERS = {
     ),
     Design.FLASH: Adder(
         run=lambda a, b: _carry_on_top(flash_add(a, b), a.width),
+        lanes=lambda a, b, width, k: flash_lanes(a, b, width, k)[0],
         label="firings",
         template="firings: [{pairs}] gates={gates}",
         trace=lambda r: [
@@ -94,12 +120,14 @@ ADDERS = {
     ),
     Design.FLASH_DOUBLE: Adder(
         run=lambda a, b: _carry_on_top(double_width_add(*a.halves(), *b.halves()), a.width),
+        lanes=lambda a, b, width, k: double_width_lanes(a, b, width // 2, k)[0],
         label="halves",
         template="cross carry: {cross_carry}",
         trace=lambda r: [dict(cross_carry=r.cross_carry)],
     ),
     Design.BLOCKED_DOUBLE: Adder(
         run=lambda a, b: _carry_on_top(blocked_add(a, b), a.width),
+        lanes=lambda a, b, width, k: blocked_lanes(a, b, width, k)[0],
         label="block_carries",
         template="block carries: [{bits}]",
         trace=lambda r: [dict(bits=_joined(r.block_carries))],
@@ -179,38 +207,70 @@ def cmd_mul(args: argparse.Namespace, structured: bool) -> int:
     return 0
 
 
-def _verify_pairs(args: argparse.Namespace, exhaustive: bool):
-    """(a, b) value pairs: all of them when exhaustive, else seeded random ones."""
+@lru_cache
+def _packed_range(count: int, stride: int) -> int:
+    return pack_lanes(range(count), stride)
+
+
+def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
+    """The (a, b) value pairs in order, in batches of at most VERIFY_LANES:
+    (a values, b values, packed a, packed b). Exhaustive sweeps take all
+    pairs, a batch holding one a and a run of b, built arithmetically;
+    random sweeps take seeded pairs, drawn a then b as pair by pair."""
     width = args.width
     if exhaustive:
-        return itertools.product(range(1 << width), repeat=2)
+        size = min(VERIFY_LANES, 1 << width)
+        ones, counts = lane_mask(1, stride, size), _packed_range(size, stride)
+        for a in range(1 << width):
+            for low in range(0, 1 << width, size):
+                yield [a] * size, range(low, low + size), a * ones, counts + low * ones
+        return
     rng = random.Random(args.seed)
-    return ((rng.getrandbits(width), rng.getrandbits(width)) for _ in range(args.trials))
+    for start in range(0, args.trials, VERIFY_LANES):
+        size = min(VERIFY_LANES, args.trials - start)
+        values = [rng.getrandbits(width) for _ in range(2 * size)]
+        a_values, b_values = values[0::2], values[1::2]
+        yield a_values, b_values, pack_lanes(a_values, stride), pack_lanes(b_values, stride)
 
 
 def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     """Check every pair against the oracle. A model break or a state failing
     its validation (widths are checked first) counts as a failed pair; its
     counterexample names the operands and the error, spaces turned into
-    underscores to keep the record one line of key=value fields."""
+    underscores to keep the record one line of key=value fields.
+
+    Pairs run in batches through the design's lane kernel, each lane checked
+    against the oracle. A batch with any mismatch or error is run again pair
+    by pair, so counts and counterexamples are those of a pair-by-pair sweep.
+    """
+    width = args.width
     if args.design == "mult":
-        check_multiplier_width(args.width)
+        check_multiplier_width(width)
         schedule = Schedule(args.schedule)
+        stride = lane_stride(2 * width)
 
         def run(a: BitVector, b: BitVector) -> int:
             return multiply(a, b, schedule).product.value
 
+        def run_lanes(a_values, b_values, a: int, b: int) -> bool:
+            got, _ = multiply_lanes(a, b, width, schedule, len(b_values))
+            return got == pack_lanes(map(oracle_mul, a_values, b_values), stride)
+
         oracle, limit, schedule_field = oracle_mul, EXHAUSTIVE_MULT_WIDTH, schedule.value
     else:
-        run_adder = _adder(args).run
+        adder = _adder(args)
+        stride = lane_stride(width)
 
         def run(a: BitVector, b: BitVector) -> int:
-            sum_vec, carry, _, _ = run_adder(a, b)
+            sum_vec, carry, _, _ = adder.run(a, b)
             return sum_vec.value | carry << a.width
+
+        def run_lanes(a_values, b_values, a: int, b: int) -> bool:
+            # each lane's sum fits its stride, so one add checks every lane
+            return adder.lanes(a, b, width, len(b_values)) == oracle_add(a, b)
 
         oracle, limit, schedule_field = oracle_add, EXHAUSTIVE_ADDER_WIDTH, "-"
 
-    width = args.width
     exhaustive = width <= limit
     total = (1 << width) ** 2 if exhaustive else args.trials
     mode = "exhaustive" if exhaustive else "random"
@@ -233,22 +293,29 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     passed = 0
     failed = 0
     counterexample = None
-    for a, b in _verify_pairs(args, exhaustive):
+    for a_values, b_values, packed_a, packed_b in _verify_batches(args, exhaustive, stride):
         try:
-            got = run(BitVector(width, a), BitVector(width, b))
-        except (ModelIntegrityError, ValueError) as exc:
-            failed += 1
-            if counterexample is None:
-                error = "_".join(f"{type(exc).__name__}: {exc}".split())
-                counterexample = f"a={a:x},b={b:x},error={error}"
-            continue
-        want = oracle(a, b)
-        if got == want:
-            passed += 1
-        else:
-            failed += 1
-            if counterexample is None:
-                counterexample = f"a={a:x},b={b:x},got={got:x},want={want:x}"
+            if run_lanes(a_values, b_values, packed_a, packed_b):
+                passed += len(b_values)
+                continue
+        except (ModelIntegrityError, ValueError):
+            pass
+        for a, b in zip(a_values, b_values):
+            try:
+                got = run(BitVector(width, a), BitVector(width, b))
+            except (ModelIntegrityError, ValueError) as exc:
+                failed += 1
+                if counterexample is None:
+                    error = "_".join(f"{type(exc).__name__}: {exc}".split())
+                    counterexample = f"a={a:x},b={b:x},error={error}"
+                continue
+            want = oracle(a, b)
+            if got == want:
+                passed += 1
+            else:
+                failed += 1
+                if counterexample is None:
+                    counterexample = f"a={a:x},b={b:x},got={got:x},want={want:x}"
     if structured:
         print(_record("verify", passed=passed, failed=failed, counterexample=counterexample or "-"))
     else:

@@ -19,6 +19,14 @@ runs it with its two halves as the two blocks and then folds in one
 cross-carry increment; the blocked adder runs it on square-root-sized blocks
 and then absorbs the block carries across the whole word, instead of
 doubling block sizes level by level.
+
+Each adder is one lane kernel (`flash_lanes`, `double_width_lanes`,
+`blocked_lanes`): its ticks run on a word of K operand pairs packed at
+`bitvec.lane_stride`, which is K copies of the circuit side by side. Every
+lane holds its own sum and carry wires with zero padding above them, so no
+segment, block or carry crosses into the next lane, and every check is a
+lane-mask check. `flash_add`, `double_width_add` and `blocked_add` are the
+K = 1 call of their kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +35,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .bitvec import BitVector, ModelIntegrityError, blockwise_add, increment_mask
+from .bitvec import (
+    BitVector,
+    ModelIntegrityError,
+    blockwise_add,
+    increment_mask,
+    lane_mask,
+    lane_stride,
+)
 
 FLASH_ADD_TICKS = 2
 DOUBLE_WIDTH_TICKS = 3
@@ -44,15 +59,7 @@ class HalfAddState:
     c: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"width must be positive, got {self.n}")
-        if not (0 <= self.s < 2 << self.n and 0 <= self.c < 1 << self.n):
-            raise ValueError("wire widths must be n+1 sum bits and n carry bits")
-        if self.s >> self.n:
-            raise ValueError("top sum wire must start at 0")
-        if self.s & self.c:
-            # a xor b and a and b can never be high on the same index
-            raise ValueError("sum and carry wires overlap; not a half-add output")
+        check_wires(self.n, self.s, self.c)
 
     def total(self) -> int:
         """The value the wires stand for; constant until the carries resolve."""
@@ -70,12 +77,7 @@ class FireSet:
     gates_evaluated: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.carries < 1 << self.width:
-            raise ValueError(f"carry word does not fit width {self.width}")
-        if not 0 <= self.ends < 2 << self.width:
-            raise ValueError(f"end word does not fit {self.width + 1} wires")
-        if self.carries.bit_count() != self.ends.bit_count():
-            raise ValueError("firings need one end per carry")
+        check_fire_words(self.width, self.carries, self.ends)
 
     @property
     def firings(self) -> tuple[tuple[int, int], ...]:
@@ -123,6 +125,40 @@ class BlockedResult:
     sum: BitVector  # width 2n+1
     ticks: int
     block_carries: tuple[int, ...]
+
+
+@lru_cache
+def wire_masks(n: int, lanes: int = 1) -> tuple[int, int]:
+    """Every lane's n low wires and its n+1 low wires."""
+    stride = lane_stride(n)
+    return lane_mask(n, stride, lanes), lane_mask(n + 1, stride, lanes)
+
+
+def check_wires(n: int, s: int, c: int, lanes: int = 1) -> None:
+    """The wire checks after tick 1, on every lane: n+1 sum wires with the
+    top one at 0, n carry wires, and no index high on both."""
+    if n < 1:
+        raise ValueError(f"width must be positive, got {n}")
+    low, wires = wire_masks(n, lanes)
+    if s & ~wires or c & ~low:
+        raise ValueError("wire widths must be n+1 sum bits and n carry bits")
+    if s & ~low:
+        raise ValueError("top sum wire must start at 0")
+    if s & c:
+        # a xor b and a and b can never be high on the same index
+        raise ValueError("sum and carry wires overlap; not a half-add output")
+
+
+def check_fire_words(n: int, carries: int, ends: int, lanes: int = 1) -> None:
+    """The fire set's shape, on every lane: n carry wires, n+1 end wires, and
+    as many ends as carries."""
+    low, wires = wire_masks(n, lanes)
+    if carries & ~low:
+        raise ValueError(f"carry word does not fit width {n}")
+    if ends & ~wires:
+        raise ValueError(f"end word does not fit {n + 1} wires")
+    if carries.bit_count() != ends.bit_count():
+        raise ValueError("firings need one end per carry")
 
 
 def half_add(a: BitVector, b: BitVector) -> HalfAddState:
@@ -210,20 +246,47 @@ def apply_firings_sequentially(s: int, firings, order: list[int] | None = None) 
     return s
 
 
-def resolve(state: HalfAddState) -> ResolveResult:
-    """Tick 2: fire the gate network and complement all segments at once."""
-    firings = fire_set(state)
-    total = complement_segments(state.s, firings.carries, firings.ends)
-    if total != state.total():
+def absorb(s: int, c: int, n: int, lanes: int = 1) -> tuple[int, int]:
+    """Tick 2 on every lane: fire the gate network and complement all
+    segments at once. Returns the resolved wires and the end word."""
+    ends = find_firings(s, c)
+    check_fire_words(n, c, ends, lanes)
+    total = complement_segments(s, c, ends)
+    if total != s + 2 * c:
         raise ModelIntegrityError("carry absorption changed the running total")
+    return total, ends
+
+
+def resolved(n: int, total: int, carries: int, ends: int) -> ResolveResult:
     return ResolveResult(
-        sum=BitVector(state.n + 1, total), ticks=FLASH_ADD_TICKS, firings=firings
+        sum=BitVector(n + 1, total),
+        ticks=FLASH_ADD_TICKS,
+        firings=FireSet(n, carries, ends, n * (n + 1) // 2),
     )
+
+
+def resolve(state: HalfAddState) -> ResolveResult:
+    """Tick 2 of one half-added state."""
+    total, ends = absorb(state.s, state.c, state.n)
+    return resolved(state.n, total, state.c, ends)
+
+
+def flash_lanes(a: int, b: int, n: int, lanes: int = 1) -> tuple[int, int, int]:
+    """The two ticks on `lanes` pairs of n-bit operands packed at
+    `lane_stride(n)`. Returns the resolved wires (each lane's carry out on
+    its wire n), the carry word and the end word, all in the same lanes."""
+    s, c = a ^ b, a & b  # tick 1: all sum and carry wires in parallel
+    check_wires(n, s, c, lanes)
+    total, ends = absorb(s, c, n, lanes)
+    return total, c, ends
 
 
 def flash_add(a: BitVector, b: BitVector) -> ResolveResult:
     """Two-tick N-bit addition; the result's top bit is the carry out."""
-    return resolve(half_add(a, b))
+    if a.width != b.width:
+        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
+    n = a.width
+    return resolved(n, *flash_lanes(a.value, b.value, n))
 
 
 def increment_by_pow2(x: BitVector, i: int) -> IncrementResult:
@@ -283,37 +346,57 @@ def pair_leaf_blocks(x: int, y: int, width: int, block_width: int) -> tuple[int,
     return resolved, carry_weight
 
 
-def double_width_add(
-    a_lo: BitVector, a_hi: BitVector, b_lo: BitVector, b_hi: BitVector
-) -> DoubleWidthResult:
-    """Add two 2N-bit values as parallel N-bit halves plus one cross carry.
+@lru_cache
+def double_width_masks(n: int, lanes: int = 1) -> tuple[int, int, int, int, int]:
+    """The double-width adder's layout for N-bit halves: the packed width,
+    then every lane's bit 0, its n low wires, its padded half block and its
+    n+1 low wires. The stride is four padded half blocks."""
+    stride = lane_stride(2 * n)
+    return (
+        stride * lanes,
+        *(lane_mask(bits, stride, lanes) for bits in (1, n, n + (n & 1), n + 1)),
+    )
+
+
+def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int]:
+    """Add 2N-bit values as parallel N-bit halves plus one cross carry, on
+    `lanes` pairs packed at `lane_stride(2 * n)`.
 
     Ticks 1-2 run the pair-leaf network with the two halves as its two
     blocks; an odd half gets one zero top wire, so no pair straddles the
     halves. Tick 3 folds the low half's carry-out into the high half's N+1
     result bits. The latency is three ticks whether or not the cross carry
-    fires.
+    fires. Returns the 2N+1-bit sums and the cross carries, one on each
+    lane's bit 0, both in the operands' lanes.
     """
+    bw = n + (n & 1)
+    packed, ones, low_half, block, fit = double_width_masks(n, lanes)
+    if n & 1:  # move each high half up one wire by adding it to itself
+        x, y = x + (x & ~low_half), y + (y & ~low_half)
+    wires, carry_weight = pair_leaf_blocks(x, y, packed, bw)
+    # each half's N+1 sum wires: its block's wires and its carry out on top
+    low = (wires & block) | (carry_weight & (ones << bw))
+    high = ((wires >> bw) & block) | ((carry_weight >> bw) & (ones << bw))
+    if (low | high) & ~fit:
+        raise ModelIntegrityError("a half's sum does not fit its n+1 wires")
+    cross = (low >> n) & ones
+    mask = high ^ (high + cross)  # the one-tick increment, where a cross carry fires
+    if mask & ~fit:
+        raise ModelIntegrityError("cross-carry increment escaped the high half")
+    return ((high ^ mask) << n) | (low & low_half), cross
+
+
+def double_width_add(
+    a_lo: BitVector, a_hi: BitVector, b_lo: BitVector, b_hi: BitVector
+) -> DoubleWidthResult:
+    """Add two 2N-bit values given as N-bit halves; see `double_width_lanes`."""
     n = a_lo.width
     for name, vec in (("a_hi", a_hi), ("b_lo", b_lo), ("b_hi", b_hi)):
         if vec.width != n:
             raise ValueError(f"{name} must be {n} bits wide, got {vec.width}")
-    bw = n + (n & 1)
-    resolved, carry_weight = pair_leaf_blocks(
-        a_lo.value | (a_hi.value << bw), b_lo.value | (b_hi.value << bw), 2 * bw, bw
+    total, cross = double_width_lanes(
+        a_lo.value | (a_hi.value << n), b_lo.value | (b_hi.value << n), n
     )
-    # each half's N+1 sum wires: its block's wires and its carry out on top
-    low = (resolved & ((1 << bw) - 1)) | (carry_weight & (1 << bw))
-    high = (resolved >> bw) | (carry_weight >> (2 * bw) << bw)
-    if (low | high) >> (n + 1):
-        raise ModelIntegrityError("a half's sum does not fit its n+1 wires")
-    cross = low >> n
-    if cross:
-        mask = increment_mask(high)
-        if mask >> (n + 1):
-            raise ModelIntegrityError("cross-carry increment escaped the high half")
-        high ^= mask
-    total = (high << n) | (low & ((1 << n) - 1))
     return DoubleWidthResult(
         sum=BitVector(2 * n + 1, total), ticks=DOUBLE_WIDTH_TICKS, cross_carry=cross
     )
@@ -324,33 +407,49 @@ def is_power_of_four(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0 and (n.bit_length() - 1) % 2 == 0
 
 
-def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
-    """Add two 2N-bit values in three ticks via sqrt(N) equal blocks.
-
-    Ticks 1-2 are the pair-leaf network inside each block; a segment that
-    reaches the block top is the block's carry out. Tick 3 runs the network
-    once more over the whole word, with the block carries at the block tops.
-    N must be a power of four so the block count sqrt(N) is a power of two
-    and blocks divide the width evenly.
-    """
-    width = a.width
-    if b.width != width:
-        raise ValueError(f"operand widths differ: {width} vs {b.width}")
+@lru_cache
+def blocked_shape(width: int, lanes: int = 1) -> tuple[int, int]:
+    """The packed width and the block width, 2 * sqrt(N) bits, of the blocked
+    adder on 2N-bit operands; a failed check caches nothing."""
     if width % 2:
         raise ValueError(f"operand width must be even, got {width}")
     half = width // 2
     if not is_power_of_four(half):
         raise ValueError(f"half-width {half} must be a power of four")
-    blocks = isqrt(half)
-    bw = width // blocks  # 2 * sqrt(N) bits per block
-    resolved, carry_weight = pair_leaf_blocks(a.value, b.value, width, bw)
+    return lane_stride(width) * lanes, width // isqrt(half)
+
+
+def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]:
+    """Add 2N-bit values in three ticks via sqrt(N) equal blocks, on `lanes`
+    pairs packed at `lane_stride(width)`.
+
+    Ticks 1-2 are the pair-leaf network inside each block; a segment that
+    reaches the block top is the block's carry out. Tick 3 runs the network
+    once more over the whole lane, with the block carries at the block tops.
+    N must be a power of four so the block count sqrt(N) is a power of two
+    and blocks divide the width evenly. Returns the width+1-bit sums and the
+    block carries' word, block k's carry at bit (k+1) * block width of its
+    lane.
+    """
+    packed, bw = blocked_shape(width, lanes)
+    wires, carry_weight = pair_leaf_blocks(a, b, packed, bw)
 
     # tick 3: the network across blocks; the top block's carry lands on the
     # overflow bit
     block_tops = carry_weight >> 1
-    total = complement_segments(resolved, block_tops, find_firings(resolved, block_tops))
-    if total != a.value + b.value:
+    total = complement_segments(wires, block_tops, find_firings(wires, block_tops))
+    if total != a + b:
         raise ModelIntegrityError("cross-block resolution lost value")
+    return total, carry_weight
+
+
+def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
+    """Add two 2N-bit values; see `blocked_lanes`."""
+    width = a.width
+    if b.width != width:
+        raise ValueError(f"operand widths differ: {width} vs {b.width}")
+    total, carry_weight = blocked_lanes(a.value, b.value, width)
+    bw = blocked_shape(width)[1]
     return BlockedResult(
         sum=BitVector(width + 1, total),
         ticks=BLOCKED_TICKS,

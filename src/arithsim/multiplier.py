@@ -17,15 +17,22 @@ memoized constructor, and reused on every later call.
 Schedule A uses only 3:2 stages; schedule B quantizes until three rows remain
 and finishes with one 3:2 stage. The surviving two rows are added by the
 three-tick double-width adder.
+
+`multiply_lanes` runs K multiplications side by side: every row holds K
+lanes at `bitvec.lane_stride` of the row width, twice the 2N-bit rows, the
+final add's layout. The padding above each lane's rows keeps `majority << 1`,
+every quantizer digit and every stage total inside the lane, and every row
+check is a lane-mask check. `multiply` is its K = 1 call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
-from .bitvec import BitVector, ModelIntegrityError
+from .bitvec import BitVector, ModelIntegrityError, lane_mask, lane_stride
 from . import flash
 
 
@@ -47,18 +54,35 @@ MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 
 @dataclass(frozen=True)
 class RowSet:
-    """An unordered-sum collection of `width`-bit int rows; zero rows count."""
+    """An unordered-sum collection of rows of `lanes` lanes of `width` bits
+    each, packed at `lane_stride(width)`; zero rows count."""
 
     width: int
     rows: tuple[int, ...]
+    lanes: int = 1
 
     def __post_init__(self) -> None:
-        rows, limit = self.rows, 1 << self.width
-        if not rows or (min(rows) >= 0 and max(rows) < limit):
+        rows, over = self.rows, ~row_fit(self.width, self.lanes)
+        # with one lane the largest row has the rows' highest bit
+        if not rows or min(rows) >= 0 and not (
+            max(rows) if self.lanes == 1 else reduce(or_, rows)
+        ) & over:
             return
         for index, row in enumerate(rows):  # name the first row that does not fit
-            if not 0 <= row < limit:
+            if row < 0 or row & over:
                 raise ValueError(f"row {index} = {row} does not fit in {self.width} bits")
+
+    @property
+    def fit(self) -> int:
+        """The row bits of every lane."""
+        return row_fit(self.width, self.lanes)
+
+    @property
+    def span(self) -> int:
+        """Bits from the lowest lane's bit 0 to the top of the highest lane's
+        rows: the width the 3:2 counters' own overflow check guards. Every
+        lower lane's overflow lands in its padding, outside `fit`."""
+        return (self.lanes - 1) * lane_stride(self.width) + self.width
 
     def total(self) -> int:
         return sum(self.rows)
@@ -116,6 +140,11 @@ class ScheduleReport:
             raise ValueError("total_ticks must equal the sum of stage ticks")
 
 
+@lru_cache
+def row_fit(width: int, lanes: int) -> int:
+    return lane_mask(width, lane_stride(width), lanes)
+
+
 # Memoized constructors for every stage record: each distinct value is built
 # and validated once; a failed check caches nothing.
 @lru_cache
@@ -137,16 +166,23 @@ class MultiplyResult:
     report: ScheduleReport
 
 
-def partial_products(a: BitVector, b: BitVector) -> RowSet:
-    """All N shifted rows, zero rows included: row i = (a << i) * b_i.
+def partial_product_lanes(a: int, b: int, n: int, lanes: int = 1) -> RowSet:
+    """All N shifted rows of `lanes` pairs of n-bit operands, zero rows
+    included: in every lane, row i = (a << i) * b_i.
 
     Column p then holds exactly the convolution bits a_j * b_{p-j}. Keeping
     zero rows keeps the row count and the schedule shape data-independent.
     """
+    ones, low = lane_mask(1, lane_stride(2 * n), lanes), (1 << n) - 1
+    rows = [(a & s * low) << i if (s := b >> i & ones) else 0 for i in range(n)]
+    return RowSet(2 * n, tuple(rows), lanes)
+
+
+def partial_products(a: BitVector, b: BitVector) -> RowSet:
+    """All N shifted rows of one pair; see `partial_product_lanes`."""
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    n, av, bv = a.width, a.value, b.value
-    return RowSet(2 * n, tuple([av << i if (bv >> i) & 1 else 0 for i in range(n)]))
+    return partial_product_lanes(a.value, b.value, a.width)
 
 
 def csa_3_2(r1: int, r2: int, r3: int, width: int) -> tuple[int, int]:
@@ -163,13 +199,13 @@ def csa_3_2(r1: int, r2: int, r3: int, width: int) -> tuple[int, int]:
 
 def csa_stage(rows: RowSet) -> tuple[RowSet, StageRecord]:
     """Consolidate rows in triples, first to last; stragglers pass through."""
-    r, width, csa = rows.rows, rows.width, csa_3_2
+    r, span, csa = rows.rows, rows.span, csa_3_2
     n = len(r)
     if n < 3:
         raise ValueError(f"a 3:2 stage needs at least three rows, got {n}")
-    out = [row for x, y, z in zip(r[0::3], r[1::3], r[2::3]) for row in csa(x, y, z, width)]
+    out = [row for x, y, z in zip(r[0::3], r[1::3], r[2::3]) for row in csa(x, y, z, span)]
     out += r[n - n % 3 :]
-    result = RowSet(width, tuple(out))
+    result = RowSet(rows.width, tuple(out), rows.lanes)
     if result.total() != rows.total():
         raise ModelIntegrityError("3:2 stage lost value")
     return result, csa_record(n, len(out))
@@ -206,14 +242,14 @@ def quantize_columns(rows: RowSet, leave_out: int = 0) -> tuple[RowSet, StageRec
     consumed = n - leave_out
     if leave_out < 0 or consumed < 3:
         raise ValueError(f"cannot consume {consumed} of {n} rows")
-    out = []
+    out, over = [], ~rows.fit
     for q, plane in enumerate(count_planes(rows.rows[:consumed])):
         shifted = plane << q
-        if shifted >> rows.width:
+        if (plane | shifted) & over:
             raise ModelIntegrityError("a count digit escaped the row width")
         out.append(shifted)
     out += rows.rows[consumed:]
-    result = RowSet(rows.width, tuple(out))
+    result = RowSet(rows.width, tuple(out), rows.lanes)
     if result.total() != rows.total():
         raise ModelIntegrityError("quantizer stage lost value")
     return result, quantizer_record(n, len(out), leave_out, rows.width)
@@ -254,23 +290,29 @@ def check_multiplier_width(width: int) -> None:
         raise ValueError(f"multiplier width must be one of {MULTIPLIER_WIDTHS}, got {width}")
 
 
+def multiply_lanes(
+    a: int, b: int, n: int, schedule: Schedule, lanes: int = 1
+) -> tuple[int, ScheduleReport]:
+    """Full products of `lanes` pairs of n-bit operands packed at
+    `lane_stride(2 * n)`: partial rows, consolidation, one double-width
+    addition. Returns the 2N-bit products in the same lanes and the
+    schedule's report."""
+    check_multiplier_width(n)
+    final_rows, report = consolidate(partial_product_lanes(a, b, n, lanes), schedule)
+    product, _ = flash.double_width_lanes(*final_rows.rows, n, lanes)
+    if product & ~final_rows.fit:
+        raise ModelIntegrityError("product escaped its 2N-bit width")
+    return product, report
+
+
 def multiply(a: BitVector, b: BitVector, schedule: Schedule) -> MultiplyResult:
-    """Full product: partial rows, consolidation, one double-width addition."""
+    """Full product of one pair; see `multiply_lanes`."""
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
     n = a.width
-    check_multiplier_width(n)
-    rows = partial_products(a, b)
-    final_rows, report = consolidate(rows, schedule)
-    (r1, r2), mask = final_rows.rows, (1 << n) - 1
-    added = flash.double_width_add(
-        BitVector(n, r1 & mask), BitVector(n, r1 >> n),
-        BitVector(n, r2 & mask), BitVector(n, r2 >> n),
-    )
-    if (added.sum.value >> (2 * n)) & 1:
-        raise ModelIntegrityError("product escaped its 2N-bit width")
+    product, report = multiply_lanes(a.value, b.value, n, schedule)
     return MultiplyResult(
-        product=BitVector(2 * n, added.sum.value),
-        ticks=report.total_ticks + added.ticks,
+        product=BitVector(2 * n, product),
+        ticks=report.total_ticks + flash.DOUBLE_WIDTH_TICKS,
         report=report,
     )

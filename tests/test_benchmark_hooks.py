@@ -31,14 +31,16 @@ def test_every_traced_attribute_is_defined_on_its_owner():
 
 
 def test_main_runs_the_cmd_verify_installed_at_call_time(capsys):
+    # verify sweeps in batches: one lane-kernel call per 16 pairs of the
+    # width-4 sweep, and no per-pair entry point, since every batch passes
     tracing = load_tracing()
     tracer = tracing.Tracer()
     original = cli.cmd_verify
-    targets = [(cli, "cmd_verify", "cli.verify")] + tracing.cli_targets(arithsim)
-    with tracer.installed(targets):
+    targets = [(cli, "cmd_verify", "cli.verify"), (cli, "flash_lanes", "flash.flash_lanes")]
+    with tracer.installed(targets + tracing.cli_targets(arithsim)):
         code = cli.main(["verify", "--design", "flash", "--width", "4", "--format", "structured"])
     assert code == 0
     assert "record=verify passed=256 failed=0" in capsys.readouterr().out
     calls = {name: entry[0] for name, entry in tracing.summarize(tracer.take()[0]).items()}
-    assert calls == {"cli.verify": 1, "flash.flash_add": 256}
+    assert calls == {"cli.verify": 1, "flash.flash_lanes": 16}
     assert cli.cmd_verify is original

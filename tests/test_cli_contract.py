@@ -10,7 +10,7 @@ import random
 import pytest
 
 from arithsim import cli
-from arithsim.bitvec import BitVector, ModelIntegrityError
+from arithsim.bitvec import BitVector, ModelIntegrityError, lane_stride
 from arithsim.costs import check_width
 
 # `_adder_record_digest()` of the simulators before the cascade and the
@@ -64,14 +64,23 @@ def test_verify_rejects_multiplier_widths_before_the_header(capsys, width):
 
 
 def test_verify_counts_a_model_break_as_a_failed_pair(capsys, monkeypatch):
-    original = cli.flash_add
+    # the break sits in one pair: the batch holding it fails in the lane
+    # kernel, and its pair-by-pair re-run counts the break once
+    original, original_lanes = cli.flash_add, cli.flash_lanes
+    stride = lane_stride(4)
 
     def breaks_on_one_pair(a, b):
         if (a.value, b.value) == (5, 9):
             raise ModelIntegrityError("carry 0 found no absorbing gate")
         return original(a, b)
 
+    def breaks_in_one_lane(a, b, width, lanes=1):
+        if any((a >> j * stride) & 15 == 5 and (b >> j * stride) & 15 == 9 for j in range(lanes)):
+            raise ModelIntegrityError("carry 0 found no absorbing gate")
+        return original_lanes(a, b, width, lanes)
+
     monkeypatch.setattr(cli, "flash_add", breaks_on_one_pair)
+    monkeypatch.setattr(cli, "flash_lanes", breaks_in_one_lane)
     code, out, err = run_cli(
         capsys, ["verify", "--design", "flash", "--width", "4", "--format", "structured"]
     )
