@@ -99,6 +99,7 @@ def _run_cascade(a: BitVector, b: BitVector) -> tuple:
 ADDERS = {
     Design.CASCADE: Adder(
         run=_run_cascade,
+        # the last level's sums plus its carry word, each lane's carry out on top
         lanes=lambda a, b, width, k: sum(cascade_lanes(a, b, width, k)[-1]),
         label="level",
         template="level {level}: sums={sums} carries={carries}",
