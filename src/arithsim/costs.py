@@ -103,14 +103,13 @@ class ScheduleComparison:
 def cascade_gates(k: int) -> int:
     """Special AND gates in the k-stage cascade adder: k * 2**(k-1) - 1.
 
-    Cross-checked against the per-level summation of the simulator's
-    `cascade.step_gate_count`.
+    Cross-checked against the simulator's per-level summation,
+    `cascade.special_and_gates`.
     """
     if k < 1:
         raise ValueError(f"stage count must be positive, got {k}")
     closed = k * (1 << (k - 1)) - 1
-    summed = sum(cascade.step_gate_count(k, level) for level in range(1, k))
-    if closed != summed:
+    if closed != cascade.special_and_gates(k):
         raise ModelIntegrityError("cascade gate forms disagree")
     return closed
 

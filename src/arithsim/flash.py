@@ -257,7 +257,7 @@ def absorb(s: int, c: int, n: int, lanes: int = 1) -> tuple[int, int]:
     return total, ends
 
 
-def resolved(n: int, total: int, carries: int, ends: int) -> ResolveResult:
+def resolve_result(n: int, total: int, carries: int, ends: int) -> ResolveResult:
     return ResolveResult(
         sum=BitVector(n + 1, total),
         ticks=FLASH_ADD_TICKS,
@@ -268,7 +268,7 @@ def resolved(n: int, total: int, carries: int, ends: int) -> ResolveResult:
 def resolve(state: HalfAddState) -> ResolveResult:
     """Tick 2 of one half-added state."""
     total, ends = absorb(state.s, state.c, state.n)
-    return resolved(state.n, total, state.c, ends)
+    return resolve_result(state.n, total, state.c, ends)
 
 
 def flash_lanes(a: int, b: int, n: int, lanes: int = 1) -> tuple[int, int, int]:
@@ -286,7 +286,7 @@ def flash_add(a: BitVector, b: BitVector) -> ResolveResult:
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
     n = a.width
-    return resolved(n, *flash_lanes(a.value, b.value, n))
+    return resolve_result(n, *flash_lanes(a.value, b.value, n))
 
 
 def increment_by_pow2(x: BitVector, i: int) -> IncrementResult:

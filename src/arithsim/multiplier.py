@@ -62,7 +62,7 @@ class RowSet:
     lanes: int = 1
 
     def __post_init__(self) -> None:
-        rows, over = self.rows, ~row_fit(self.width, self.lanes)
+        rows, over = self.rows, row_layout(self.width, self.lanes)[0]
         # with one lane the largest row has the rows' highest bit
         if not rows or min(rows) >= 0 and not (
             max(rows) if self.lanes == 1 else reduce(or_, rows)
@@ -71,18 +71,6 @@ class RowSet:
         for index, row in enumerate(rows):  # name the first row that does not fit
             if row < 0 or row & over:
                 raise ValueError(f"row {index} = {row} does not fit in {self.width} bits")
-
-    @property
-    def fit(self) -> int:
-        """The row bits of every lane."""
-        return row_fit(self.width, self.lanes)
-
-    @property
-    def span(self) -> int:
-        """Bits from the lowest lane's bit 0 to the top of the highest lane's
-        rows: the width the 3:2 counters' own overflow check guards. Every
-        lower lane's overflow lands in its padding, outside `fit`."""
-        return (self.lanes - 1) * lane_stride(self.width) + self.width
 
     def total(self) -> int:
         return sum(self.rows)
@@ -141,8 +129,14 @@ class ScheduleReport:
 
 
 @lru_cache
-def row_fit(width: int, lanes: int) -> int:
-    return lane_mask(width, lane_stride(width), lanes)
+def row_layout(width: int, lanes: int) -> tuple[int, int]:
+    """Rows of `lanes` lanes of `width` bits: the bits outside every lane's
+    row bits, and the span from the lowest lane's bit 0 to the top of the
+    highest lane's row, the width that the 3:2 counters' own overflow check
+    guards. Every lower lane's overflow lands in its padding, outside the
+    rows."""
+    stride = lane_stride(width)
+    return ~lane_mask(width, stride, lanes), (lanes - 1) * stride + width
 
 
 # Memoized constructors for every stage record: each distinct value is built
@@ -199,7 +193,7 @@ def csa_3_2(r1: int, r2: int, r3: int, width: int) -> tuple[int, int]:
 
 def csa_stage(rows: RowSet) -> tuple[RowSet, StageRecord]:
     """Consolidate rows in triples, first to last; stragglers pass through."""
-    r, span, csa = rows.rows, rows.span, csa_3_2
+    r, span, csa = rows.rows, row_layout(rows.width, rows.lanes)[1], csa_3_2
     n = len(r)
     if n < 3:
         raise ValueError(f"a 3:2 stage needs at least three rows, got {n}")
@@ -242,7 +236,7 @@ def quantize_columns(rows: RowSet, leave_out: int = 0) -> tuple[RowSet, StageRec
     consumed = n - leave_out
     if leave_out < 0 or consumed < 3:
         raise ValueError(f"cannot consume {consumed} of {n} rows")
-    out, over = [], ~rows.fit
+    out, over = [], row_layout(rows.width, rows.lanes)[0]
     for q, plane in enumerate(count_planes(rows.rows[:consumed])):
         shifted = plane << q
         if (plane | shifted) & over:
@@ -300,7 +294,7 @@ def multiply_lanes(
     check_multiplier_width(n)
     final_rows, report = consolidate(partial_product_lanes(a, b, n, lanes), schedule)
     product, _ = flash.double_width_lanes(*final_rows.rows, n, lanes)
-    if product & ~final_rows.fit:
+    if product & row_layout(2 * n, lanes)[0]:
         raise ModelIntegrityError("product escaped its 2N-bit width")
     return product, report
 
