@@ -215,9 +215,9 @@ def _packed_range(count: int, stride: int) -> int:
 
 def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     """The (a, b) value pairs in order, in batches of at most VERIFY_LANES:
-    (a values, b values, packed a, packed b). Exhaustive sweeps take all
-    pairs, a batch holding one a and a run of b, built arithmetically;
-    random sweeps take seeded pairs, drawn a then b as pair by pair."""
+    (a values, b values, packed a, packed b). An exhaustive batch holds one a
+    and a run of b, packed arithmetically; a random batch draws a then b for
+    each pair, in the order of a pair-by-pair sweep."""
     width = args.width
     if exhaustive:
         size = min(VERIFY_LANES, 1 << width)

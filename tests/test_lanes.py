@@ -127,7 +127,8 @@ def verify_record(capsys, argv):
 
 def test_a_fault_in_one_flash_lane_fails_its_batch(capsys, monkeypatch):
     # the firing search drops the lowest end of any lane holding the wires
-    # of 15 + 5 at width 6, in the exhaustive sweep one lane of one batch
+    # of 15 + 5 at width 6: in the exhaustive sweep, one lane in each of the
+    # four batches whose a is 5, 7, 13 or 15
     width, stride = 6, lane_stride(6)
     original = flash.find_firings
 
