@@ -55,8 +55,9 @@ EXHAUSTIVE_ADDER_WIDTH = 8
 EXHAUSTIVE_MULT_WIDTH = 4
 
 # Pairs per `verify` batch: the lane kernels run this many circuits side by
-# side in one word. The fastest of 32, 64, 128 and 256 lanes for the 128-bit
-# adders and the 64-bit multiplier.
+# side in one word. Of 32 to 512 lanes, 128 and 256 swept the 128-bit adders
+# and the 64-bit multiplier fastest, within about 10% of each other; 64 and
+# 512 were slower there. A 128-bit adder batch is then a 4 KiB word.
 VERIFY_LANES = 128
 
 
