@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 _HEX = re.compile("[0-9a-fA-F]+")
 
@@ -124,6 +125,14 @@ def pack_lanes(values, stride: int) -> int:
     `stride` is a whole number of bytes."""
     size = stride // 8
     return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+def unpack_lanes(word: int, stride: int, count: int) -> list[int]:
+    """The `count` lane values of a `pack_lanes` word, the lowest lane first."""
+    size = stride // 8
+    data = word.to_bytes(size * count, "little")
+    lanes = [data[i : i + size] for i in range(0, len(data), size)]
+    return list(map(int.from_bytes, lanes, repeat("little")))
 
 
 def blockwise_add(x: int, y: int, width: int, w: int) -> tuple[int, int]:

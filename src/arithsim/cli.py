@@ -5,6 +5,12 @@ Operands travel as lowercase unprefixed hex. Structured output is one
 configurations (seed included) produce byte-identical bytes. The default
 format comes from the ARITHSIM_FORMAT environment variable when set.
 
+`verify` runs pairs in batches of VERIFY_LANES through a design's lane
+kernel. A random batch is one `getrandbits` draw, parted into packed a and b
+words; it holds the values of a pair-by-pair loop in the same order. The
+argument parser is built on the first call and kept for the process, so a
+short call pays for its pairs, not for argparse.
+
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
 """
 
@@ -25,6 +31,7 @@ from .bitvec import (
     oracle_add,
     oracle_mul,
     pack_lanes,
+    unpack_lanes,
 )
 from .cascade import cascade_add, cascade_lanes
 from .costs import Design, check_width, cost_report, reference_table
@@ -214,25 +221,57 @@ def _packed_range(count: int, stride: int) -> int:
     return pack_lanes(range(count), stride)
 
 
+@lru_cache
+def _draw_layout(width: int, count: int) -> tuple[int, int, int, int]:
+    """Where `count` `width`-bit values sit in one getrandbits draw of their
+    whole 32-bit words: the slot of whole words each value fills, the low
+    bits dropped from its last word, and masks of its low whole words and
+    of its last word's kept bits, brought down by that drop."""
+    slot = -(-width // 32) * 32
+    low = lane_mask(slot - 32, slot, count)
+    return slot, -width % 32, low, lane_mask(width, slot, count) ^ low
+
+
+def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tuple[int, int]:
+    """`size` pairs drawn a then b, as a pair-by-pair `getrandbits(width)`
+    loop draws them, packed at `stride`.
+
+    The Mersenne Twister fills `getrandbits(k)` with 32-bit words, least
+    significant first, and keeps the top k % 32 bits of a partial last
+    word. One draw of all the loop's words therefore holds its values in
+    order, one per slot of whole words, and leaves the generator where the
+    loop would. Where the slots already sit at half the stride, two masks
+    part the a and b lanes; otherwise each value's bytes are re-spaced."""
+    slot, drop, low, kept = _draw_layout(width, 2 * size)
+    draw = rng.getrandbits(2 * slot * size)
+    values = draw & low | draw >> drop & kept
+    if stride == 2 * slot:
+        lanes = lane_mask(width, stride, size)
+        return values & lanes, values >> slot & lanes
+    data, step, pair = values.to_bytes(slot * size // 4, "little"), stride // 8, slot // 4
+    a, b = bytearray(step * size), bytearray(step * size)
+    for j in range((width + 7) // 8):
+        a[j::step], b[j::step] = data[j::pair], data[pair // 2 + j :: pair]
+    return int.from_bytes(a, "little"), int.from_bytes(b, "little")
+
+
 def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     """The (a, b) value pairs in order, in batches of at most VERIFY_LANES:
-    (a values, b values, packed a, packed b). An exhaustive batch holds one a
-    and a run of b, packed arithmetically; a random batch draws a then b for
-    each pair, in the order of a pair-by-pair sweep."""
+    (packed a, packed b, pair count). An exhaustive batch holds one a and a
+    run of b, packed arithmetically; a random batch is one draw of the
+    values that a pair-by-pair sweep draws, a then b for each pair."""
     width = args.width
     if exhaustive:
         size = min(VERIFY_LANES, 1 << width)
         ones, counts = lane_mask(1, stride, size), _packed_range(size, stride)
         for a in range(1 << width):
             for low in range(0, 1 << width, size):
-                yield [a] * size, range(low, low + size), a * ones, counts + low * ones
+                yield a * ones, counts + low * ones, size
         return
     rng = random.Random(args.seed)
     for start in range(0, args.trials, VERIFY_LANES):
         size = min(VERIFY_LANES, args.trials - start)
-        values = [rng.getrandbits(width) for _ in range(2 * size)]
-        a_values, b_values = values[0::2], values[1::2]
-        yield a_values, b_values, pack_lanes(a_values, stride), pack_lanes(b_values, stride)
+        yield *_random_pairs(rng, width, size, stride), size
 
 
 def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
@@ -254,9 +293,10 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
         def run(a: BitVector, b: BitVector) -> int:
             return multiply(a, b, schedule).product.value
 
-        def run_lanes(a_values, b_values, a: int, b: int) -> bool:
-            got, _ = multiply_lanes(a, b, width, schedule, len(b_values))
-            return got == pack_lanes(map(oracle_mul, a_values, b_values), stride)
+        def run_lanes(a: int, b: int, size: int) -> bool:
+            got, _ = multiply_lanes(a, b, width, schedule, size)
+            want = map(oracle_mul, unpack_lanes(a, stride, size), unpack_lanes(b, stride, size))
+            return got == pack_lanes(want, stride)
 
         oracle, limit, schedule_field = oracle_mul, EXHAUSTIVE_MULT_WIDTH, schedule.value
     else:
@@ -267,9 +307,9 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
             sum_vec, carry, _, _ = adder.run(a, b)
             return sum_vec.value | carry << a.width
 
-        def run_lanes(a_values, b_values, a: int, b: int) -> bool:
+        def run_lanes(a: int, b: int, size: int) -> bool:
             # each lane's sum fits its stride, so one add checks every lane
-            return adder.lanes(a, b, width, len(b_values)) == oracle_add(a, b)
+            return adder.lanes(a, b, width, size) == oracle_add(a, b)
 
         oracle, limit, schedule_field = oracle_add, EXHAUSTIVE_ADDER_WIDTH, "-"
 
@@ -295,14 +335,14 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     passed = 0
     failed = 0
     counterexample = None
-    for a_values, b_values, packed_a, packed_b in _verify_batches(args, exhaustive, stride):
+    for packed_a, packed_b, size in _verify_batches(args, exhaustive, stride):
         try:
-            if run_lanes(a_values, b_values, packed_a, packed_b):
-                passed += len(b_values)
+            if run_lanes(packed_a, packed_b, size):
+                passed += size
                 continue
         except (ModelIntegrityError, ValueError):
             pass
-        for a, b in zip(a_values, b_values):
+        for a, b in zip(unpack_lanes(packed_a, stride, size), unpack_lanes(packed_b, stride, size)):
             try:
                 got = run(BitVector(width, a), BitVector(width, b))
             except (ModelIntegrityError, ValueError) as exc:
@@ -391,7 +431,11 @@ def cmd_schedule(args: argparse.Namespace, structured: bool) -> int:
     return 0
 
 
+@lru_cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves no state in it, and building it costs more than a small
+    `verify`."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",

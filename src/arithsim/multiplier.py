@@ -27,7 +27,7 @@ check is a lane-mask check. `multiply` is its K = 1 call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import or_
@@ -55,14 +55,17 @@ MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 @dataclass(frozen=True)
 class RowSet:
     """An unordered-sum collection of rows of `lanes` lanes of `width` bits
-    each, packed at `lane_stride(width)`; zero rows count."""
+    each, packed at `lane_stride(width)`; zero rows count. The running sum
+    is summed once, here, so a stage's check re-sums only its own output."""
 
     width: int
     rows: tuple[int, ...]
     lanes: int = 1
+    _total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows, over = self.rows, row_layout(self.width, self.lanes)[0]
+        object.__setattr__(self, "_total", sum(rows))
         # with one lane the largest row has the rows' highest bit
         if not rows or min(rows) >= 0 and not (
             max(rows) if self.lanes == 1 else reduce(or_, rows)
@@ -73,7 +76,7 @@ class RowSet:
                 raise ValueError(f"row {index} = {row} does not fit in {self.width} bits")
 
     def total(self) -> int:
-        return sum(self.rows)
+        return self._total
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -214,13 +217,23 @@ def column_counts(rows: RowSet) -> tuple[int, ...]:
 
 def count_planes(rows: tuple[int, ...]) -> list[int]:
     """Per-column 1-bit counts of all columns at once, as bit planes: plane q
-    holds bit q of every column's count. Adding a row ripples plane by plane."""
-    planes = [0] * len(rows).bit_length()
-    for carry in rows:
-        for q, plane in enumerate(planes):
-            if not carry:
-                break
-            carry, planes[q] = plane & carry, plane ^ carry
+    holds bit q of every column's count. A chain of full adders (3:2
+    counters) folds the words of each weight into one sum at that weight,
+    passing one carry per adder to the next weight, where a last pair takes
+    a half adder (Warren, Hacker's Delight, section 5-1). n words leave
+    n // 2 carries, so the planes are exactly len(rows).bit_length()."""
+    planes, words = [], rows
+    while words:
+        total, carries = words[0], []
+        for x, y in zip(words[1::2], words[2::2]):
+            partial = total ^ x
+            carries.append(total & x | partial & y)
+            total = partial ^ y
+        if len(words) % 2 == 0:
+            carries.append(total & words[-1])
+            total ^= words[-1]
+        planes.append(total)
+        words = carries
     return planes
 
 

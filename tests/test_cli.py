@@ -247,6 +247,36 @@ def test_unknown_format_env_var_is_a_usage_error(capsys, monkeypatch, argv):
     assert run_cli(capsys, argv) == (2, "", "error: unknown output format 'xml'\n")
 
 
+def test_the_cached_parser_carries_no_state_across_calls(capsys, monkeypatch):
+    # (argv, ARITHSIM_FORMAT): a usage error, --help, a call whose format
+    # comes from a changed environment, a structured verify
+    calls = [
+        (["add", "--design", "flash", "--width", "8", "ff"], None),
+        (["--help"], None),
+        (["add", "--design", "flash", "--width", "8", "ff", "01"], "structured"),
+        (["verify", "--design", "flash", "--width", "33", "--trials", "7", "--seed", "2",
+          "--format", "structured"], "text"),
+    ]
+
+    def run_all():
+        runs = []
+        for argv, output_format in calls:
+            if output_format is None:
+                monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(cli.FORMAT_ENV_VAR, output_format)
+            runs.append(run_cli(capsys, argv))
+        return runs
+
+    cli.build_parser.cache_clear()
+    cached = run_all()
+    assert cli.build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cached == run_all()
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0]
+    assert cached[2][1].startswith("record=add ")
+
+
 def test_unknown_subcommand_exits_nonzero(capsys):
     assert cli.main(["frobnicate"]) != 0
     capsys.readouterr()

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arithsim import cascade, cli, flash, multiplier
-from arithsim.bitvec import BitVector, ModelIntegrityError, lane_stride, pack_lanes
+from arithsim.bitvec import BitVector, ModelIntegrityError, lane_stride, pack_lanes, unpack_lanes
 from arithsim.multiplier import MULTIPLIER_WIDTHS, Schedule
 
 
@@ -95,6 +95,24 @@ def test_multiply_lanes_match_their_single_pairs(data):
     for j, (x, y) in enumerate(pairs):
         assert (lane(products, j, stride), report) == multiplier.multiply_lanes(x, y, n, schedule)
         assert lane(products, j, stride) == x * y
+
+
+@given(
+    width=st.integers(min_value=9, max_value=160),
+    size=st.integers(min_value=1, max_value=cli.VERIFY_LANES),
+    seed=st.integers(),
+    multiplier_rows=st.booleans(),
+)
+def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, size, seed, multiplier_rows):
+    # at the adders' stride and at the stride of the multiplier's 2N-bit rows
+    stride = lane_stride(2 * width if multiplier_rows else width)
+    loop, feed = random.Random(seed), random.Random(seed)
+    values = [loop.getrandbits(width) for _ in range(2 * size)]
+    a, b = cli._random_pairs(feed, width, size, stride)
+    assert (a, b) == (pack_lanes(values[0::2], stride), pack_lanes(values[1::2], stride))
+    assert unpack_lanes(a, stride, size) == values[0::2]
+    assert unpack_lanes(b, stride, size) == values[1::2]
+    assert feed.getrandbits(64) == loop.getrandbits(64)
 
 
 def pair_by_pair(design, width, pairs):

@@ -5,7 +5,8 @@ that fill no whole batch, both formats, and every fault fixture.
 Each digest is the sha256 of every argv, its exit code and its stdout, in
 order. They were taken while `verify` still checked one pair per call, so a
 change in how it sweeps must leave every count, counterexample and byte as
-they were.
+they were. The feed corpus's digest was taken while random sweeps still drew
+one `getrandbits` value at a time.
 """
 
 import contextlib
@@ -17,6 +18,8 @@ import pytest
 from arithsim import cli
 
 CORPUS_DIGEST = "4091a47f9d4f73bbf1b1cc3456510962aa9cdff476fdf3ba3f1f7cdc09f08fce"
+
+FEED_CORPUS_DIGEST = "77b1acd966aaf2e7cc8e0e2210a1e9208500bddaf22e56822218d58df13e443d"
 
 FAULT_DIGESTS = {
     "shortened_segment": "834027b01f0030eaf50c536dd5fe313a83efd11f6e1cc03584a747da2db45fc4",
@@ -80,6 +83,25 @@ def corpus_argvs():
     # the default trial count and seed
     argvs.append(verify_argv("flash", 16))
     argvs.append(verify_argv("cascade", 32, structured=True))
+    return argvs
+
+
+def feed_corpus_argvs():
+    """Random sweeps whose draws fill no whole 32-bit word, or whose lanes sit
+    at another stride than the draw's slots of whole words, at trial counts
+    around one batch: flash at widths 31, 33 and 100, the multiplier at 8,
+    16 and 32 under both schedules."""
+    argvs = []
+    for width in (31, 33, 100):
+        for trials, seed in ((1, 0), (127, 1), (128, 2), (129, 3), (300, 4)):
+            argvs.append(verify_argv("flash", width, "--trials", str(trials), "--seed", str(seed),
+                                     structured=(trials + width) % 2 == 0))
+    for width in (8, 16, 32):
+        for schedule in ("A", "B"):
+            for trials, seed in ((1, 5), (129, 6), (300, 7)):
+                argvs.append(verify_argv("mult", width, "--trials", str(trials), "--seed",
+                                         str(seed), schedule=schedule,
+                                         structured=schedule == "A"))
     return argvs
 
 
@@ -156,6 +178,10 @@ def test_the_corpus_covers_what_it_claims():
 
 def test_verify_corpus_output_is_pinned():
     assert digest_of(corpus_argvs()) == CORPUS_DIGEST
+
+
+def test_verify_feed_corpus_output_is_pinned():
+    assert digest_of(feed_corpus_argvs()) == FEED_CORPUS_DIGEST
 
 
 @pytest.mark.parametrize("fixture", sorted(FAULT_ARGVS))
