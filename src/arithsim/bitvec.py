@@ -135,6 +135,18 @@ def unpack_lanes(word: int, stride: int, count: int) -> list[int]:
     return list(map(int.from_bytes, lanes, repeat("little")))
 
 
+def respace_lanes(word: int, src: int, dst: int, count: int, bits: int) -> int:
+    """The low `bits` bits of each of the `count` lanes of a word at stride
+    `src`, packed at stride `dst`; both strides are whole bytes of at least
+    `bits` bits. Each lane's ceil(bits / 8) low bytes are copied, even for
+    one lane, so bits above them are dropped."""
+    src, dst = src // 8, dst // 8
+    data, out = word.to_bytes(src * count, "little"), bytearray(dst * count)
+    for j in range(-(-bits // 8)):
+        out[j::dst] = data[j::src]
+    return int.from_bytes(out, "little")
+
+
 def blockwise_add(x: int, y: int, width: int, w: int) -> tuple[int, int]:
     """Add x and y inside every w-bit block, carries cut at the block edges
     (Warren, Hacker's Delight, section 2-18): returns the sums and a carry

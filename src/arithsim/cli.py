@@ -31,6 +31,7 @@ from .bitvec import (
     oracle_add,
     oracle_mul,
     pack_lanes,
+    respace_lanes,
     unpack_lanes,
 )
 from .cascade import cascade_add, cascade_lanes
@@ -248,11 +249,7 @@ def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tup
     if stride == 2 * slot:
         lanes = lane_mask(width, stride, size)
         return values & lanes, values >> slot & lanes
-    data, step, pair = values.to_bytes(slot * size // 4, "little"), stride // 8, slot // 4
-    a, b = bytearray(step * size), bytearray(step * size)
-    for j in range((width + 7) // 8):
-        a[j::step], b[j::step] = data[j::pair], data[pair // 2 + j :: pair]
-    return int.from_bytes(a, "little"), int.from_bytes(b, "little")
+    return tuple(respace_lanes(v, 2 * slot, stride, size, width) for v in (values, values >> slot))
 
 
 def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):

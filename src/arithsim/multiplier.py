@@ -19,10 +19,13 @@ and finishes with one 3:2 stage. The surviving two rows are added by the
 three-tick double-width adder.
 
 `multiply_lanes` runs K multiplications side by side: every row holds K
-lanes at `bitvec.lane_stride` of the row width, twice the 2N-bit rows, the
-final add's layout. The padding above each lane's rows keeps `majority << 1`,
-every quantizer digit and every stage total inside the lane, and every row
-check is a lane-mask check. `multiply` is its K = 1 call.
+lanes at `row_stride` of the row width, the 2N row bits and one byte of
+padding. The padding keeps `majority << 1` (bit 2N) and every quantizer
+digit (at most bit 2N - 1 + floor(log2 N), so bit 2N + 5) inside the lane,
+where a lane-mask check rejects it with the one-lane message. The operands
+and products stay at `bitvec.lane_stride(2N)`, the final add's layout, and
+are re-spaced on the way in and out. `multiply` is its K = 1 call, which
+needs no re-spacing.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from enum import Enum
 from functools import lru_cache, reduce
 from operator import or_
 
-from .bitvec import BitVector, ModelIntegrityError, lane_mask, lane_stride
+from .bitvec import BitVector, ModelIntegrityError, lane_mask, lane_stride, respace_lanes
 from . import flash
 
 
@@ -55,7 +58,7 @@ MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 @dataclass(frozen=True)
 class RowSet:
     """An unordered-sum collection of rows of `lanes` lanes of `width` bits
-    each, packed at `lane_stride(width)`; zero rows count. The running sum
+    each, packed at `row_stride(width)`; zero rows count. The running sum
     is summed once, here, so a stage's check re-sums only its own output."""
 
     width: int
@@ -131,14 +134,20 @@ class ScheduleReport:
             raise ValueError("total_ticks must equal the sum of stage ticks")
 
 
+def row_stride(width: int) -> int:
+    """The lane stride of `width`-bit rows: the row's whole bytes plus one
+    byte of padding, which holds every bit a stage can push above the row."""
+    return (width + 7) // 8 * 8 + 8
+
+
 @lru_cache
 def row_layout(width: int, lanes: int) -> tuple[int, int]:
-    """Rows of `lanes` lanes of `width` bits: the bits outside every lane's
-    row bits, and the span from the lowest lane's bit 0 to the top of the
-    highest lane's row, the width that the 3:2 counters' own overflow check
-    guards. Every lower lane's overflow lands in its padding, outside the
-    rows."""
-    stride = lane_stride(width)
+    """Rows of `lanes` lanes of `width` bits at `row_stride(width)`: the bits
+    outside every lane's row bits, and the span from the lowest lane's bit 0
+    to the top of the highest lane's row, the width that the 3:2 counters'
+    own overflow check guards. Every lower lane's overflow lands in its
+    padding byte, outside the rows."""
+    stride = row_stride(width)
     return ~lane_mask(width, stride, lanes), (lanes - 1) * stride + width
 
 
@@ -165,13 +174,15 @@ class MultiplyResult:
 
 def partial_product_lanes(a: int, b: int, n: int, lanes: int = 1) -> RowSet:
     """All N shifted rows of `lanes` pairs of n-bit operands, zero rows
-    included: in every lane, row i = (a << i) * b_i.
+    included: in every lane, row i = (a << i) * b_i. The operands are
+    packed at `row_stride(2 * n)`.
 
     Column p then holds exactly the convolution bits a_j * b_{p-j}. Keeping
     zero rows keeps the row count and the schedule shape data-independent.
     """
-    ones, low = lane_mask(1, lane_stride(2 * n), lanes), (1 << n) - 1
-    rows = [(a & s * low) << i if (s := b >> i & ones) else 0 for i in range(n)]
+    ones = lane_mask(1, row_stride(2 * n), lanes)
+    # (s << n) - s: n ones in each lane whose bit i of b is set
+    rows = [(a & (s << n) - s) << i if (s := b >> i & ones) else 0 for i in range(n)]
     return RowSet(2 * n, tuple(rows), lanes)
 
 
@@ -185,10 +196,11 @@ def partial_products(a: BitVector, b: BitVector) -> RowSet:
 def csa_3_2(r1: int, r2: int, r3: int, width: int) -> tuple[int, int]:
     """One tick: three `width`-bit rows become a bitwise-sum row and a
     shifted-majority row."""
-    majority = (r1 & r2) | (r1 & r3) | (r2 & r3)
+    half = r1 ^ r2
+    majority = r1 & r2 | half & r3
     if majority >> (width - 1):
         raise ValueError("carry row would overflow the declared width")
-    sum_row, carry_row = r1 ^ r2 ^ r3, majority << 1
+    sum_row, carry_row = half ^ r3, majority << 1
     if sum_row + carry_row != r1 + r2 + r3:
         raise ModelIntegrityError("3:2 consolidation lost value")
     return sum_row, carry_row
@@ -303,11 +315,21 @@ def multiply_lanes(
     """Full products of `lanes` pairs of n-bit operands packed at
     `lane_stride(2 * n)`: partial rows, consolidation, one double-width
     addition. Returns the 2N-bit products in the same lanes and the
-    schedule's report."""
+    schedule's report.
+
+    The rows run at `row_stride(2 * n)`, about half the operands' stride;
+    the operands are re-spaced to it and the final two rows back, since
+    the double-width adder needs four half blocks per lane."""
     check_multiplier_width(n)
-    final_rows, report = consolidate(partial_product_lanes(a, b, n, lanes), schedule)
-    product, _ = flash.double_width_lanes(*final_rows.rows, n, lanes)
-    if product & row_layout(2 * n, lanes)[0]:
+    stride, packed = lane_stride(2 * n), row_stride(2 * n)
+    if lanes > 1:  # one lane sits at bit 0 in both layouts
+        a, b = (respace_lanes(v, stride, packed, lanes, n) for v in (a, b))
+    rows, report = consolidate(partial_product_lanes(a, b, n, lanes), schedule)
+    final = rows.rows
+    if lanes > 1:
+        final = (respace_lanes(row, packed, stride, lanes, 2 * n) for row in final)
+    product, _ = flash.double_width_lanes(*final, n, lanes)
+    if product & ~lane_mask(2 * n, stride, lanes):
         raise ModelIntegrityError("product escaped its 2N-bit width")
     return product, report
 

@@ -6,6 +6,7 @@ re-runs the batch pair by pair and reports what a pair-by-pair sweep would.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -13,7 +14,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arithsim import cascade, cli, flash, multiplier
-from arithsim.bitvec import BitVector, ModelIntegrityError, lane_stride, pack_lanes, unpack_lanes
+from arithsim.bitvec import (
+    BitVector,
+    ModelIntegrityError,
+    lane_stride,
+    pack_lanes,
+    respace_lanes,
+    unpack_lanes,
+)
 from arithsim.multiplier import MULTIPLIER_WIDTHS, Schedule
 
 
@@ -97,6 +105,47 @@ def test_multiply_lanes_match_their_single_pairs(data):
         assert lane(products, j, stride) == x * y
 
 
+@given(st.data())
+def test_respace_lanes_is_unpack_then_pack(data):
+    bits = data.draw(st.integers(min_value=1, max_value=80))
+    size = -(-bits // 8)
+    src, dst = (8 * data.draw(st.integers(min_value=size, max_value=size + 4)) for _ in "sd")
+    count = data.draw(st.integers(min_value=1, max_value=24))
+    values = data.draw(st.lists(st.integers(0, (1 << src) - 1), min_size=count, max_size=count))
+    word = pack_lanes(values, src)
+    # only each lane's ceil(bits / 8) low bytes travel, even in a one-lane word
+    kept = [v & (1 << 8 * size) - 1 for v in unpack_lanes(word, src, count)]
+    assert respace_lanes(word, src, dst, count, bits) == pack_lanes(kept, dst)
+
+
+@pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
+def test_a_row_lane_holds_every_bit_a_stage_can_reach(n):
+    # majority << 1 reaches bit 2N; a quantizer digit, bit 2N - 1 + floor(log2 N)
+    assert 2 * n + 1 + n.bit_length() - 1 <= multiplier.row_stride(2 * n)
+    assert multiplier.row_stride(2 * n) % 8 == 0
+
+
+@pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
+def test_a_row_overflowing_a_lower_lane_is_caught_in_its_padding(n):
+    # every row holds the middle lane's top bit: a 3:2 stage's majority and
+    # a quantizer's count of 7 both carry it out of that lane
+    top = pack_lanes([0, 1 << 2 * n - 1, 0], multiplier.row_stride(2 * n))
+    with pytest.raises(ValueError, match=f"row 1 = {top << 1} does not fit in {2 * n} bits"):
+        multiplier.csa_stage(multiplier.RowSet(2 * n, (top,) * 3, 3))
+    with pytest.raises(ModelIntegrityError, match="a count digit escaped the row width"):
+        multiplier.quantize_columns(multiplier.RowSet(2 * n, (top,) * 7, 3))
+
+
+@pytest.mark.parametrize("schedule", tuple(Schedule))
+@pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
+def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
+    # all-ones operands fill every column, so the digits climb highest
+    stride, count, top = lane_stride(2 * n), cli.VERIFY_LANES, (1 << n) - 1
+    a = b = pack_lanes([top] * count, stride)
+    products, _ = multiplier.multiply_lanes(a, b, n, schedule, count)
+    assert products == pack_lanes([top * top] * count, stride)
+
+
 @given(
     width=st.integers(min_value=9, max_value=160),
     size=st.integers(min_value=1, max_value=cli.VERIFY_LANES),
@@ -115,25 +164,32 @@ def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, size, seed, 
     assert feed.getrandbits(64) == loop.getrandbits(64)
 
 
-def pair_by_pair(design, width, pairs):
-    """`verify`'s counts and first counterexample, one pair per call."""
-    run = cli.ADDERS[design].run
+def adder(design, width):
+    """One adder as `verify` runs it pair by pair, on ints."""
+    def run(a, b):
+        sum_vec, carry, _, _ = cli.ADDERS[design].run(BitVector(width, a), BitVector(width, b))
+        return sum_vec.value | carry << width
+    return run
+
+
+def pair_by_pair(run, pairs, oracle=operator.add):
+    """`verify`'s counts and first counterexample, one `run(a, b)` per pair."""
     passed = failed = 0
     first = None
     for a, b in pairs:
         try:
-            sum_vec, carry, _, _ = run(BitVector(width, a), BitVector(width, b))
+            got = run(a, b)
         except (ModelIntegrityError, ValueError) as exc:
             failed += 1
             error = "_".join(f"{type(exc).__name__}: {exc}".split())
             first = first or f"a={a:x},b={b:x},error={error}"
             continue
-        got = sum_vec.value | carry << width
-        if got == a + b:
+        want = oracle(a, b)
+        if got == want:
             passed += 1
         else:
             failed += 1
-            first = first or f"a={a:x},b={b:x},got={got:x},want={a + b:x}"
+            first = first or f"a={a:x},b={b:x},got={got:x},want={want:x}"
     return f"record=verify passed={passed} failed={failed} counterexample={first or '-'}"
 
 
@@ -165,7 +221,7 @@ def test_a_fault_in_one_flash_lane_fails_its_batch(capsys, monkeypatch):
         pack_lanes([14] * 64, stride), pack_lanes(range(64), stride), width, 64
     )[0] == pack_lanes([14 + b for b in range(64)], stride)
 
-    want = pair_by_pair(cli.Design.FLASH, width, itertools.product(range(64), repeat=2))
+    want = pair_by_pair(adder(cli.Design.FLASH, width), itertools.product(range(64), repeat=2))
     assert "failed=0 " not in want
     assert verify_record(capsys, ["verify", "--design", "flash", "--width", "6"]) == (1, want)
 
@@ -194,8 +250,46 @@ def test_a_fault_in_one_cascade_lane_fails_its_batch(capsys, monkeypatch):
         cascade.cascade_lanes(pack_lanes([a for a, _ in batch], stride),
                               pack_lanes([b for _, b in batch], stride), width, len(batch))
 
-    want = pair_by_pair(cli.Design.CASCADE, width, pairs)
+    want = pair_by_pair(adder(cli.Design.CASCADE, width), pairs)
     assert "failed=1 counterexample=a=" in want
     argv = ["verify", "--design", "cascade", "--width", "128", "--trials", str(trials),
             "--seed", str(seed)]
+    assert verify_record(capsys, argv) == (1, want)
+
+
+def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
+    # the 3:2 counter flips the lowest sum bit of the one lane holding the
+    # first three partial rows of the 200th seeded pair of a 64-bit sweep
+    n, trials, seed = 64, 300, 5
+    rng = random.Random(seed)
+    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
+    first_rows = [multiplier.partial_product_lanes(a, b, n).rows[:3] for a, b in pairs]
+    target = first_rows[200]
+    assert first_rows.count(target) == 1
+    stride, original = multiplier.row_stride(2 * n), multiplier.csa_3_2
+
+    def flips_one_lane(r1, r2, r3, width):
+        sum_row, carry_row = original(r1, r2, r3, width)
+        for j in range((width - 2 * n) // stride + 1):  # `width` spans every lane
+            if tuple(lane(r, j, stride) for r in (r1, r2, r3)) == target:
+                sum_row ^= 1 << j * stride
+        return sum_row, carry_row
+
+    monkeypatch.setattr(multiplier, "csa_3_2", flips_one_lane)
+    start = 200 // cli.VERIFY_LANES * cli.VERIFY_LANES
+    batch = pairs[start : start + cli.VERIFY_LANES]
+    assert 0 < 200 - start < len(batch) - 1
+    wide = lane_stride(2 * n)
+    with pytest.raises(ModelIntegrityError, match="3:2 stage lost value"):
+        multiplier.multiply_lanes(pack_lanes([a for a, _ in batch], wide),
+                                  pack_lanes([b for _, b in batch], wide), n, Schedule.A,
+                                  len(batch))
+
+    def run(a, b):
+        return multiplier.multiply(BitVector(n, a), BitVector(n, b), Schedule.A).product.value
+
+    want = pair_by_pair(run, pairs, operator.mul)
+    assert "failed=1 counterexample=a=" in want
+    argv = ["verify", "--design", "mult", "--width", "64", "--schedule", "A",
+            "--trials", str(trials), "--seed", str(seed)]
     assert verify_record(capsys, argv) == (1, want)
