@@ -19,13 +19,12 @@ and finishes with one 3:2 stage. The surviving two rows are added by the
 three-tick double-width adder.
 
 `multiply_lanes` runs K multiplications side by side: every row holds K
-lanes at `row_stride` of the row width, the 2N row bits and one byte of
-padding. The padding keeps `majority << 1` (bit 2N) and every quantizer
-digit (at most bit 2N - 1 + floor(log2 N), so bit 2N + 5) inside the lane,
-where a lane-mask check rejects it with the one-lane message. The operands
-and products stay at `bitvec.lane_stride(2N)`, the final add's layout, and
-are re-spaced on the way in and out. `multiply` is its K = 1 call, which
-needs no re-spacing.
+lanes at `row_stride` of the row width: the 2N row bits and one byte of
+padding, which holds `majority << 1` and every quantizer digit, so a
+lane-mask check rejects a lane's overflow with the one-lane message. The
+operands and products stay at `bitvec.lane_stride(2N)`, the final add's
+layout, and are re-spaced on the way in and out. `multiply` is its K = 1
+call, which needs no re-spacing.
 """
 
 from __future__ import annotations
@@ -136,7 +135,9 @@ class ScheduleReport:
 
 def row_stride(width: int) -> int:
     """The lane stride of `width`-bit rows: the row's whole bytes plus one
-    byte of padding, which holds every bit a stage can push above the row."""
+    byte of padding. Above 2N-bit rows a stage drives at most bit
+    2N - 1 + floor(log2 N), a digit of N rows' count, so for N <= 64 every
+    overflow lands in that byte."""
     return (width + 7) // 8 * 8 + 8
 
 
