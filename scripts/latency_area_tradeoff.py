@@ -13,8 +13,8 @@ import argparse
 import random
 
 from arithsim.bitvec import BitVector
-from arithsim.cli import ADDERS
 from arithsim.costs import (
+    ADDERS,
     Design,
     blocked_gate_split,
     cost_report,

@@ -5,10 +5,12 @@ Operands travel as lowercase unprefixed hex. Structured output is one
 configurations (seed included) produce byte-identical bytes. The default
 format comes from the ARITHSIM_FORMAT environment variable when set.
 
+The adders' simulators and `--trace` views come from `costs.ADDERS`.
 `verify` runs pairs in batches of VERIFY_LANES through a design's lane
-kernel. A random batch is one `getrandbits` draw, parted into packed a and b
-words; it holds the values of a pair-by-pair loop in the same order. The
-argument parser is built on the first call and kept for the process, so a
+kernel, and a failing batch's pairs one at a time through the same kernel.
+A random batch is one `getrandbits` draw, parted into packed a and b words;
+it holds the values of a pair-by-pair loop in the same order. The argument
+parser is built on the first call and kept for the process, so a
 short call pays for its pairs, not for argparse.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
@@ -21,7 +23,6 @@ import os
 import random
 import sys
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
 
 from .bitvec import (
     BitVector,
@@ -34,16 +35,11 @@ from .bitvec import (
     respace_lanes,
     unpack_lanes,
 )
-from .cascade import cascade_add, cascade_lanes
-from .costs import Design, check_width, cost_report, reference_table
-from .flash import (
-    blocked_add,
-    blocked_lanes,
-    double_width_add,
-    double_width_lanes,
-    flash_add,
-    flash_lanes,
-)
+from .costs import ADDERS, Adder, Design, check_width, cost_report, reference_table
+# Nothing here calls these four: the benchmark's tracer (`cli_targets` in
+# perfbench/tracing.py) wraps them in this module, so they stay importable.
+from .cascade import cascade_add  # noqa: F401
+from .flash import blocked_add, double_width_add, flash_add  # noqa: F401
 from .multiplier import (
     PUBLISHED_ROW_COUNT,
     RowSet,
@@ -69,80 +65,6 @@ EXHAUSTIVE_MULT_WIDTH = 4
 VERIFY_LANES = 128
 
 
-class Adder(NamedTuple):
-    """How the CLI runs and shows one adder design.
-
-    `run(a, b)` returns (display sum, carry bit, ticks, raw result). The
-    display sum is the design's natural output: N bits with the carry held
-    separately for the cascade, N+1 bits with the carry on top for the
-    others. `lanes(a, b, width, k)` adds k pairs packed at
-    `bitvec.lane_stride(width)` and returns their N+1-bit sums in the same
-    lanes. `--trace` prints one `label` record, or one `template` line, per
-    field dict that `trace(raw result)` yields. `gates(raw result)` is the
-    simulator's live gate tally, where it keeps one.
-    """
-
-    run: Callable[[BitVector, BitVector], tuple]
-    lanes: Callable[[int, int, int, int], int]
-    label: str
-    template: str
-    trace: Callable[[object], Iterable[dict]]
-    gates: Callable[[object], int] | None = None
-
-
-def _joined(values) -> str:
-    return ",".join(str(v) for v in values)
-
-
-def _carry_on_top(result, width: int) -> tuple:
-    return result.sum, result.sum.bit(width), result.ticks, result
-
-
-def _run_cascade(a: BitVector, b: BitVector) -> tuple:
-    result = cascade_add(a, b)
-    return result.sum, result.carry, result.trace.ticks, result
-
-
-# The simulators are looked up in this module's globals at call time, so a
-# wrapper installed there (a tracer, a test's fault) is the one that runs.
-ADDERS = {
-    Design.CASCADE: Adder(
-        run=_run_cascade,
-        # the last level's sums plus its carry word, each lane's carry out on top
-        lanes=lambda a, b, width, k: sum(cascade_lanes(a, b, width, k)[-1]),
-        label="level",
-        template="level {level}: sums={sums} carries={carries}",
-        trace=lambda r: (
-            dict(rec, carries=_joined(rec["carries"])) for rec in r.trace.to_records()
-        ),
-        gates=lambda r: r.trace.special_and_gates,
-    ),
-    Design.FLASH: Adder(
-        run=lambda a, b: _carry_on_top(flash_add(a, b), a.width),
-        lanes=lambda a, b, width, k: flash_lanes(a, b, width, k)[0],
-        label="firings",
-        template="firings: [{pairs}] gates={gates}",
-        trace=lambda r: [
-            dict(pairs=",".join(f"{i}:{j}" for i, j in r.firings),
-                 gates=r.firings.gates_evaluated)
-        ],
-        gates=lambda r: r.firings.gates_evaluated,
-    ),
-    Design.FLASH_DOUBLE: Adder(
-        run=lambda a, b: _carry_on_top(double_width_add(*a.halves(), *b.halves()), a.width),
-        lanes=lambda a, b, width, k: double_width_lanes(a, b, width // 2, k)[0],
-        label="halves",
-        template="cross carry: {cross_carry}",
-        trace=lambda r: [dict(cross_carry=r.cross_carry)],
-    ),
-    Design.BLOCKED_DOUBLE: Adder(
-        run=lambda a, b: _carry_on_top(blocked_add(a, b), a.width),
-        lanes=lambda a, b, width, k: blocked_lanes(a, b, width, k)[0],
-        label="block_carries",
-        template="block carries: [{bits}]",
-        trace=lambda r: [dict(bits=_joined(r.block_carries))],
-    ),
-}
 ADDER_DESIGNS = tuple(design.value for design in ADDERS)
 
 
@@ -279,7 +201,8 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
 
     Pairs run in batches through the design's lane kernel, each lane checked
     against the oracle. A batch with any mismatch or error is run again pair
-    by pair, so counts and counterexamples are those of a pair-by-pair sweep.
+    by pair through the same kernel at K = 1, so counts and counterexamples
+    are those of a pair-by-pair sweep.
     """
     width = args.width
     if args.design == "mult":
@@ -287,28 +210,26 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
         schedule = Schedule(args.schedule)
         stride = lane_stride(2 * width)
 
-        def run(a: BitVector, b: BitVector) -> int:
-            return multiply(a, b, schedule).product.value
+        def run(a: int, b: int, size: int) -> int:
+            return multiply_lanes(a, b, width, schedule, size)[0]
 
-        def run_lanes(a: int, b: int, size: int) -> bool:
-            got, _ = multiply_lanes(a, b, width, schedule, size)
+        def expect(a: int, b: int, size: int) -> int:
             want = map(oracle_mul, unpack_lanes(a, stride, size), unpack_lanes(b, stride, size))
-            return got == pack_lanes(want, stride)
+            return pack_lanes(want, stride)
 
-        oracle, limit, schedule_field = oracle_mul, EXHAUSTIVE_MULT_WIDTH, schedule.value
+        limit, schedule_field = EXHAUSTIVE_MULT_WIDTH, schedule.value
     else:
-        adder = _adder(args)
+        lanes = _adder(args).lanes
         stride = lane_stride(width)
 
-        def run(a: BitVector, b: BitVector) -> int:
-            sum_vec, carry, _, _ = adder.run(a, b)
-            return sum_vec.value | carry << a.width
+        def run(a: int, b: int, size: int) -> int:
+            return lanes(a, b, width, size)
 
-        def run_lanes(a: int, b: int, size: int) -> bool:
+        def expect(a: int, b: int, size: int) -> int:
             # each lane's sum fits its stride, so one add checks every lane
-            return adder.lanes(a, b, width, size) == oracle_add(a, b)
+            return oracle_add(a, b)
 
-        oracle, limit, schedule_field = oracle_add, EXHAUSTIVE_ADDER_WIDTH, "-"
+        limit, schedule_field = EXHAUSTIVE_ADDER_WIDTH, "-"
 
     exhaustive = width <= limit
     total = (1 << width) ** 2 if exhaustive else args.trials
@@ -334,21 +255,21 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     counterexample = None
     for packed_a, packed_b, size in _verify_batches(args, exhaustive, stride):
         try:
-            if run_lanes(packed_a, packed_b, size):
+            if run(packed_a, packed_b, size) == expect(packed_a, packed_b, size):
                 passed += size
                 continue
         except (ModelIntegrityError, ValueError):
             pass
         for a, b in zip(unpack_lanes(packed_a, stride, size), unpack_lanes(packed_b, stride, size)):
             try:
-                got = run(BitVector(width, a), BitVector(width, b))
+                got = run(a, b, 1)
             except (ModelIntegrityError, ValueError) as exc:
                 failed += 1
                 if counterexample is None:
                     error = "_".join(f"{type(exc).__name__}: {exc}".split())
                     counterexample = f"a={a:x},b={b:x},error={error}"
                 continue
-            want = oracle(a, b)
+            want = expect(a, b, 1)
             if got == want:
                 passed += 1
             else:

@@ -1,4 +1,6 @@
-"""Closed-form gate, memory, and clock-tick costs for every design.
+"""The designs, their closed-form gate, memory, and clock-tick costs, and the
+adder table `ADDERS`: one entry per adder holds its width rule, published
+cost, simulator and `--trace` view, for `cost`, the CLI and the scripts alike.
 
 Gate counts cover the special-purpose AND gates only; the lookup units are
 costed as associative-memory entries where a design uses them. Tick counts
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
+from typing import Callable, Iterable, NamedTuple
 
-from .bitvec import ModelIntegrityError
+from .bitvec import BitVector, ModelIntegrityError
 from . import cascade, flash, multiplier
 from .multiplier import RowSet, Schedule
 
@@ -29,38 +32,103 @@ class Design(str, Enum):
     MULT_SCHEDULE_B = "mult_schedule_b"
 
 
-# Per adder: the operand widths it accepts, as its simulator implements them
-# (a phrase for error messages, then the test), and its cost at such a width
-# as (special AND gates, ticks).
-_ADDERS = {
-    Design.CASCADE: (
-        "a power-of-two width >= 2",
-        lambda w: w >= 2 and not w & (w - 1),
-        lambda w: (cascade_gates(w.bit_length() - 1), w.bit_length() - 1),
+class Adder(NamedTuple):
+    """One adder design: all that `cost`, the CLI and the scripts know of it.
+
+    `accepts(width)` tests the operand widths its simulator takes, and
+    `needs` phrases them for error messages; `cost(width)` is its published
+    (special AND gates, ticks) at such a width. `run(a, b)` returns (display
+    sum, carry bit, ticks, raw result). The display sum is the design's
+    natural output: N bits with the carry held separately for the cascade,
+    N+1 bits with the carry on top for the others. `lanes(a, b, width, k)`
+    adds k pairs packed at `bitvec.lane_stride(width)` and returns their
+    N+1-bit sums in the same lanes. `--trace` prints one `label` record, or
+    one `template` line, per field dict that `trace(raw result)` yields.
+    `gates(raw result)` is the simulator's live gate tally, where it keeps
+    one.
+    """
+
+    needs: str
+    accepts: Callable[[int], bool]
+    cost: Callable[[int], tuple[int, int]]
+    run: Callable[[BitVector, BitVector], tuple]
+    lanes: Callable[[int, int, int, int], int]
+    label: str
+    template: str
+    trace: Callable[[object], Iterable[dict]]
+    gates: Callable[[object], int] | None = None
+
+
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _carry_on_top(result, width: int) -> tuple:
+    return result.sum, result.sum.bit(width), result.ticks, result
+
+
+def _run_cascade(a: BitVector, b: BitVector) -> tuple:
+    result = cascade.cascade_add(a, b)
+    return result.sum, result.carry, result.trace.ticks, result
+
+
+# The simulators are looked up on their home modules at call time, so a
+# wrapper installed there (a tracer, a test's fault) is the one that runs.
+ADDERS = {
+    Design.CASCADE: Adder(
+        needs="a power-of-two width >= 2",
+        accepts=lambda w: w >= 2 and not w & (w - 1),
+        cost=lambda w: (cascade_gates(w.bit_length() - 1), w.bit_length() - 1),
+        run=_run_cascade,
+        # the last level's sums plus its carry word, each lane's carry out on top
+        lanes=lambda a, b, width, k: sum(cascade.cascade_lanes(a, b, width, k)[-1]),
+        label="level",
+        template="level {level}: sums={sums} carries={carries}",
+        trace=lambda r: (
+            dict(rec, carries=_joined(rec["carries"])) for rec in r.trace.to_records()
+        ),
+        gates=lambda r: r.trace.special_and_gates,
     ),
-    Design.FLASH: (
-        "a width >= 1",
-        lambda w: w >= 1,
-        lambda w: (flash_gates(w), flash.FLASH_ADD_TICKS),
+    Design.FLASH: Adder(
+        needs="a width >= 1",
+        accepts=lambda w: w >= 1,
+        cost=lambda w: (flash_gates(w), flash.FLASH_ADD_TICKS),
+        run=lambda a, b: _carry_on_top(flash.flash_add(a, b), a.width),
+        lanes=lambda a, b, width, k: flash.flash_lanes(a, b, width, k)[0],
+        label="firings",
+        template="firings: [{pairs}] gates={gates}",
+        trace=lambda r: [dict(pairs=_joined(f"{i}:{j}" for i, j in r.firings),
+                              gates=r.firings.gates_evaluated)],
+        gates=lambda r: r.firings.gates_evaluated,
     ),
-    Design.FLASH_DOUBLE: (
-        "an even width >= 2",
-        lambda w: w >= 2 and not w % 2,
-        lambda w: (double_width_gates(w // 2), flash.DOUBLE_WIDTH_TICKS),
+    Design.FLASH_DOUBLE: Adder(
+        needs="an even width >= 2",
+        accepts=lambda w: w >= 2 and not w % 2,
+        cost=lambda w: (double_width_gates(w // 2), flash.DOUBLE_WIDTH_TICKS),
+        run=lambda a, b: _carry_on_top(flash.double_width_add(*a.halves(), *b.halves()), a.width),
+        lanes=lambda a, b, width, k: flash.double_width_lanes(a, b, width // 2, k)[0],
+        label="halves",
+        template="cross carry: {cross_carry}",
+        trace=lambda r: [dict(cross_carry=r.cross_carry)],
     ),
-    Design.BLOCKED_DOUBLE: (
-        "an even width whose half is a power-of-four",
-        lambda w: not w % 2 and flash.is_power_of_four(w // 2),
-        lambda w: (blocked_gates(w // 2), flash.BLOCKED_TICKS),
+    Design.BLOCKED_DOUBLE: Adder(
+        needs="an even width whose half is a power-of-four",
+        accepts=lambda w: not w % 2 and flash.is_power_of_four(w // 2),
+        cost=lambda w: (blocked_gates(w // 2), flash.BLOCKED_TICKS),
+        run=lambda a, b: _carry_on_top(flash.blocked_add(a, b), a.width),
+        lanes=lambda a, b, width, k: flash.blocked_lanes(a, b, width, k)[0],
+        label="block_carries",
+        template="block carries: [{bits}]",
+        trace=lambda r: [dict(bits=_joined(r.block_carries))],
     ),
 }
 
 
 def check_width(design: Design, width: int) -> None:
     """Raise ValueError unless the adder `design` takes `width`-bit operands."""
-    needs, accepts, _ = _ADDERS[design]
-    if not accepts(width):
-        raise ValueError(f"{design.value} needs {needs}, got {width}")
+    adder = ADDERS[design]
+    if not adder.accepts(width):
+        raise ValueError(f"{design.value} needs {adder.needs}, got {width}")
 
 
 @dataclass(frozen=True)
@@ -269,10 +337,9 @@ def schedule_comparison() -> ScheduleComparison:
 
 def cost_report(design: Design, width: int) -> CostReport:
     """One design's budget at one operand width."""
-    if design in _ADDERS:
+    if design in ADDERS:
         check_width(design, width)
-        _, _, cost = _ADDERS[design]
-        gates, ticks = cost(width)
+        gates, ticks = ADDERS[design].cost(width)
         return CostReport(design, width, gates, 0, ticks)
     schedule = Schedule.A if design is Design.MULT_SCHEDULE_A else Schedule.B
     estimate = mult_hardware_estimate(schedule, width)

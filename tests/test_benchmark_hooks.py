@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import arithsim
-from arithsim import cli
+from arithsim import cascade, cli, flash, multiplier
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,7 +36,7 @@ def test_main_runs_the_cmd_verify_installed_at_call_time(capsys):
     tracing = load_tracing()
     tracer = tracing.Tracer()
     original = cli.cmd_verify
-    targets = [(cli, "cmd_verify", "cli.verify"), (cli, "flash_lanes", "flash.flash_lanes")]
+    targets = [(cli, "cmd_verify", "cli.verify"), (flash, "flash_lanes", "flash.flash_lanes")]
     with tracer.installed(targets + tracing.cli_targets(arithsim)):
         code = cli.main(["verify", "--design", "flash", "--width", "4", "--format", "structured"])
     assert code == 0
@@ -44,3 +44,12 @@ def test_main_runs_the_cmd_verify_installed_at_call_time(capsys):
     calls = {name: entry[0] for name, entry in tracing.summarize(tracer.take()[0]).items()}
     assert calls == {"cli.verify": 1, "flash.flash_lanes": 16}
     assert cli.cmd_verify is original
+
+
+def test_the_cli_entry_points_are_their_home_modules_functions():
+    # `cli` calls none of the four adder entry points, so a stale alias there
+    # would fail no other test; the tracer would wrap a function nothing runs
+    homes = {"cascade_add": cascade, "flash_add": flash, "double_width_add": flash,
+             "blocked_add": flash, "multiply": multiplier}
+    assert [name for name, home in homes.items()
+            if getattr(cli, name) is not getattr(home, name)] == []

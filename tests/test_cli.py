@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from arithsim import cli
+from arithsim import cli, costs
 
 
 def run_cli(capsys, argv):
@@ -158,6 +158,19 @@ def test_verify_all_adder_designs_small(capsys):
         code, out, _ = run_cli(capsys, ["verify", "--design", design, "--width", "8"])
         assert code == 0, design
         assert "result: 65536/65536 pass" in out
+
+
+def test_every_adder_design_has_one_table_entry_and_cli_choice():
+    adders = [d for d in costs.Design if not d.value.startswith("mult_")]
+    assert list(costs.ADDERS) == adders
+    assert cli.ADDERS is costs.ADDERS
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    choices = {
+        name: next(a.choices for a in commands[name]._actions if a.dest == "design")
+        for name in ("add", "verify")
+    }
+    assert choices == {"add": cli.ADDER_DESIGNS, "verify": cli.ADDER_DESIGNS + ("mult",)}
+    assert cli.ADDER_DESIGNS == tuple(d.value for d in adders)
 
 
 def test_cost_single_design(capsys):

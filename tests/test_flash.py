@@ -175,6 +175,43 @@ def test_complement_check_accepts_exactly_the_fired_ends():
                     assert total == s + 2 * carries
 
 
+def segment_firings(s, carries, ends):
+    """The carries and ends paired in ascending order, if every pair is a
+    segment from just above its carry up a run of 1 wires to a 0 wire and no
+    two segments share a wire; otherwise None."""
+    starts = [i for i in range(carries.bit_length()) if carries >> i & 1]
+    stops = [j for j in range(ends.bit_length()) if ends >> j & 1]
+    if len(starts) != len(stops):
+        return None
+    pairs = list(zip(starts, stops))
+    for t, (i, j) in enumerate(pairs):
+        if j <= i or s >> j & 1 or ~s & segment_mask(i, j - 1):
+            return None  # not a run of 1 wires up to a 0 wire, just above its carry
+        if t + 1 < len(pairs) and j > pairs[t + 1][0]:
+            return None  # shares a wire with the next segment
+    return pairs
+
+
+def test_complement_segments_is_the_segment_definition_for_every_word():
+    # every n <= 4: every sum word of n+1 wires, carry word of n bits and end
+    # word reaching one wire above the top; the reference pairs the words by
+    # the definition alone, without the firing search
+    wrong = []
+    for n in range(1, 5):
+        for s in range(1 << n + 1):
+            for carries in range(1 << n):
+                for ends in range(1 << n + 2):
+                    pairs = segment_firings(s, carries, ends)
+                    want = None if pairs is None else apply_firings_sequentially(s, pairs)
+                    try:
+                        got = complement_segments(s, carries, ends)
+                    except ModelIntegrityError:
+                        got = None
+                    if got != want:
+                        wrong.append((n, s, carries, ends, got, want))
+    assert wrong == []
+
+
 def test_resolve_examples():
     assert resolve(half_add(BitVector(4, 5), BitVector(4, 3))).sum.to_binary() == "01000"
     assert resolve(half_add(BitVector(4, 15), BitVector(4, 1))).sum.to_binary() == "10000"
