@@ -6,10 +6,12 @@ configurations (seed included) produce byte-identical bytes. The default
 format comes from the ARITHSIM_FORMAT environment variable when set.
 
 The adders' simulators and `--trace` views come from `costs.ADDERS`.
-`verify` runs pairs in batches of VERIFY_LANES through a design's lane
-kernel, and a failing batch's pairs one at a time through the same kernel.
-A random batch is one `getrandbits` draw, parted into packed a and b words;
-it holds the values of a pair-by-pair loop in the same order. The argument
+`verify` runs pairs in batches through a design's lane kernel, as many
+lanes as fit a word of VERIFY_WORD_BITS bits, and a failing batch's pairs one
+at a time through the same kernel. An exhaustive batch is a run of
+consecutive pair indices a * 2**width + b, so at width 8 it spans 16 values
+of a. A random batch is one `getrandbits` draw, parted into packed a and b
+words; it holds the values of a pair-by-pair loop in the same order. The argument
 parser is built on the first call and kept for the process, so a
 short call pays for its pairs, not for argparse.
 
@@ -58,11 +60,16 @@ FORMAT_ENV_VAR = "ARITHSIM_FORMAT"
 EXHAUSTIVE_ADDER_WIDTH = 8
 EXHAUSTIVE_MULT_WIDTH = 4
 
-# Pairs per `verify` batch: the lane kernels run this many circuits side by
-# side in one word. Of 32 to 512 lanes, 128 and 256 swept the 128-bit adders
-# and the 64-bit multiplier fastest, within about 10% of each other; 64 and
-# 512 were slower there. A 128-bit adder batch is then a 4 KiB word.
-VERIFY_LANES = 128
+# The most bits in one word of a `verify` batch (8 KiB): the lane kernels run
+# `verify_lanes(stride)` circuits side by side in it, 4096 at the 16-bit
+# stride of the width-8 adders and the width-4 multiplier, 256 at the 256-bit
+# stride of the 128-bit adders and the 64-bit multiplier. In-process sweeps
+# (best of 15, 2-core Xeon, Python 3.11): the four width-8 adders took 19.4,
+# 12.4, 11.0, 10.4, 10.4 and 15.8 ms at 128, 1024, 2048, 4096, 8192 and
+# 65,536 lanes; at stride 256, 256 lanes beat 128 (4096 pairs through each
+# 128-bit adder 17.2 to 14.4 ms, 1024 through each 64-bit schedule 14.0 to
+# 10.9 ms) and 512 were no better.
+VERIFY_WORD_BITS = 1 << 16
 
 
 ADDER_DESIGNS = tuple(design.value for design in ADDERS)
@@ -139,9 +146,21 @@ def cmd_mul(args: argparse.Namespace, structured: bool) -> int:
     return 0
 
 
+def verify_lanes(stride: int) -> int:
+    """The pairs in one `verify` batch at `stride`: as many lanes as fit
+    VERIFY_WORD_BITS, and at least one."""
+    return max(1, VERIFY_WORD_BITS // stride)
+
+
 @lru_cache
-def _packed_range(count: int, stride: int) -> int:
-    return pack_lanes(range(count), stride)
+def _index_steps(width: int, size: int, stride: int) -> tuple[int, int]:
+    """The a and the b lanes of pair indices 0 to size - 1, i = a * 2**width
+    + b, packed at `stride`; `size` is a power of two. Each a fills a run of
+    min(size, 2**width) lanes and b counts through every run."""
+    run, lane = min(size, 1 << width), stride // 8
+    counts = pack_lanes(range(run), stride).to_bytes(lane * run, "little")
+    steps = b"".join(a.to_bytes(lane, "little") * run for a in range(size // run))
+    return int.from_bytes(steps, "little"), int.from_bytes(counts * (size // run), "little")
 
 
 @lru_cache
@@ -175,21 +194,24 @@ def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tup
 
 
 def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
-    """The (a, b) value pairs in order, in batches of at most VERIFY_LANES:
-    (packed a, packed b, pair count). An exhaustive batch holds one a and a
-    run of b, packed arithmetically; a random batch is one draw of the
+    """The (a, b) value pairs in order, in batches of at most
+    `verify_lanes(stride)`: (packed a, packed b, pair count). An exhaustive
+    batch is the largest power of two of pairs that fits, a run of
+    consecutive pair indices a * 2**width + b: the start's a and b in every
+    lane plus the cached `_index_steps`. A random batch is one draw of the
     values that a pair-by-pair sweep draws, a then b for each pair."""
     width = args.width
     if exhaustive:
-        size = min(VERIFY_LANES, 1 << width)
-        ones, counts = lane_mask(1, stride, size), _packed_range(size, stride)
-        for a in range(1 << width):
-            for low in range(0, 1 << width, size):
-                yield a * ones, counts + low * ones, size
+        size = 1 << min(verify_lanes(stride).bit_length() - 1, 2 * width)
+        ones, (a_steps, b_steps) = lane_mask(1, stride, size), _index_steps(width, size, stride)
+        for start in range(0, 1 << 2 * width, size):
+            a, b = divmod(start, 1 << width)
+            yield a * ones + a_steps, b * ones + b_steps, size
         return
     rng = random.Random(args.seed)
-    for start in range(0, args.trials, VERIFY_LANES):
-        size = min(VERIFY_LANES, args.trials - start)
+    lanes = verify_lanes(stride)
+    for start in range(0, args.trials, lanes):
+        size = min(lanes, args.trials - start)
         yield *_random_pairs(rng, width, size, stride), size
 
 

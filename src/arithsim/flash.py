@@ -306,9 +306,11 @@ def increment_by_pow2(x: BitVector, i: int) -> IncrementResult:
 @lru_cache
 def block_parity_masks(width: int, block_width: int) -> tuple[int, int]:
     """The wires of the even and of the odd `block_width`-bit blocks of a
-    `width`-bit word; cached, since each adder asks for the same few."""
-    low = (1 << block_width) - 1
-    even = sum(low << base for base in range(0, width, 2 * block_width))
+    `width`-bit word; cached, since each adder asks for the same few. The
+    even blocks are the low halves of 2 * `block_width`-bit lanes, one more
+    lane than whole pairs when the block count is odd."""
+    pair = 2 * block_width
+    even = lane_mask(block_width, pair, -(-width // pair))
     return even, ((1 << width) - 1) ^ even
 
 

@@ -31,8 +31,9 @@ def test_every_traced_attribute_is_defined_on_its_owner():
 
 
 def test_main_runs_the_cmd_verify_installed_at_call_time(capsys):
-    # verify sweeps in batches: one lane-kernel call per 16 pairs of the
-    # width-4 sweep, and no per-pair entry point, since every batch passes
+    # verify sweeps in batches: the 256 pairs of the width-4 sweep fit one
+    # word, so one lane-kernel call, and no per-pair entry point, since the
+    # batch passes
     tracing = load_tracing()
     tracer = tracing.Tracer()
     original = cli.cmd_verify
@@ -42,7 +43,7 @@ def test_main_runs_the_cmd_verify_installed_at_call_time(capsys):
     assert code == 0
     assert "record=verify passed=256 failed=0" in capsys.readouterr().out
     calls = {name: entry[0] for name, entry in tracing.summarize(tracer.take()[0]).items()}
-    assert calls == {"cli.verify": 1, "flash.flash_lanes": 16}
+    assert calls == {"cli.verify": 1, "flash.flash_lanes": 1}
     assert cli.cmd_verify is original
 
 

@@ -7,6 +7,7 @@ from arithsim.flash import (
     FireSet,
     HalfAddState,
     apply_firings_sequentially,
+    block_parity_masks,
     blocked_add,
     complement_segments,
     double_width_add,
@@ -375,6 +376,16 @@ def test_pair_leaf_blocks_match_the_per_block_loop(rng):
         pair_leaf_blocks(0, 0, 8, 3)
     with pytest.raises(ValueError):
         pair_leaf_blocks(0, 0, 12, 8)
+
+
+def test_block_parity_masks_are_every_other_block():
+    # the definition: sum the even blocks' masks; an odd block count ends on
+    # an even block
+    for block_width in range(2, 65, 2):
+        low = (1 << block_width) - 1
+        for width in range(block_width, 2049, block_width):
+            even = sum(low << base for base in range(0, width, 2 * block_width))
+            assert block_parity_masks(width, block_width) == (even, (1 << width) - 1 ^ even)
 
 
 def test_blocked_add_examples():

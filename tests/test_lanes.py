@@ -5,6 +5,7 @@ pair, and a fault in one lane must fail its whole batch, so that `verify`
 re-runs the batch pair by pair and reports what a pair-by-pair sweep would.
 """
 
+import argparse
 import itertools
 import operator
 import random
@@ -140,7 +141,8 @@ def test_a_row_overflowing_a_lower_lane_is_caught_in_its_padding(n):
 @pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
 def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
     # all-ones operands fill every column, so the digits climb highest
-    stride, count, top = lane_stride(2 * n), cli.VERIFY_LANES, (1 << n) - 1
+    stride, top = lane_stride(2 * n), (1 << n) - 1
+    count = cli.verify_lanes(stride)
     a = b = pack_lanes([top] * count, stride)
     products, _ = multiplier.multiply_lanes(a, b, n, schedule, count)
     assert products == pack_lanes([top * top] * count, stride)
@@ -148,13 +150,14 @@ def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
 
 @given(
     width=st.integers(min_value=9, max_value=160),
-    size=st.integers(min_value=1, max_value=cli.VERIFY_LANES),
     seed=st.integers(),
     multiplier_rows=st.booleans(),
+    data=st.data(),
 )
-def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, size, seed, multiplier_rows):
+def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, seed, multiplier_rows, data):
     # at the adders' stride and at the stride of the multiplier's 2N-bit rows
     stride = lane_stride(2 * width if multiplier_rows else width)
+    size = data.draw(st.integers(min_value=1, max_value=cli.verify_lanes(stride)))
     loop, feed = random.Random(seed), random.Random(seed)
     values = [loop.getrandbits(width) for _ in range(2 * size)]
     a, b = cli._random_pairs(feed, width, size, stride)
@@ -201,8 +204,8 @@ def verify_record(capsys, argv):
 
 def test_a_fault_in_one_flash_lane_fails_its_batch(capsys, monkeypatch):
     # the firing search drops the lowest end of any lane holding the wires
-    # of 15 + 5 at width 6: in the exhaustive sweep, one lane in each of the
-    # four batches whose a is 5, 7, 13 or 15
+    # of 15 + 5 at width 6: in the exhaustive sweep's one batch, the four
+    # lanes whose a is 5, 7, 13 or 15
     width, stride = 6, lane_stride(6)
     original = flash.find_firings
 
@@ -244,8 +247,9 @@ def test_a_fault_in_one_cascade_lane_fails_its_batch(capsys, monkeypatch):
         return out, carries
 
     monkeypatch.setattr(cascade, "cascade_step", flips_one_lane)
-    start = 200 // cli.VERIFY_LANES * cli.VERIFY_LANES
-    batch = pairs[start : start + cli.VERIFY_LANES]
+    size = cli.verify_lanes(stride)
+    start = 200 // size * size
+    batch = pairs[start : start + size]
     with pytest.raises(ModelIntegrityError, match="balance broken at level 2, block 0$"):
         cascade.cascade_lanes(pack_lanes([a for a, _ in batch], stride),
                               pack_lanes([b for _, b in batch], stride), width, len(batch))
@@ -276,10 +280,11 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
         return sum_row, carry_row
 
     monkeypatch.setattr(multiplier, "csa_3_2", flips_one_lane)
-    start = 200 // cli.VERIFY_LANES * cli.VERIFY_LANES
-    batch = pairs[start : start + cli.VERIFY_LANES]
-    assert 0 < 200 - start < len(batch) - 1
     wide = lane_stride(2 * n)
+    size = cli.verify_lanes(wide)
+    start = 200 // size * size
+    batch = pairs[start : start + size]
+    assert 0 < 200 - start < len(batch) - 1
     with pytest.raises(ModelIntegrityError, match="3:2 stage lost value"):
         multiplier.multiply_lanes(pack_lanes([a for a, _ in batch], wide),
                                   pack_lanes([b for _, b in batch], wide), n, Schedule.A,
@@ -293,3 +298,81 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
     argv = ["verify", "--design", "mult", "--width", "64", "--schedule", "A",
             "--trials", str(trials), "--seed", str(seed)]
     assert verify_record(capsys, argv) == (1, want)
+
+
+def sweep_batches(width, stride, trials=None, seed=None):
+    """`verify`'s batches of a sweep, exhaustive when no trial count is given."""
+    args = argparse.Namespace(width=width, trials=trials, seed=seed)
+    return list(cli._verify_batches(args, trials is None, stride))
+
+
+def batch_pairs(batches, stride):
+    """The (a, b) pairs of `batches` in order; each batch within its word."""
+    pairs = []
+    for a, b, size in batches:
+        assert size * stride <= cli.VERIFY_WORD_BITS
+        pairs += zip(unpack_lanes(a, stride, size), unpack_lanes(b, stride, size))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "width, stride",
+    [pytest.param(w, lane_stride(w), id=f"adders-{w}") for w in range(1, 9)]
+    + [pytest.param(w, lane_stride(2 * w), id=f"mult-{w}") for w in range(1, 5)],
+)
+def test_an_exhaustive_sweep_holds_every_pair_once_in_a_major_order(width, stride):
+    # every batch fills the word, or holds the whole sweep: at width 8, 16
+    # values of a each
+    batches = sweep_batches(width, stride)
+    assert {size for *_, size in batches} == {min(cli.verify_lanes(stride), 1 << 2 * width)}
+    assert batch_pairs(batches, stride) == list(itertools.product(range(1 << width), repeat=2))
+
+
+@given(
+    width=st.integers(min_value=9, max_value=160),
+    trials=st.integers(min_value=1, max_value=3000),
+    seed=st.integers(),
+    multiplier_rows=st.booleans(),
+)
+def test_a_random_sweep_is_the_pair_by_pair_loop_in_full_batches(
+    width, trials, seed, multiplier_rows
+):
+    stride = lane_stride(2 * width if multiplier_rows else width)
+    batches = sweep_batches(width, stride, trials, seed)
+    loop, lanes = random.Random(seed), cli.verify_lanes(stride)
+    assert [size for *_, size in batches] == [lanes] * (trials // lanes) + [trials % lanes] * (
+        trials % lanes > 0
+    )
+    assert batch_pairs(batches, stride) == [
+        (loop.getrandbits(width), loop.getrandbits(width)) for _ in range(trials)
+    ]
+
+
+def test_a_fault_on_one_pair_fails_its_multi_a_batch(capsys, monkeypatch):
+    # the firing search drops the lowest end of the one lane holding the
+    # wires of 24 + 24, no sum wire and carries 24: at width 8 that is lane
+    # 2072 of the second batch, which holds every pair whose a is 16 to 31
+    width, stride = 8, lane_stride(8)
+    original = flash.find_firings
+
+    def drops_an_end(s, carries):
+        ends = original(s, carries)
+        count = max(s, carries).bit_length() // stride + 1
+        wires = zip(unpack_lanes(s, stride, count), unpack_lanes(carries, stride, count))
+        for j, lane_wires in enumerate(wires):
+            if lane_wires == (0, 24):
+                lowest = lane(ends, j, stride) & -lane(ends, j, stride)
+                ends ^= lowest << j * stride
+        return ends
+
+    monkeypatch.setattr(flash, "find_firings", drops_an_end)
+    (a0, b0, size), (a1, b1, _), *_ = sweep_batches(width, stride)
+    assert sorted(set(unpack_lanes(a1, stride, size))) == list(range(16, 32))
+    assert (lane(a1, 2072, stride), lane(b1, 2072, stride)) == (24, 24)
+    with pytest.raises(ValueError, match="firings need one end per carry"):
+        flash.flash_lanes(a1, b1, width, size)
+    assert flash.flash_lanes(a0, b0, width, size)[0] == a0 + b0
+
+    want = pair_by_pair(adder(cli.Design.FLASH, width), itertools.product(range(256), repeat=2))
+    assert "passed=65535 failed=1 counterexample=a=18,b=18,error=" in want
+    assert verify_record(capsys, ["verify", "--design", "flash", "--width", "8"]) == (1, want)
