@@ -155,9 +155,9 @@ def verify_lanes(stride: int) -> int:
 @lru_cache
 def _index_steps(width: int, size: int, stride: int) -> tuple[int, int]:
     """The a and the b lanes of pair indices 0 to size - 1, i = a * 2**width
-    + b, packed at `stride`; `size` is a power of two. Each a fills a run of
-    min(size, 2**width) lanes and b counts through every run."""
-    run, lane = min(size, 1 << width), stride // 8
+    + b, packed at `stride`: each a fills a run of 2**width lanes, and b
+    counts through every run. `size` is a whole number of runs."""
+    run, lane = 1 << width, stride // 8
     counts = pack_lanes(range(run), stride).to_bytes(lane * run, "little")
     steps = b"".join(a.to_bytes(lane, "little") * run for a in range(size // run))
     return int.from_bytes(steps, "little"), int.from_bytes(counts * (size // run), "little")
@@ -196,17 +196,17 @@ def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tup
 def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     """The (a, b) value pairs in order, in batches of at most
     `verify_lanes(stride)`: (packed a, packed b, pair count). An exhaustive
-    batch is the largest power of two of pairs that fits, a run of
-    consecutive pair indices a * 2**width + b: the start's a and b in every
-    lane plus the cached `_index_steps`. A random batch is one draw of the
-    values that a pair-by-pair sweep draws, a then b for each pair."""
+    batch is a run of consecutive pair indices a * 2**width + b: the start's
+    a in every lane plus the cached `_index_steps`. Its strides are 8 and 16
+    bits, so a batch is 8192 or 4096 pairs, or the whole sweep, and holds
+    whole runs of b. A random batch is one draw of the values that a
+    pair-by-pair sweep draws, a then b for each pair."""
     width = args.width
     if exhaustive:
-        size = 1 << min(verify_lanes(stride).bit_length() - 1, 2 * width)
+        size = min(verify_lanes(stride), 1 << 2 * width)
         ones, (a_steps, b_steps) = lane_mask(1, stride, size), _index_steps(width, size, stride)
         for start in range(0, 1 << 2 * width, size):
-            a, b = divmod(start, 1 << width)
-            yield a * ones + a_steps, b * ones + b_steps, size
+            yield (start >> width) * ones + a_steps, b_steps, size
         return
     rng = random.Random(args.seed)
     lanes = verify_lanes(stride)
