@@ -340,9 +340,8 @@ def test_a_random_sweep_is_the_pair_by_pair_loop_in_full_batches(
     stride = lane_stride(2 * width if multiplier_rows else width)
     batches = sweep_batches(width, stride, trials, seed)
     loop, lanes = random.Random(seed), cli.verify_lanes(stride)
-    assert [size for *_, size in batches] == [lanes] * (trials // lanes) + [trials % lanes] * (
-        trials % lanes > 0
-    )
+    full, rest = divmod(trials, lanes)
+    assert [size for *_, size in batches] == [lanes] * full + [rest] * (rest > 0)
     assert batch_pairs(batches, stride) == [
         (loop.getrandbits(width), loop.getrandbits(width)) for _ in range(trials)
     ]
