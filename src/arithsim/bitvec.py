@@ -4,16 +4,25 @@ Bits are indexed LSB-first: index 0 carries weight 2**0. Display order is
 MSB-first, matching the written form of binary numbers. Lowercase unprefixed
 hex is the interchange encoding. Everything here is immutable, so values can
 be shared freely between threads.
+
+Lane masks are nonnegative, and no kernel builds a mask's complement: x & ~m
+is written x ^ (x & m), and a range check reads x & m != x (Warren, Hacker's
+Delight, section 2-1). Both are exact for every int, but on a word of
+thousands of bits any bitwise op with a negative operand copies it through
+two's complement, several times the cost of the op itself.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
 _HEX = re.compile("[0-9a-fA-F]+")
+# native `memoryview` formats of unsigned machine words, by size in bytes
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class ModelIntegrityError(RuntimeError):
@@ -124,7 +133,8 @@ def pack_lanes(values, stride: int) -> int:
     """One word holding `values` side by side, the first in the lowest lane;
     `stride` is a whole number of bytes."""
     size = stride // 8
-    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+    data = b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
+    return int.from_bytes(data, "little")
 
 
 def unpack_lanes(word: int, stride: int, count: int) -> list[int]:
@@ -133,6 +143,18 @@ def unpack_lanes(word: int, stride: int, count: int) -> list[int]:
     data = word.to_bytes(size * count, "little")
     lanes = [data[i : i + size] for i in range(0, len(data), size)]
     return list(map(int.from_bytes, lanes, repeat("little")))
+
+
+def unpack_narrow_lanes(word: int, stride: int, count: int, bits: int) -> list[int]:
+    """`unpack_lanes` for lane values of at most `bits` <= 64 bits, in one
+    pass: each lane's low machine word of the smallest size that holds
+    `bits` is read in native byte order. That size must divide the stride.
+    In a big-endian word the lanes run from the top down, so the low words
+    are read from the last one back."""
+    item = 1 << ((bits - 1) // 8).bit_length()
+    step = stride // 8 // item
+    view = memoryview(word.to_bytes(stride // 8 * count, sys.byteorder)).cast(_WORD_FORMATS[item])
+    return (view[::step] if sys.byteorder == "little" else view[::-step]).tolist()
 
 
 def respace_lanes(word: int, src: int, dst: int, count: int, bits: int) -> int:
@@ -152,7 +174,9 @@ def blockwise_add(x: int, y: int, width: int, w: int) -> tuple[int, int]:
     (Warren, Hacker's Delight, section 2-18): returns the sums and a carry
     word holding block i's carry at bit (i+1)*w, its weight."""
     top = block_bottoms(width, w) << (w - 1)
-    t = (x & ~top) + (y & ~top)  # below the block tops, so no block carries out
-    sums = t ^ ((x ^ y) & top)
-    carries = (((x & y) | ((x ^ y) & t)) & top) << 1
+    xt, yt = x & top, y & top
+    t = (x ^ xt) + (y ^ yt)  # below the block tops, so no block carries out
+    ht = xt ^ yt
+    sums = t ^ ht
+    carries = ((xt & yt) | (ht & t)) << 1
     return sums, carries

@@ -116,16 +116,17 @@ class CascadeState:
             raise ValueError(f"level {level} outside 1..{k}")
         width = 1 << k
         fit, bottoms, slots = level_masks(width, level, lanes)
-        if sums & ~fit:
+        if sums & fit != sums:
             raise ValueError(f"value {sums!r} does not fit in {width} bits")
-        if carry_word & ~slots:
+        if carry_word & slots != carry_word:
             raise ValueError(f"level {level} carries must sit at bits (i+1)*{1 << level}")
         carry_in = sums ^ a ^ b
         carry_out = ((a & b) | ((a ^ b) & carry_in)) << 1
         # a broken rule marks a bit of its block: a carry into a bottom marks
         # that bit, a wrong carry out marks the bit it came from
-        wrong_out = carry_out ^ (carry_in & ~bottoms) ^ carry_word
-        broken = (carry_in & bottoms) | wrong_out >> 1
+        into_bottoms = carry_in & bottoms
+        wrong_out = carry_out ^ carry_in ^ into_bottoms ^ carry_word
+        broken = into_bottoms | wrong_out >> 1
         if broken:
             block = ((broken & -broken).bit_length() - 1) % lane_stride(width) >> level
             raise ModelIntegrityError(f"block-sum balance broken at level {level}, block {block}")
@@ -254,7 +255,7 @@ def cascade_lanes(a: int, b: int, width: int, lanes: int = 1) -> list[tuple[int,
         raise ValueError(f"width must be a power of two >= 2, got {width}")
     fit = level_masks(width, 1, lanes)[0]
     for value in (a, b):
-        if value & ~fit:
+        if value & fit != value:
             raise ValueError(f"value {value!r} does not fit in {width} bits")
     k = width.bit_length() - 1
     packed = lane_stride(width) * lanes

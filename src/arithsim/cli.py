@@ -36,6 +36,7 @@ from .bitvec import (
     pack_lanes,
     respace_lanes,
     unpack_lanes,
+    unpack_narrow_lanes,
 )
 from .costs import ADDERS, Adder, Design, check_width, cost_report, reference_table
 # Nothing here calls these four: the benchmark's tracer (`cli_targets` in
@@ -236,8 +237,8 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
             return multiply_lanes(a, b, width, schedule, size)[0]
 
         def expect(a: int, b: int, size: int) -> int:
-            want = map(oracle_mul, unpack_lanes(a, stride, size), unpack_lanes(b, stride, size))
-            return pack_lanes(want, stride)
+            a, b = (unpack_narrow_lanes(v, stride, size, width) for v in (a, b))
+            return pack_lanes(map(oracle_mul, a, b), stride)
 
         limit, schedule_field = EXHAUSTIVE_MULT_WIDTH, schedule.value
     else:

@@ -140,9 +140,9 @@ def check_wires(n: int, s: int, c: int, lanes: int = 1) -> None:
     if n < 1:
         raise ValueError(f"width must be positive, got {n}")
     low, wires = wire_masks(n, lanes)
-    if s & ~wires or c & ~low:
+    if s & wires != s or c & low != c:
         raise ValueError("wire widths must be n+1 sum bits and n carry bits")
-    if s & ~low:
+    if s & low != s:
         raise ValueError("top sum wire must start at 0")
     if s & c:
         # a xor b and a and b can never be high on the same index
@@ -153,9 +153,9 @@ def check_fire_words(n: int, carries: int, ends: int, lanes: int = 1) -> None:
     """The fire set's shape, on every lane: n carry wires, n+1 end wires, and
     as many ends as carries."""
     low, wires = wire_masks(n, lanes)
-    if carries & ~low:
+    if carries & low != carries:
         raise ValueError(f"carry word does not fit width {n}")
-    if ends & ~wires:
+    if ends & wires != ends:
         raise ValueError(f"end word does not fit {n + 1} wires")
     if carries.bit_count() != ends.bit_count():
         raise ValueError("firings need one end per carry")
@@ -194,7 +194,8 @@ def find_firings(s: int, carries: int) -> int:
     carries' weight 2**(i+1) turns exactly those 0 wires into 1s, so bit j of
     the result is set for each fired gate.
     """
-    return (s + (carries << 1)) & ~s
+    t = s + (carries << 1)
+    return t ^ (t & s)
 
 
 def complement_segments(s: int, carries: int, ends: int) -> int:
@@ -208,11 +209,12 @@ def complement_segments(s: int, carries: int, ends: int) -> int:
     lowest 0 above it, sharing no wire, pass, so any other end word is a
     model break.
     """
-    union = (ends << 1) - (carries << 1)
-    interior = union & ~ends
-    if union < 0 or ends & s or interior & ~(s & (union >> 1)):
+    starts = carries << 1
+    union = (ends << 1) - starts
+    interior = union ^ (union & ends)
+    if union < 0 or ends & s or interior & s & (union >> 1) != interior:
         raise ModelIntegrityError("a fired segment is not a run of 1 wires up to a 0 wire")
-    if union & ~(interior << 1) != carries << 1:
+    if union ^ (union & (interior << 1)) != starts:
         raise ModelIntegrityError("fired segments do not start just above their carries")
     return s ^ union
 
@@ -341,8 +343,9 @@ def pair_leaf_blocks(x: int, y: int, width: int, block_width: int) -> tuple[int,
     for mask in block_parity_masks(width, block_width):
         s, c = s_val & mask, carries & mask
         blocks = complement_segments(s, c, find_firings(s, c))
-        resolved |= blocks & mask
-        carry_weight |= blocks & ~mask
+        inside = blocks & mask
+        resolved |= inside
+        carry_weight |= blocks ^ inside
     if resolved + carry_weight != x + y:
         raise ModelIntegrityError("in-block resolution lost value")
     return resolved, carry_weight
@@ -374,16 +377,18 @@ def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int
     bw = n + (n & 1)
     packed, ones, low_half, block, fit = double_width_masks(n, lanes)
     if n & 1:  # move each high half up one wire by adding it to itself
-        x, y = x + (x & ~low_half), y + (y & ~low_half)
+        x, y = x + (x ^ (x & low_half)), y + (y ^ (y & low_half))
     wires, carry_weight = pair_leaf_blocks(x, y, packed, bw)
     # each half's N+1 sum wires: its block's wires and its carry out on top
-    low = (wires & block) | (carry_weight & (ones << bw))
-    high = ((wires >> bw) & block) | ((carry_weight >> bw) & (ones << bw))
-    if (low | high) & ~fit:
+    tops = ones << bw
+    low = (wires & block) | (carry_weight & tops)
+    high = ((wires >> bw) & block) | ((carry_weight >> bw) & tops)
+    both = low | high
+    if both & fit != both:
         raise ModelIntegrityError("a half's sum does not fit its n+1 wires")
     cross = (low >> n) & ones
     mask = high ^ (high + cross)  # the one-tick increment, where a cross carry fires
-    if mask & ~fit:
+    if mask & fit != mask:
         raise ModelIntegrityError("cross-carry increment escaped the high half")
     return ((high ^ mask) << n) | (low & low_half), cross
 

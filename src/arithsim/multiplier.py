@@ -66,15 +66,17 @@ class RowSet:
     _total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows, over = self.rows, row_layout(self.width, self.lanes)[0]
+        rows, fit = self.rows, row_layout(self.width, self.lanes)[0]
         object.__setattr__(self, "_total", sum(rows))
-        # with one lane the largest row has the rows' highest bit
-        if not rows or min(rows) >= 0 and not (
-            max(rows) if self.lanes == 1 else reduce(or_, rows)
-        ) & over:
+        if not rows:
             return
+        if min(rows) >= 0:
+            # with one lane the largest row has the rows' highest bit
+            bits = max(rows) if self.lanes == 1 else reduce(or_, rows)
+            if bits & fit == bits:
+                return
         for index, row in enumerate(rows):  # name the first row that does not fit
-            if row < 0 or row & over:
+            if row < 0 or row & fit != row:
                 raise ValueError(f"row {index} = {row} does not fit in {self.width} bits")
 
     def total(self) -> int:
@@ -143,13 +145,13 @@ def row_stride(width: int) -> int:
 
 @lru_cache
 def row_layout(width: int, lanes: int) -> tuple[int, int]:
-    """Rows of `lanes` lanes of `width` bits at `row_stride(width)`: the bits
-    outside every lane's row bits, and the span from the lowest lane's bit 0
+    """Rows of `lanes` lanes of `width` bits at `row_stride(width)`: the
+    mask of every lane's row bits, and the span from the lowest lane's bit 0
     to the top of the highest lane's row, the width that the 3:2 counters'
     own overflow check guards. Every lower lane's overflow lands in its
     padding byte, outside the rows."""
     stride = row_stride(width)
-    return ~lane_mask(width, stride, lanes), (lanes - 1) * stride + width
+    return lane_mask(width, stride, lanes), (lanes - 1) * stride + width
 
 
 # Memoized constructors for every stage record: each distinct value is built
@@ -262,10 +264,11 @@ def quantize_columns(rows: RowSet, leave_out: int = 0) -> tuple[RowSet, StageRec
     consumed = n - leave_out
     if leave_out < 0 or consumed < 3:
         raise ValueError(f"cannot consume {consumed} of {n} rows")
-    out, over = [], row_layout(rows.width, rows.lanes)[0]
+    out, fit = [], row_layout(rows.width, rows.lanes)[0]
     for q, plane in enumerate(count_planes(rows.rows[:consumed])):
         shifted = plane << q
-        if (plane | shifted) & over:
+        bits = plane | shifted
+        if bits & fit != bits:
             raise ModelIntegrityError("a count digit escaped the row width")
         out.append(shifted)
     out += rows.rows[consumed:]
@@ -330,7 +333,8 @@ def multiply_lanes(
     if lanes > 1:
         final = (respace_lanes(row, packed, stride, lanes, 2 * n) for row in final)
     product, _ = flash.double_width_lanes(*final, n, lanes)
-    if product & ~lane_mask(2 * n, stride, lanes):
+    fit = lane_mask(2 * n, stride, lanes)
+    if product & fit != product:
         raise ModelIntegrityError("product escaped its 2N-bit width")
     return product, report
 
