@@ -149,8 +149,8 @@ def unpack_narrow_lanes(word: int, stride: int, count: int, bits: int) -> list[i
     """`unpack_lanes` for lane values of at most `bits` <= 64 bits, in one
     pass: each lane's low machine word of the smallest size that holds
     `bits` is read in native byte order. That size must divide the stride.
-    In a big-endian word the lanes run from the top down, so the low words
-    are read from the last one back."""
+    On a big-endian host the word's bytes run from the top lane down, so the
+    low words are read from the last one back."""
     item = 1 << ((bits - 1) // 8).bit_length()
     step = stride // 8 // item
     view = memoryview(word.to_bytes(stride // 8 * count, sys.byteorder)).cast(_WORD_FORMATS[item])

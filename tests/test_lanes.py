@@ -22,6 +22,7 @@ from arithsim.bitvec import (
     pack_lanes,
     respace_lanes,
     unpack_lanes,
+    unpack_narrow_lanes,
 )
 from arithsim.multiplier import MULTIPLIER_WIDTHS, Schedule
 
@@ -117,6 +118,15 @@ def test_respace_lanes_is_unpack_then_pack(data):
     # only each lane's ceil(bits / 8) low bytes travel, even in a one-lane word
     kept = [v & (1 << 8 * size) - 1 for v in unpack_lanes(word, src, count)]
     assert respace_lanes(word, src, dst, count, bits) == pack_lanes(kept, dst)
+
+
+@given(st.sampled_from(MULTIPLIER_WIDTHS), st.data())
+def test_unpack_narrow_lanes_reads_the_multiplier_operands_as_unpack_lanes(n, data):
+    stride = lane_stride(2 * n)
+    count = data.draw(st.integers(min_value=1, max_value=300))
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    word = pack_lanes(values, stride)
+    assert unpack_narrow_lanes(word, stride, count, n) == unpack_lanes(word, stride, count)
 
 
 @pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
