@@ -4,15 +4,15 @@ multiplier schedules, at a configurable sweep of widths.
 
 Usage: python scripts/latency_area_tradeoff.py [--widths 8,32,128] [--samples 200]
 
-Each row also runs `samples` random additions against the big-integer
-reference and, where the simulator keeps a live gate tally, checks it
-against the closed-form count, so the table doubles as a smoke test.
+Each row also runs `samples` random additions, one pair at a time through
+the adder's lane kernel, against the big-integer reference and, where the
+simulator keeps a gate tally, checks it against the closed-form count, so
+the table doubles as a smoke test.
 """
 
 import argparse
 import random
 
-from arithsim.bitvec import BitVector
 from arithsim.costs import (
     ADDERS,
     Design,
@@ -28,16 +28,9 @@ def run_design(design: Design, width: int, samples: int, seed: int) -> tuple[int
     """Random-sweep one adder; returns (passes, simulated gate tally or -)."""
     adder = ADDERS[design]
     rng = random.Random(seed ^ width)
-    passes = 0
-    tally = "-"
-    for _ in range(samples):
-        a = rng.getrandbits(width)
-        b = rng.getrandbits(width)
-        sum_vec, carry, _, result = adder.run(BitVector(width, a), BitVector(width, b))
-        passes += (sum_vec.value | carry << width) == a + b
-        if adder.gates is not None:
-            tally = str(adder.gates(result))
-    return passes, tally
+    pairs = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(samples)]
+    passes = sum(adder.lanes(a, b, width, 1)[0] == a + b for a, b in pairs)
+    return passes, "-" if adder.gates is None else str(adder.gates(width))
 
 
 def main() -> int:

@@ -55,16 +55,6 @@ class BitVector:
             raise ValueError(f"bit index {index} out of range for width {self.width}")
         return (self.value >> index) & 1
 
-    def halves(self) -> tuple[BitVector, BitVector]:
-        """The (low, high) N-bit halves of a 2N-bit vector."""
-        if self.width % 2:
-            raise ValueError(f"cannot halve odd width {self.width}")
-        half = self.width // 2
-        return (
-            BitVector(half, self.value & ((1 << half) - 1)),
-            BitVector(half, self.value >> half),
-        )
-
     def to_hex(self) -> str:
         """Lowercase hex, zero-padded to the width's nibble count, no prefix."""
         return format(self.value, "0{}x".format((self.width + 3) // 4))
@@ -127,6 +117,17 @@ def lane_mask(bits: int, stride: int, lanes: int = 1) -> int:
     """The low `bits` bits of every lane of a word of `lanes` `stride`-bit
     lanes; cached, since every tick of a batch asks for the same few."""
     return block_bottoms(stride * lanes, stride) * ((1 << bits) - 1)
+
+
+def misfit(word: int, fit: int, stride: int, lanes: int) -> str:
+    """A word that breaks its lane mask `fit`, as a range message shows it:
+    the whole word on one lane, else the first lane with a bit outside `fit`
+    (a wide word passes Python's int-to-str digit limit), by bits and index."""
+    if lanes == 1:
+        return str(word)
+    out = word ^ (word & fit)
+    lane = ((out & -out).bit_length() - 1) // stride
+    return f"{word >> lane * stride & ((1 << stride) - 1)} in lane {lane}"
 
 
 def pack_lanes(values, stride: int) -> int:

@@ -38,6 +38,7 @@ from .bitvec import (
     increment_mask,
     lane_mask,
     lane_stride,
+    misfit,
 )
 
 # 16-entry lookup programmed with two-bit addition: the table index packs the
@@ -117,7 +118,8 @@ class CascadeState:
         width = 1 << k
         fit, bottoms, slots = level_masks(width, level, lanes)
         if sums & fit != sums:
-            raise ValueError(f"value {sums!r} does not fit in {width} bits")
+            raise ValueError(f"value {misfit(sums, fit, lane_stride(width), lanes)}"
+                             f" does not fit in {width} bits")
         if carry_word & slots != carry_word:
             raise ValueError(f"level {level} carries must sit at bits (i+1)*{1 << level}")
         carry_in = sums ^ a ^ b
@@ -171,17 +173,18 @@ class CascadeTrace:
         )
 
     def to_records(self) -> list[dict[str, object]]:
-        """One serializable record per level."""
-        width = self.a.width
-        digits = "0{}x".format((width + 3) // 4)
-        return [
-            {
-                "level": level,
-                "sums": format(sums, digits),
-                "carries": list(level_carries(carry_word, width, level)),
-            }
-            for level, (sums, carry_word) in enumerate(self.levels, start=1)
-        ]
+        """One serializable record per level; see `level_records`."""
+        return level_records(self.levels, self.a.width)
+
+
+def level_records(levels, width: int) -> list[dict[str, object]]:
+    """One serializable record per (sums, carry word) level of one addition."""
+    digits = "0{}x".format((width + 3) // 4)
+    return [
+        dict(level=level, sums=format(sums, digits),
+             carries=list(level_carries(word, width, level)))
+        for level, (sums, word) in enumerate(levels, start=1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,8 @@ def cascade_lanes(a: int, b: int, width: int, lanes: int = 1) -> list[tuple[int,
     fit = level_masks(width, 1, lanes)[0]
     for value in (a, b):
         if value & fit != value:
-            raise ValueError(f"value {value!r} does not fit in {width} bits")
+            raise ValueError(f"value {misfit(value, fit, lane_stride(width), lanes)}"
+                             f" does not fit in {width} bits")
     k = width.bit_length() - 1
     packed = lane_stride(width) * lanes
     check = CascadeState._check_block_sums

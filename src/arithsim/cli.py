@@ -5,7 +5,7 @@ Operands travel as lowercase unprefixed hex. Structured output is one
 configurations (seed included) produce byte-identical bytes. The default
 format comes from the ARITHSIM_FORMAT environment variable when set.
 
-The adders' simulators and `--trace` views come from `costs.ADDERS`.
+`add` and `verify` run the adders' lane kernels from `costs.ADDERS`.
 `verify` runs pairs in batches through a design's lane kernel, as many
 lanes as fit a word of VERIFY_WORD_BITS bits, and a failing batch's pairs one
 at a time through the same kernel. An exhaustive batch is a run of
@@ -92,7 +92,7 @@ def cmd_add(args: argparse.Namespace, structured: bool) -> int:
     adder = _adder(args)
     a = BitVector.from_hex(args.a_hex, args.width)
     b = BitVector.from_hex(args.b_hex, args.width)
-    sum_vec, carry, ticks, result = adder.run(a, b)
+    sum_vec, carry, ticks, words = adder.add(a.value, b.value, args.width)
     if structured:
         print(
             _record(
@@ -114,7 +114,7 @@ def cmd_add(args: argparse.Namespace, structured: bool) -> int:
         print(f"carry  = {carry}")
         print(f"ticks  = {ticks}")
     if args.trace:
-        for fields in adder.trace(result):
+        for fields in adder.trace(words, args.width):
             print(_record(adder.label, **fields) if structured else adder.template.format(**fields))
     return 0
 
@@ -246,7 +246,7 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
         stride = lane_stride(width)
 
         def run(a: int, b: int, size: int) -> int:
-            return lanes(a, b, width, size)
+            return lanes(a, b, width, size)[0]
 
         def expect(a: int, b: int, size: int) -> int:
             # each lane's sum fits its stride, so one add checks every lane

@@ -1,6 +1,6 @@
 """The designs, their closed-form gate, memory, and clock-tick costs, and the
 adder table `ADDERS`: one entry per adder holds its width rule, published
-cost, simulator and `--trace` view, for `cost`, the CLI and the scripts alike.
+cost, lane kernel and `--trace` view, for `cost`, the CLI and the scripts alike.
 
 Gate counts cover the special-purpose AND gates only; the lookup units are
 costed as associative-memory entries where a design uses them. Tick counts
@@ -37,39 +37,45 @@ class Adder(NamedTuple):
 
     `accepts(width)` tests the operand widths its simulator takes, and
     `needs` phrases them for error messages; `cost(width)` is its published
-    (special AND gates, ticks) at such a width. `run(a, b)` returns (display
-    sum, carry bit, ticks, raw result). The display sum is the design's
-    natural output: N bits with the carry held separately for the cascade,
-    N+1 bits with the carry on top for the others. `lanes(a, b, width, k)`
-    adds k pairs packed at `bitvec.lane_stride(width)` and returns their
-    N+1-bit sums in the same lanes. `--trace` prints one `label` record, or
-    one `template` line, per field dict that `trace(raw result)` yields.
-    `gates(raw result)` is the simulator's live gate tally, where it keeps
-    one.
+    (special AND gates, ticks) at such a width. `lanes(a, b, width, k)` runs
+    its lane kernel on k pairs packed at `bitvec.lane_stride(width)`: (each
+    lane's N+1-bit sum in the same lanes, ticks, the kernel's words). `add`
+    is its one-pair call. `--trace` prints one `label` record, or one
+    `template` line, per field dict that `trace(words, width)` yields from
+    one pair's words. `gates(width)` is the simulator's gate tally, where it
+    keeps one. `add` shows an N+1-bit sum, or with `carry_apart` an N-bit
+    sum and the carry apart.
     """
 
     needs: str
     accepts: Callable[[int], bool]
     cost: Callable[[int], tuple[int, int]]
-    run: Callable[[BitVector, BitVector], tuple]
-    lanes: Callable[[int, int, int, int], int]
+    lanes: Callable[[int, int, int, int], tuple]
     label: str
     template: str
-    trace: Callable[[object], Iterable[dict]]
-    gates: Callable[[object], int] | None = None
+    trace: Callable[[tuple, int], Iterable[dict]]
+    gates: Callable[[int], int] | None = None
+    carry_apart: bool = False
+
+    def add(self, a: int, b: int, width: int) -> tuple[BitVector, int, int, tuple]:
+        """One pair through the lane kernel at K = 1: (display sum, carry
+        bit, ticks, words)."""
+        total, ticks, words = self.lanes(a, b, width, 1)
+        shown = width + (not self.carry_apart)
+        return BitVector(shown, total & ((1 << shown) - 1)), total >> width, ticks, words
 
 
 def _joined(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _carry_on_top(result, width: int) -> tuple:
-    return result.sum, result.sum.bit(width), result.ticks, result
+def _ticked(words: tuple, ticks: int) -> tuple:
+    return words[0], ticks, words
 
 
-def _run_cascade(a: BitVector, b: BitVector) -> tuple:
-    result = cascade.cascade_add(a, b)
-    return result.sum, result.carry, result.trace.ticks, result
+def _levels(levels: list) -> tuple:
+    # the last level's sums plus its carry word, so each carry out on top; a tick per level
+    return sum(levels[-1]), len(levels), levels
 
 
 # The simulators are looked up on their home modules at call time, so a
@@ -79,47 +85,47 @@ ADDERS = {
         needs="a power-of-two width >= 2",
         accepts=lambda w: w >= 2 and not w & (w - 1),
         cost=lambda w: (cascade_gates(w.bit_length() - 1), w.bit_length() - 1),
-        run=_run_cascade,
-        # the last level's sums plus its carry word, each lane's carry out on top
-        lanes=lambda a, b, width, k: sum(cascade.cascade_lanes(a, b, width, k)[-1]),
+        lanes=lambda a, b, w, k: _levels(cascade.cascade_lanes(a, b, w, k)),
         label="level",
         template="level {level}: sums={sums} carries={carries}",
-        trace=lambda r: (
-            dict(rec, carries=_joined(rec["carries"])) for rec in r.trace.to_records()
+        trace=lambda levels, w: (
+            dict(rec, carries=_joined(rec["carries"])) for rec in cascade.level_records(levels, w)
         ),
-        gates=lambda r: r.trace.special_and_gates,
+        gates=lambda w: cascade.special_and_gates(w.bit_length() - 1),
+        carry_apart=True,
     ),
     Design.FLASH: Adder(
         needs="a width >= 1",
         accepts=lambda w: w >= 1,
         cost=lambda w: (flash_gates(w), flash.FLASH_ADD_TICKS),
-        run=lambda a, b: _carry_on_top(flash.flash_add(a, b), a.width),
-        lanes=lambda a, b, width, k: flash.flash_lanes(a, b, width, k)[0],
+        lanes=lambda a, b, w, k: _ticked(flash.flash_lanes(a, b, w, k), flash.FLASH_ADD_TICKS),
         label="firings",
         template="firings: [{pairs}] gates={gates}",
-        trace=lambda r: [dict(pairs=_joined(f"{i}:{j}" for i, j in r.firings),
-                              gates=r.firings.gates_evaluated)],
-        gates=lambda r: r.firings.gates_evaluated,
+        trace=lambda words, n: [dict(
+            pairs=_joined(f"{i}:{j}" for i, j in flash.fire_pairs(*words[1:])),
+            gates=flash.network_gates(n),
+        )],
+        gates=flash.network_gates,
     ),
     Design.FLASH_DOUBLE: Adder(
         needs="an even width >= 2",
         accepts=lambda w: w >= 2 and not w % 2,
         cost=lambda w: (double_width_gates(w // 2), flash.DOUBLE_WIDTH_TICKS),
-        run=lambda a, b: _carry_on_top(flash.double_width_add(*a.halves(), *b.halves()), a.width),
-        lanes=lambda a, b, width, k: flash.double_width_lanes(a, b, width // 2, k)[0],
+        lanes=lambda a, b, w, k: _ticked(
+            flash.double_width_lanes(a, b, w // 2, k), flash.DOUBLE_WIDTH_TICKS
+        ),
         label="halves",
         template="cross carry: {cross_carry}",
-        trace=lambda r: [dict(cross_carry=r.cross_carry)],
+        trace=lambda words, w: [dict(cross_carry=words[1])],
     ),
     Design.BLOCKED_DOUBLE: Adder(
         needs="an even width whose half is a power-of-four",
         accepts=lambda w: not w % 2 and flash.is_power_of_four(w // 2),
         cost=lambda w: (blocked_gates(w // 2), flash.BLOCKED_TICKS),
-        run=lambda a, b: _carry_on_top(flash.blocked_add(a, b), a.width),
-        lanes=lambda a, b, width, k: flash.blocked_lanes(a, b, width, k)[0],
+        lanes=lambda a, b, w, k: _ticked(flash.blocked_lanes(a, b, w, k), flash.BLOCKED_TICKS),
         label="block_carries",
         template="block carries: [{bits}]",
-        trace=lambda r: [dict(bits=_joined(r.block_carries))],
+        trace=lambda words, w: [dict(bits=_joined(flash.block_carries(words[1], w)))],
     ),
 }
 

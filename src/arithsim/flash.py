@@ -81,17 +81,8 @@ class FireSet:
 
     @property
     def firings(self) -> tuple[tuple[int, int], ...]:
-        """The (i, j) gates, pairing the set bits of both words in ascending
-        order."""
-        pairs = []
-        carries, ends = self.carries, self.ends
-        while carries:
-            pairs.append(
-                ((carries & -carries).bit_length() - 1, (ends & -ends).bit_length() - 1)
-            )
-            carries &= carries - 1
-            ends &= ends - 1
-        return tuple(pairs)
+        """The (i, j) gates; see `fire_pairs`."""
+        return fire_pairs(self.carries, self.ends)
 
     def __iter__(self):
         return iter(self.firings)
@@ -101,15 +92,8 @@ class FireSet:
 
 
 @dataclass(frozen=True)
-class ResolveResult:
+class ResolveResult:  # a two-tick add's or a one-tick increment's sum
     sum: BitVector  # width n+1; the top bit is the carry out
-    ticks: int
-    firings: FireSet
-
-
-@dataclass(frozen=True)
-class IncrementResult:
-    sum: BitVector  # width n+1
     ticks: int
 
 
@@ -159,6 +143,23 @@ def check_fire_words(n: int, carries: int, ends: int, lanes: int = 1) -> None:
         raise ValueError(f"end word does not fit {n + 1} wires")
     if carries.bit_count() != ends.bit_count():
         raise ValueError("firings need one end per carry")
+
+
+def fire_pairs(carries: int, ends: int) -> tuple[tuple[int, int], ...]:
+    """The fired (i, j) gates of one lane's carry and end words, pairing
+    their set bits in ascending order."""
+    pairs = []
+    while carries:
+        pairs.append(((carries & -carries).bit_length() - 1, (ends & -ends).bit_length() - 1))
+        carries &= carries - 1
+        ends &= ends - 1
+    return tuple(pairs)
+
+
+def network_gates(n: int) -> int:
+    """The N-bit AND network's N(N+1)/2 gates: each set carry's row fires one
+    gate and every other gate conjoins a 0, so each add tallies them all."""
+    return n * (n + 1) // 2
 
 
 def half_add(a: BitVector, b: BitVector) -> HalfAddState:
@@ -220,17 +221,13 @@ def complement_segments(s: int, carries: int, ends: int) -> int:
 
 
 def fire_set(state: HalfAddState) -> FireSet:
-    """Evaluate all N(N+1)/2 gates on the original wires.
-
-    Each set carry's row fires exactly one gate and every other gate in the
-    network conjoins a 0, so the tally is the whole network.
-    """
+    """Evaluate all N(N+1)/2 gates on the original wires."""
     n, carries = state.n, state.c
     return FireSet(
         width=n,
         carries=carries,
         ends=find_firings(state.s, carries),
-        gates_evaluated=n * (n + 1) // 2,
+        gates_evaluated=network_gates(n),
     )
 
 
@@ -259,18 +256,10 @@ def absorb(s: int, c: int, n: int, lanes: int = 1) -> tuple[int, int]:
     return total, ends
 
 
-def resolve_result(n: int, total: int, carries: int, ends: int) -> ResolveResult:
-    return ResolveResult(
-        sum=BitVector(n + 1, total),
-        ticks=FLASH_ADD_TICKS,
-        firings=FireSet(n, carries, ends, n * (n + 1) // 2),
-    )
-
-
 def resolve(state: HalfAddState) -> ResolveResult:
     """Tick 2 of one half-added state."""
-    total, ends = absorb(state.s, state.c, state.n)
-    return resolve_result(state.n, total, state.c, ends)
+    total, _ = absorb(state.s, state.c, state.n)
+    return ResolveResult(BitVector(state.n + 1, total), FLASH_ADD_TICKS)
 
 
 def flash_lanes(a: int, b: int, n: int, lanes: int = 1) -> tuple[int, int, int]:
@@ -288,10 +277,10 @@ def flash_add(a: BitVector, b: BitVector) -> ResolveResult:
     if a.width != b.width:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
     n = a.width
-    return resolve_result(n, *flash_lanes(a.value, b.value, n))
+    return ResolveResult(BitVector(n + 1, flash_lanes(a.value, b.value, n)[0]), FLASH_ADD_TICKS)
 
 
-def increment_by_pow2(x: BitVector, i: int) -> IncrementResult:
+def increment_by_pow2(x: BitVector, i: int) -> ResolveResult:
     """Add 2**i to an N-bit vector in one tick; result is N+1 bits wide.
 
     The trailing-ones detector finds the lowest j >= i with bit j clear
@@ -302,7 +291,7 @@ def increment_by_pow2(x: BitVector, i: int) -> IncrementResult:
     if not 0 <= i < n:
         raise ValueError(f"increment index {i} out of range for width {n}")
     result = x.value ^ increment_mask(x.value, i)  # bit n is implicitly 0
-    return IncrementResult(sum=BitVector(n + 1, result), ticks=1)
+    return ResolveResult(sum=BitVector(n + 1, result), ticks=1)
 
 
 @lru_cache
@@ -450,15 +439,20 @@ def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]
     return total, carry_weight
 
 
+def block_carries(carry_weight: int, width: int) -> tuple[int, ...]:
+    """One pair's block carries in `blocked_lanes`' carry word, lowest first."""
+    bw = blocked_shape(width)[1]
+    return tuple((carry_weight >> top) & 1 for top in range(bw, width + 1, bw))
+
+
 def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
     """Add two 2N-bit values; see `blocked_lanes`."""
     width = a.width
     if b.width != width:
         raise ValueError(f"operand widths differ: {width} vs {b.width}")
     total, carry_weight = blocked_lanes(a.value, b.value, width)
-    bw = blocked_shape(width)[1]
     return BlockedResult(
         sum=BitVector(width + 1, total),
         ticks=BLOCKED_TICKS,
-        block_carries=tuple((carry_weight >> top) & 1 for top in range(bw, width + 1, bw)),
+        block_carries=block_carries(carry_weight, width),
     )

@@ -34,7 +34,7 @@ from enum import Enum
 from functools import lru_cache, reduce
 from operator import or_
 
-from .bitvec import BitVector, ModelIntegrityError, lane_mask, lane_stride, respace_lanes
+from .bitvec import BitVector, ModelIntegrityError, lane_mask, lane_stride, misfit, respace_lanes
 from . import flash
 
 
@@ -77,7 +77,8 @@ class RowSet:
                 return
         for index, row in enumerate(rows):  # name the first row that does not fit
             if row < 0 or row & fit != row:
-                raise ValueError(f"row {index} = {row} does not fit in {self.width} bits")
+                shown = misfit(row, fit, row_stride(self.width), self.lanes)
+                raise ValueError(f"row {index} = {shown} does not fit in {self.width} bits")
 
     def total(self) -> int:
         return self._total

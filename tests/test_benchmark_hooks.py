@@ -1,25 +1,70 @@
-"""The attributes the benchmark harness wraps while it traces a run.
+"""What the benchmark harness needs of the package.
 
 `perfbench/tracing.py` patches stage functions, check hooks and the CLI's
-entry points by name, and its own self-tests are not part of this suite, so
-these tests keep a rename or a deletion from breaking the benchmark
-silently.
+entry points by name, `perfbench/workloads.py` calls the entry points and
+reads their results, and `perfbench/run.py` pins a digest of CLI records.
+The harness's own self-tests are not part of this suite, so these tests keep
+a rename, a deletion or a changed signature or result from breaking the
+benchmark silently.
 """
 
 import importlib.util
+import itertools
+import sys
 from pathlib import Path
+
+import pytest
 
 import arithsim
 from arithsim import cascade, cli, flash, multiplier
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def load(name):
+    """perfbench's module `name`, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load("tracing")
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    """perfbench's `run` and `workloads` modules. `run` imports its sibling
+    modules by name, so perfbench/ is on sys.path, and they are in
+    sys.modules, only for the length of the test."""
+    siblings = ("calibration", "tracing", "workloads")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in siblings:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield load("run"), load("workloads")
+    for name in siblings:
+        sys.modules.pop(name, None)
+
+
+def test_the_pinned_cli_records_hold(harness):
+    run, _ = harness
+    assert run.record_digest(cli) == run.RECORD_DIGEST
+
+
+def test_the_pinned_reference_table_holds(harness):
+    _, workloads = harness
+    workloads.check_reference_table(arithsim.reference_table())
+
+
+def test_checked_ops_pass_on_every_workload(harness):
+    # each op runs every design of the workload on one pair and raises
+    # `Mismatch` on a wrong result, tick count or trajectory
+    _, workloads = harness
+    for workload in workloads.WORKLOADS.values():
+        op = workloads.make_op(arithsim, workload)
+        for a, b in itertools.islice(workloads.operand_stream(workload, 1), 20):
+            assert op(a, b)[0] == workload.sim_ticks
 
 
 def test_every_traced_attribute_is_defined_on_its_owner():

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from arithsim import cli, flash
-from arithsim.bitvec import BitVector, ModelIntegrityError, lane_stride
+from arithsim.bitvec import ModelIntegrityError, lane_stride
 from arithsim.costs import check_width
 
 # `_adder_record_digest()` of the simulators before the cascade and the
@@ -120,8 +120,8 @@ def _adder_record_digest() -> str:
                 continue
             pairs = wide if width == 128 else itertools.product(range(1 << width), repeat=2)
             for a, b in pairs:
-                sum_vec, carry, ticks, result = adder.run(BitVector(width, a), BitVector(width, b))
-                fields = list(adder.trace(result))
+                sum_vec, carry, ticks, words = adder.add(a, b, width)
+                fields = list(adder.trace(words, width))
                 digest.update(f"{design.value} {width} {a:x} {b:x} {sum_vec.to_hex()} "
                               f"{carry} {ticks} {fields}\n".encode())
     return digest.hexdigest()

@@ -141,10 +141,30 @@ def test_a_row_overflowing_a_lower_lane_is_caught_in_its_padding(n):
     # every row holds the middle lane's top bit: a 3:2 stage's majority and
     # a quantizer's count of 7 both carry it out of that lane
     top = pack_lanes([0, 1 << 2 * n - 1, 0], multiplier.row_stride(2 * n))
-    with pytest.raises(ValueError, match=f"row 1 = {top << 1} does not fit in {2 * n} bits"):
+    # the message names the lane: its bits and its index
+    message = f"row 1 = {1 << 2 * n} in lane 1 does not fit in {2 * n} bits"
+    with pytest.raises(ValueError, match=message):
         multiplier.csa_stage(multiplier.RowSet(2 * n, (top,) * 3, 3))
     with pytest.raises(ModelIntegrityError, match="a count digit escaped the row width"):
         multiplier.quantize_columns(multiplier.RowSet(2 * n, (top,) * 7, 3))
+
+
+@pytest.mark.parametrize("bad", [0, 137, 255])
+def test_a_range_message_names_the_first_lane_that_fails(bad):
+    # 256 lanes of 128 bits are past Python's 4300-digit int-to-str limit,
+    # so each message shows the bad lane's bits and index, not the word
+    full = (1 << 128) - 1
+    message = f"{(1 << 129) - 1} in lane {bad} does not fit in 128 bits"
+    for stride, check in (
+        (lane_stride(128), lambda word: cascade.cascade_lanes(word, 0, 128, 256)),
+        (lane_stride(128), lambda word: cascade.CascadeState._check_block_sums(
+            7, 1, word, 0, 0, 0, 256)),
+        (multiplier.row_stride(128), lambda word: multiplier.RowSet(128, (0, word), 256)),
+    ):
+        word = pack_lanes([full] * 256, stride) | 1 << bad * stride + 128
+        with pytest.raises(ValueError) as caught:
+            check(word)
+        assert str(caught.value).endswith(message)
 
 
 @pytest.mark.parametrize("schedule", tuple(Schedule))
@@ -179,10 +199,8 @@ def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, seed, multip
 
 def adder(design, width):
     """One adder as `verify` runs it pair by pair, on ints."""
-    def run(a, b):
-        sum_vec, carry, _, _ = cli.ADDERS[design].run(BitVector(width, a), BitVector(width, b))
-        return sum_vec.value | carry << width
-    return run
+    lanes = cli.ADDERS[design].lanes
+    return lambda a, b: lanes(a, b, width, 1)[0]
 
 
 def pair_by_pair(run, pairs, oracle=operator.add):

@@ -32,8 +32,8 @@ def test_no_kernel_module_complements_a_word(module):
     # the equal `x ^ (x & y)` (timeit, best of 9, a 2-core Xeon on Python
     # 3.11): `~y` is a full-width add, and a negative operand makes every
     # bitwise op copy the word through two's complement. Unary minus stays:
-    # the lowest set bit `broken & -broken` on error paths and the one-lane
-    # `FireSet.firings` run on small words.
+    # the lowest set bit on error paths (`broken & -broken`, `bitvec.misfit`)
+    # and the one-lane `flash.fire_pairs` run on small words.
     tree = ast.parse(Path(module.__file__).read_text())
     inverts = [
         node.lineno
@@ -80,7 +80,21 @@ def strays(data, words, stride, lanes, bits):
     return [stray(data, word, stride, lanes, bits) for word in words]
 
 
-# The old forms, as they read before the rewrite.
+# The old forms, as they read before the rewrite. Their range messages show
+# a word on more than one lane by its first lane that fails, as the kernels
+# now do, so that a message can be built for a word of any size.
+
+
+def shown(word, fit, stride, lanes):
+    """A word that breaks `fit` in a range message: the whole word on one
+    lane, else the lowest lane with a bit outside `fit`, by its bits and
+    its index."""
+    if lanes == 1:
+        return f"{word!r}"
+    ones, lane = (1 << stride) - 1, 0
+    while not (word >> lane * stride) & ~(fit >> lane * stride) & ones:
+        lane += 1
+    return f"{(word >> lane * stride) & ones} in lane {lane}"
 
 
 def old_check_wires(n, s, c, lanes):
@@ -109,7 +123,9 @@ def old_check_block_sums(k, level, sums, carry_word, a, b, lanes):
     width = 1 << k
     fit, bottoms, slots = level_masks(width, level, lanes)
     if sums & ~fit:
-        raise ValueError(f"value {sums!r} does not fit in {width} bits")
+        raise ValueError(
+            f"value {shown(sums, fit, lane_stride(width), lanes)} does not fit in {width} bits"
+        )
     if carry_word & ~slots:
         raise ValueError(f"level {level} carries must sit at bits (i+1)*{1 << level}")
     carry_in = sums ^ a ^ b
@@ -125,17 +141,21 @@ def old_operand_check(a, b, width, lanes):
     fit = level_masks(width, 1, lanes)[0]
     for value in (a, b):
         if value & ~fit:
-            raise ValueError(f"value {value!r} does not fit in {width} bits")
+            raise ValueError(
+                f"value {shown(value, fit, lane_stride(width), lanes)} does not fit in {width} bits"
+            )
 
 
 def old_row_set_check(width, rows, lanes):
-    over = ~lane_mask(width, row_stride(width), lanes)
+    fit = lane_mask(width, row_stride(width), lanes)
+    over = ~fit
     if not rows or min(rows) >= 0 and not (
         max(rows) if lanes == 1 else reduce(or_, rows)
     ) & over:
         return
     for index, row in enumerate(rows):
         if row < 0 or row & over:
+            row = shown(row, fit, row_stride(width), lanes)
             raise ValueError(f"row {index} = {row} does not fit in {width} bits")
 
 
