@@ -11,33 +11,30 @@ import argparse
 import random
 
 from arithsim.bitvec import BitVector
-from arithsim.cascade import cascade_add
-from arithsim.costs import Design, check_width
-from arithsim.flash import fire_set, half_add, resolve
+from arithsim.cascade import level_records
+from arithsim.costs import ADDERS, Design, check_width
+from arithsim.flash import fire_pairs
 from arithsim.multiplier import MULTIPLIER_WIDTHS, Schedule, multiply
 
 
 def show_cascade(a: BitVector, b: BitVector) -> None:
-    result = cascade_add(a, b)
+    adder, width = ADDERS[Design.CASCADE], a.width
+    total, carry, ticks, levels = adder.add(a.value, b.value, width)
     print(f"cascade {a} + {b}")
-    for record in result.trace.to_records():
+    for record in level_records(levels, width):
         carries = ",".join(str(c) for c in record["carries"])
         print(f"  level {record['level']}: sums={record['sums']} carries=[{carries}]")
-    print(
-        f"  sum={result.sum} carry={result.carry} "
-        f"ticks={result.trace.ticks} gates={result.trace.special_and_gates}"
-    )
+    print(f"  sum={total} carry={carry} ticks={ticks} gates={adder.gates(width)}")
 
 
 def show_flash(a: BitVector, b: BitVector) -> None:
-    state = half_add(a, b)
-    firings = fire_set(state)
+    adder, n = ADDERS[Design.FLASH], a.width
+    total, _, ticks, (_, c, ends) = adder.add(a.value, b.value, n)
     print(f"flash {a} + {b}")
-    print(f"  tick 1: s={state.s:0{state.n + 1}b} c={state.c:0{state.n}b}")
-    fired = " ".join(f"({i},{j})" for i, j in firings) or "none"
-    print(f"  tick 2: firings {fired} over {firings.gates_evaluated} gates")
-    result = resolve(state)
-    print(f"  sum={result.sum} ticks={result.ticks}")
+    print(f"  tick 1: s={a.value ^ b.value:0{n + 1}b} c={c:0{n}b}")
+    fired = " ".join(f"({i},{j})" for i, j in fire_pairs(c, ends)) or "none"
+    print(f"  tick 2: firings {fired} over {adder.gates(n)} gates")
+    print(f"  sum={total} ticks={ticks}")
 
 
 def show_multiply(a: BitVector, b: BitVector, schedule: Schedule) -> None:

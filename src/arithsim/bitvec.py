@@ -40,7 +40,7 @@ class BitVector:
         if self.width < 1:
             raise ValueError(f"width must be a positive integer, got {self.width}")
         if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value!r} does not fit in {self.width} bits")
+            raise ValueError(f"value {shown(self.value)} does not fit in {self.width} bits")
 
     @classmethod
     def from_hex(cls, text: str, width: int) -> BitVector:
@@ -119,12 +119,21 @@ def lane_mask(bits: int, stride: int, lanes: int = 1) -> int:
     return block_bottoms(stride * lanes, stride) * ((1 << bits) - 1)
 
 
+def shown(value) -> str:
+    """A value as a range message shows it: its repr, or for an int past
+    Python's int-to-str digit limit, its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"of {value.bit_length()} bits"
+
+
 def misfit(word: int, fit: int, stride: int, lanes: int) -> str:
     """A word that breaks its lane mask `fit`, as a range message shows it:
     the whole word on one lane, else the first lane with a bit outside `fit`
     (a wide word passes Python's int-to-str digit limit), by bits and index."""
     if lanes == 1:
-        return str(word)
+        return shown(word)
     out = word ^ (word & fit)
     lane = ((out & -out).bit_length() - 1) // stride
     return f"{word >> lane * stride & ((1 << stride) - 1)} in lane {lane}"

@@ -15,9 +15,9 @@ kernel `cascade_lanes` re-checks the block-sum balance
     carry_i * 2**w + sum_block_i == a_block_i + b_block_i      (w = block width)
 
 against the original operands, without the kernel; a level that breaks it is
-a model break. The trace keeps every level's words, and `CascadeState` is a
-checked view of one level, built only on request. All functions are pure and
-all values immutable.
+a model break. The trace keeps every level's words; `level_records` formats
+them. `CascadeState` is a checked view of one level, which the kernel never
+builds. All functions are pure and all values immutable.
 
 The kernel runs K additions side by side: the operands are packed at
 `bitvec.lane_stride`, twice the width, so every lane's blocks and saved
@@ -80,8 +80,8 @@ class CascadeState:
     Level l partitions the width into blocks of 2**l bits with one saved
     carry each, block i's at bit (i+1)*2**l of `carry_word`; the operands
     ride along purely for invariant checking. The cascade itself runs on the
-    words and checks them with `_check_block_sums`; views are built only on
-    request, by `CascadeTrace.states`.
+    words and checks them with `_check_block_sums`, the check a view runs
+    when it is built.
     """
 
     k: int
@@ -133,11 +133,6 @@ class CascadeState:
             block = ((broken & -broken).bit_length() - 1) % lane_stride(width) >> level
             raise ModelIntegrityError(f"block-sum balance broken at level {level}, block {block}")
 
-    @property
-    def carries(self) -> tuple[int, ...]:
-        """The saved carries, lowest block first."""
-        return level_carries(self.carry_word, self.sums.width, self.level)
-
 
 @dataclass(frozen=True)
 class CascadeTrace:
@@ -148,33 +143,12 @@ class CascadeTrace:
     b: BitVector
     levels: tuple[tuple[int, int], ...]
     ticks: int
-    special_and_gates: int
 
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("trace needs at least the leaf state")
         if self.ticks != self.a.width.bit_length() - 1 or len(self.levels) != self.ticks:
             raise ValueError("trace must cover all k levels at one tick each")
-
-    @property
-    def states(self) -> tuple[CascadeState, ...]:
-        """One checked view per level."""
-        width = self.a.width
-        return tuple(
-            CascadeState(
-                k=self.ticks,
-                level=level,
-                sums=BitVector(width, sums),
-                carry_word=carry_word,
-                a=self.a,
-                b=self.b,
-            )
-            for level, (sums, carry_word) in enumerate(self.levels, start=1)
-        )
-
-    def to_records(self) -> list[dict[str, object]]:
-        """One serializable record per level; see `level_records`."""
-        return level_records(self.levels, self.a.width)
 
 
 def level_records(levels, width: int) -> list[dict[str, object]]:
@@ -280,7 +254,6 @@ def cascade_add(a: BitVector, b: BitVector) -> CascadeResult:
         raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
     width = a.width
     levels = cascade_lanes(a.value, b.value, width)
-    k = len(levels)
-    trace = CascadeTrace(a, b, tuple(levels), ticks=k, special_and_gates=special_and_gates(k))
+    trace = CascadeTrace(a, b, tuple(levels), ticks=len(levels))
     sums, carry_word = levels[-1]
     return CascadeResult(sum=BitVector(width, sums), carry=carry_word >> width, trace=trace)

@@ -61,10 +61,6 @@ class HalfAddState:
     def __post_init__(self) -> None:
         check_wires(self.n, self.s, self.c)
 
-    def total(self) -> int:
-        """The value the wires stand for; constant until the carries resolve."""
-        return self.s + 2 * self.c
-
 
 @dataclass(frozen=True)
 class FireSet:
@@ -74,7 +70,6 @@ class FireSet:
     width: int
     carries: int
     ends: int
-    gates_evaluated: int
 
     def __post_init__(self) -> None:
         check_fire_words(self.width, self.carries, self.ends)
@@ -84,31 +79,11 @@ class FireSet:
         """The (i, j) gates; see `fire_pairs`."""
         return fire_pairs(self.carries, self.ends)
 
-    def __iter__(self):
-        return iter(self.firings)
-
-    def __len__(self) -> int:
-        return self.carries.bit_count()
-
 
 @dataclass(frozen=True)
-class ResolveResult:  # a two-tick add's or a one-tick increment's sum
-    sum: BitVector  # width n+1; the top bit is the carry out
+class ResolveResult:  # the flash, double-width and blocked adds' and the increment's result
+    sum: BitVector  # the added width, plus the carry out on top
     ticks: int
-
-
-@dataclass(frozen=True)
-class DoubleWidthResult:
-    sum: BitVector  # width 2n+1
-    ticks: int
-    cross_carry: int
-
-
-@dataclass(frozen=True)
-class BlockedResult:
-    sum: BitVector  # width 2n+1
-    ticks: int
-    block_carries: tuple[int, ...]
 
 
 @lru_cache
@@ -222,13 +197,7 @@ def complement_segments(s: int, carries: int, ends: int) -> int:
 
 def fire_set(state: HalfAddState) -> FireSet:
     """Evaluate all N(N+1)/2 gates on the original wires."""
-    n, carries = state.n, state.c
-    return FireSet(
-        width=n,
-        carries=carries,
-        ends=find_firings(state.s, carries),
-        gates_evaluated=network_gates(n),
-    )
+    return FireSet(width=state.n, carries=state.c, ends=find_firings(state.s, state.c))
 
 
 def apply_firings_sequentially(s: int, firings, order: list[int] | None = None) -> int:
@@ -384,18 +353,14 @@ def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int
 
 def double_width_add(
     a_lo: BitVector, a_hi: BitVector, b_lo: BitVector, b_hi: BitVector
-) -> DoubleWidthResult:
+) -> ResolveResult:
     """Add two 2N-bit values given as N-bit halves; see `double_width_lanes`."""
     n = a_lo.width
     for name, vec in (("a_hi", a_hi), ("b_lo", b_lo), ("b_hi", b_hi)):
         if vec.width != n:
             raise ValueError(f"{name} must be {n} bits wide, got {vec.width}")
-    total, cross = double_width_lanes(
-        a_lo.value | (a_hi.value << n), b_lo.value | (b_hi.value << n), n
-    )
-    return DoubleWidthResult(
-        sum=BitVector(2 * n + 1, total), ticks=DOUBLE_WIDTH_TICKS, cross_carry=cross
-    )
+    total = double_width_lanes(a_lo.value | (a_hi.value << n), b_lo.value | (b_hi.value << n), n)[0]
+    return ResolveResult(BitVector(2 * n + 1, total), DOUBLE_WIDTH_TICKS)
 
 
 def is_power_of_four(n: int) -> bool:
@@ -445,14 +410,10 @@ def block_carries(carry_weight: int, width: int) -> tuple[int, ...]:
     return tuple((carry_weight >> top) & 1 for top in range(bw, width + 1, bw))
 
 
-def blocked_add(a: BitVector, b: BitVector) -> BlockedResult:
+def blocked_add(a: BitVector, b: BitVector) -> ResolveResult:
     """Add two 2N-bit values; see `blocked_lanes`."""
     width = a.width
     if b.width != width:
         raise ValueError(f"operand widths differ: {width} vs {b.width}")
-    total, carry_weight = blocked_lanes(a.value, b.value, width)
-    return BlockedResult(
-        sum=BitVector(width + 1, total),
-        ticks=BLOCKED_TICKS,
-        block_carries=block_carries(carry_weight, width),
-    )
+    total = blocked_lanes(a.value, b.value, width)[0]
+    return ResolveResult(BitVector(width + 1, total), BLOCKED_TICKS)

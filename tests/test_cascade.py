@@ -13,6 +13,8 @@ from arithsim.cascade import (
     increment_unit,
     leaf_init,
     level_carries,
+    level_records,
+    special_and_gates,
     step_gate_count,
 )
 from arithsim.costs import cascade_gates
@@ -137,11 +139,14 @@ def test_state_validation_checks_shapes():
 
 
 def _check_levels_independently(result, a, b):
-    # re-derive every level's block balance straight from the operands
-    for state in result.trace.states:
+    # re-derive every level's block balance straight from the operands, on
+    # each level's checked view
+    trace, width = result.trace, a.width
+    for level, (sums, carry_word) in enumerate(trace.levels, start=1):
+        state = CascadeState(trace.ticks, level, BitVector(width, sums), carry_word, a, b)
         w = 1 << state.level
         mask = (1 << w) - 1
-        for i, carry in enumerate(state.carries):
+        for i, carry in enumerate(level_carries(state.carry_word, width, state.level)):
             a_blk = (a.value >> (i * w)) & mask
             b_blk = (b.value >> (i * w)) & mask
             s_blk = (state.sums.value >> (i * w)) & mask
@@ -169,7 +174,7 @@ def test_cascade_add_width_2():
     result = cascade_add(BitVector(2, 3), BitVector(2, 2))
     assert result.sum.value + (result.carry << 2) == 5
     assert result.trace.ticks == 1
-    assert result.trace.special_and_gates == 0
+    assert special_and_gates(result.trace.ticks) == 0
 
 
 def test_cascade_add_exhaustive_n4():
@@ -214,7 +219,7 @@ def test_gate_tally_matches_closed_form(rng):
         a = BitVector(width, rng.getrandbits(width))
         b = BitVector(width, rng.getrandbits(width))
         result = cascade_add(a, b)
-        assert result.trace.special_and_gates == cascade_gates(k)
+        assert special_and_gates(result.trace.ticks) == cascade_gates(k)
 
 
 def test_step_gate_counts_sum_to_closed_form():
@@ -225,7 +230,7 @@ def test_step_gate_counts_sum_to_closed_form():
 
 def test_trace_records_serialize():
     result = cascade_add(BitVector(4, 11), BitVector(4, 6))
-    records = result.trace.to_records()
+    records = level_records(result.trace.levels, 4)
     assert [r["level"] for r in records] == [1, 2]
     assert records[0]["carries"] == [1, 0]
     assert records[1]["sums"] == "1"
@@ -330,7 +335,7 @@ def test_block_sum_check_accepts_exactly_the_balanced_states():
                     assert got == (ModelIntegrityError, message)
                 else:
                     assert got is None
-                    assert CascadeState(carry_word=carry_word, **views).carries == carries
+                    assert level_carries(carry_word, 4, level) == carries
 
 
 def test_a_flipped_leaf_sum_is_a_block_sum_break(flipped_leaf_sum):

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from arithsim import cli, flash
+from arithsim import cascade, cli, flash
 from arithsim.bitvec import ModelIntegrityError, lane_stride
 from arithsim.costs import check_width
 
@@ -61,6 +61,16 @@ def test_verify_rejects_multiplier_widths_before_the_header(capsys, width):
     assert code == 2
     assert out == ""
     assert "multiplier width" in err
+
+
+def test_a_value_past_the_decimal_digit_limit_is_named_by_its_bit_length(capsys):
+    # 16,000 bits run to more decimal digits than Python's int-to-str limit
+    for command in ("add", "mul"):
+        code, out, err = run_cli(capsys, [command, "--width", "8", "f" * 4000, "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: value of 16000 bits does not fit in 8 bits\n"
+    with pytest.raises(ValueError, match="^value of 20001 bits does not fit in 8 bits$"):
+        cascade.cascade_lanes(1 << 20000, 0, 8)
 
 
 def test_verify_counts_a_model_break_as_a_failed_pair(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Smoke tests: both scripts run end to end against the package source."""
+"""Smoke tests: both scripts and README's library example run end to end
+against the package source."""
 
 import os
 import subprocess
@@ -14,6 +15,31 @@ cascade            128     447     447     7    20/20
 flash              128    8256    8256     2    20/20
 flash_double       128    2144       -     3    20/20
 blocked_double     128    1000       -     3    20/20
+"""
+
+DEMO_RUN_OUTPUT = """\
+cascade 00111100 + 10010111
+  level 1: sums=83 carries=[0,1,1,0]
+  level 2: sums=c3 carries=[1,0]
+  level 3: sums=d3 carries=[0]
+  sum=11010011 carry=0 ticks=3 gates=11
+
+flash 00111100 + 10010111
+  tick 1: s=010101011 c=00010100
+  tick 2: firings (2,4) (4,6) over 36 gates
+  sum=011010011 ticks=2
+
+multiply 60 x 151, schedule A
+  stage 1: csa_3_2 8 -> 6 rows (2 left out, 1 ticks, 2 circuits)
+  stage 2: csa_3_2 6 -> 4 rows (0 left out, 1 ticks, 2 circuits)
+  stage 3: csa_3_2 4 -> 3 rows (1 left out, 1 ticks, 1 circuits)
+  stage 4: csa_3_2 3 -> 2 rows (0 left out, 1 ticks, 1 circuits)
+  product=9060 (= 9060) ticks=7
+multiply 60 x 151, schedule B
+  stage 1: quantizer 8 -> 4 rows (1 left out, 2 ticks, 16 circuits)
+  stage 2: quantizer 4 -> 3 rows (1 left out, 2 ticks, 16 circuits)
+  stage 3: csa_3_2 3 -> 2 rows (0 left out, 1 ticks, 1 circuits)
+  product=9060 (= 9060) ticks=8
 """
 
 HEADLINE_BLOCK = """\
@@ -63,4 +89,20 @@ def test_latency_area_tradeoff_runs():
 def test_demo_run_runs():
     result = run_script("demo_run.py")
     assert result.returncode == 0, result.stderr
-    assert "cascade " in result.stdout and "multiply " in result.stdout
+    assert result.stdout == DEMO_RUN_OUTPUT
+
+
+def test_readme_library_example_runs():
+    # each commented line's value is the comment's text up to its first comma
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, got, want = {}, [], []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if comment:
+            got.append(eval(code, namespace))
+            want.append(eval(comment.split(",")[0]))
+        else:
+            exec(code, namespace)
+    assert want == [2**64, 2, 56088, 8]
+    assert got == want
