@@ -15,13 +15,13 @@ two's complement, several times the cost of the op itself.
 from __future__ import annotations
 
 import re
-import sys
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
 _HEX = re.compile("[0-9a-fA-F]+")
-# native `memoryview` formats of unsigned machine words, by size in bytes
+# `struct` formats of little-endian unsigned words, by size in bytes
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -155,16 +155,28 @@ def unpack_lanes(word: int, stride: int, count: int) -> list[int]:
     return list(map(int.from_bytes, lanes, repeat("little")))
 
 
+@lru_cache(maxsize=32)
+def _narrow_lanes_struct(stride: int, count: int, bits: int) -> struct.Struct | None:
+    """The `struct` that reads each of `count` lanes at `stride` as its low
+    word of the smallest size that holds `bits` and skips the rest of the
+    lane, or None where that word is wider than the lane."""
+    size = stride // 8
+    item = 1 << ((min(bits, stride) - 1) // 8).bit_length()
+    if item > size:
+        return None
+    return struct.Struct("<" + f"{_WORD_FORMATS[item]}{size - item}x" * count)
+
+
 def unpack_narrow_lanes(word: int, stride: int, count: int, bits: int) -> list[int]:
     """`unpack_lanes` for lane values of at most `bits` <= 64 bits, in one
-    pass: each lane's low machine word of the smallest size that holds
-    `bits` is read in native byte order. That size must divide the stride.
-    On a big-endian host the word's bytes run from the top lane down, so the
-    low words are read from the last one back."""
-    item = 1 << ((bits - 1) // 8).bit_length()
-    step = stride // 8 // item
-    view = memoryview(word.to_bytes(stride // 8 * count, sys.byteorder)).cast(_WORD_FORMATS[item])
-    return (view[::step] if sys.byteorder == "little" else view[::-step]).tolist()
+    pass at any whole-byte stride: one cached `struct` unpack reads each
+    lane's low little-endian word of the smallest size that holds `bits`.
+    A lane narrower than that word, as 24 bits at a 3-byte stride, takes
+    `unpack_lanes`."""
+    layout = _narrow_lanes_struct(stride, count, bits)
+    if layout is None:
+        return unpack_lanes(word, stride, count)
+    return list(layout.unpack(word.to_bytes(layout.size, "little")))
 
 
 def respace_lanes(word: int, src: int, dst: int, count: int, bits: int) -> int:
@@ -179,11 +191,18 @@ def respace_lanes(word: int, src: int, dst: int, count: int, bits: int) -> int:
     return int.from_bytes(out, "little")
 
 
+@lru_cache
+def block_tops(width: int, w: int) -> int:
+    """The top bit of every w-bit block of a width-bit word; cached, since
+    each blockwise add asks for it."""
+    return block_bottoms(width, w) << (w - 1)
+
+
 def blockwise_add(x: int, y: int, width: int, w: int) -> tuple[int, int]:
     """Add x and y inside every w-bit block, carries cut at the block edges
     (Warren, Hacker's Delight, section 2-18): returns the sums and a carry
     word holding block i's carry at bit (i+1)*w, its weight."""
-    top = block_bottoms(width, w) << (w - 1)
+    top = block_tops(width, w)
     xt, yt = x & top, y & top
     t = (x ^ xt) + (y ^ yt)  # below the block tops, so no block carries out
     ht = xt ^ yt

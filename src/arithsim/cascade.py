@@ -96,17 +96,19 @@ class CascadeState:
         for name, vec in (("sums", self.sums), ("a", self.a), ("b", self.b)):
             if vec.width != width:
                 raise ValueError(f"{name} must be {width} bits wide, got {vec.width}")
+        a, b = self.a.value, self.b.value
         CascadeState._check_block_sums(
-            self.k, self.level, self.sums.value, self.carry_word, self.a.value, self.b.value
+            self.k, self.level, self.sums.value, self.carry_word, a ^ b, a & b
         )
 
     @staticmethod
     def _check_block_sums(
-        k: int, level: int, sums: int, carry_word: int, a: int, b: int, lanes: int = 1
+        k: int, level: int, sums: int, carry_word: int, half: int, both: int, lanes: int = 1
     ) -> None:
         """The level check on the words of every lane: the level range, the
-        sums' range, the carry positions and the block-sum balance. The
-        operands fit their lanes; `cascade_lanes` checks them once per add.
+        sums' range, the carry positions and the block-sum balance, given the
+        operands' a ^ b and a & b, which `cascade_lanes` builds once per add.
+        The operands fit their lanes; `cascade_lanes` checks them once too.
 
         The balance is checked bit by bit and without the kernel: s ^ a ^ b is
         each bit's carry in. None may enter a block bottom; the rest, like the
@@ -122,8 +124,8 @@ class CascadeState:
                              f" does not fit in {width} bits")
         if carry_word & slots != carry_word:
             raise ValueError(f"level {level} carries must sit at bits (i+1)*{1 << level}")
-        carry_in = sums ^ a ^ b
-        carry_out = ((a & b) | ((a ^ b) & carry_in)) << 1
+        carry_in = sums ^ half
+        carry_out = (both | (half & carry_in)) << 1
         # a broken rule marks a bit of its block: a carry into a bottom marks
         # that bit, a wrong carry out marks the bit it came from
         into_bottoms = carry_in & bottoms
@@ -237,13 +239,13 @@ def cascade_lanes(a: int, b: int, width: int, lanes: int = 1) -> list[tuple[int,
                              f" does not fit in {width} bits")
     k = width.bit_length() - 1
     packed = lane_stride(width) * lanes
-    check = CascadeState._check_block_sums
+    check, half, both = CascadeState._check_block_sums, a ^ b, a & b
     sums, carry_word = blockwise_add(a, b, packed, 2)  # tick 1: the leaf lookups
-    check(k, 1, sums, carry_word, a, b, lanes)
+    check(k, 1, sums, carry_word, half, both, lanes)
     levels = [(sums, carry_word)]
     for level in range(1, k):
         sums, carry_word = cascade_step(sums, carry_word, packed, level)
-        check(k, level + 1, sums, carry_word, a, b, lanes)
+        check(k, level + 1, sums, carry_word, half, both, lanes)
         levels.append((sums, carry_word))
     return levels
 

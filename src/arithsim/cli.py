@@ -51,6 +51,7 @@ from .multiplier import (
     consolidate,
     multiply,
     multiply_lanes,
+    row_stride,
 )
 
 # random.Random is CPython's Mersenne Twister; the name travels in every
@@ -61,15 +62,18 @@ FORMAT_ENV_VAR = "ARITHSIM_FORMAT"
 EXHAUSTIVE_ADDER_WIDTH = 8
 EXHAUSTIVE_MULT_WIDTH = 4
 
-# The most bits in one word of a `verify` batch (8 KiB): the lane kernels run
-# `verify_lanes(stride)` circuits side by side in it, 4096 at the 16-bit
-# stride of the width-8 adders and the width-4 multiplier, 256 at the 256-bit
-# stride of the 128-bit adders and the 64-bit multiplier. In-process sweeps
-# (best of 15, 2-core Xeon, Python 3.11): the four width-8 adders took 19.4,
-# 12.4, 11.0, 10.4, 10.4 and 15.8 ms at 128, 1024, 2048, 4096, 8192 and
-# 65,536 lanes; at stride 256, 256 lanes beat 128 (4096 pairs through each
-# 128-bit adder 17.2 to 14.4 ms, 1024 through each 64-bit schedule 14.0 to
-# 10.9 ms) and 512 were no better.
+# The most bits in one word of a `verify` batch (8 KiB): the adders' lane
+# kernels run `verify_lanes(stride)` circuits side by side in it, 4096 at the
+# 16-bit stride of the width-8 adders, 256 at the 256-bit stride of the
+# 128-bit adders. In-process sweeps (best of 15, 2-core Xeon, Python 3.11):
+# the four width-8 adders took 19.4, 12.4, 11.0, 10.4, 10.4 and 15.8 ms at
+# 128, 1024, 2048, 4096, 8192 and 65,536 lanes; at stride 256, 256 lanes beat
+# 128 (4096 pairs through each 128-bit adder 17.2 to 14.4 ms, 1024 through
+# each 64-bit schedule 14.0 to 10.9 ms) and 512 were no better. The
+# multiplier packs its batches at the narrower row stride but sizes them as
+# at the adders' `lane_stride(2N)`, 256 pairs at N = 64: 481 lanes, a whole
+# word of 136-bit rows, checked 4810 pairs no faster, and split a 500-pair
+# sweep 481 + 19, about 7% slower than 256 + 244 (in-process, alternating).
 VERIFY_WORD_BITS = 1 << 16
 
 
@@ -194,23 +198,22 @@ def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tup
     return tuple(respace_lanes(v, 2 * slot, stride, size, width) for v in (values, values >> slot))
 
 
-def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
-    """The (a, b) value pairs in order, in batches of at most
-    `verify_lanes(stride)`: (packed a, packed b, pair count). An exhaustive
-    batch is a run of consecutive pair indices a * 2**width + b: the start's
-    a in every lane plus the cached `_index_steps`. Its strides are 8 and 16
-    bits, so a batch is 8192 or 4096 pairs, or the whole sweep, and holds
-    whole runs of b. A random batch is one draw of the values that a
-    pair-by-pair sweep draws, a then b for each pair."""
+def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int, lanes: int):
+    """The (a, b) value pairs in order, packed at `stride`, in batches of at
+    most `lanes`: (packed a, packed b, pair count). An exhaustive batch is a
+    run of consecutive pair indices a * 2**width + b: the start's a in every
+    lane plus the cached `_index_steps`. Its strides are 8 and 16 bits, so a
+    batch is 8192 or 4096 pairs, or the whole sweep, and holds whole runs of
+    b. A random batch is one draw of the values that a pair-by-pair sweep
+    draws, a then b for each pair."""
     width = args.width
     if exhaustive:
-        size = min(verify_lanes(stride), 1 << 2 * width)
+        size = min(lanes, 1 << 2 * width)
         ones, (a_steps, b_steps) = lane_mask(1, stride, size), _index_steps(width, size, stride)
         for start in range(0, 1 << 2 * width, size):
             yield (start >> width) * ones + a_steps, b_steps, size
         return
     rng = random.Random(args.seed)
-    lanes = verify_lanes(stride)
     for start in range(0, args.trials, lanes):
         size = min(lanes, args.trials - start)
         yield *_random_pairs(rng, width, size, stride), size
@@ -231,7 +234,9 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     if args.design == "mult":
         check_multiplier_width(width)
         schedule = Schedule(args.schedule)
-        stride = lane_stride(2 * width)
+        # the multiplier's one stride; batches sized as at the adders' (see
+        # VERIFY_WORD_BITS)
+        stride, lanes = row_stride(2 * width), verify_lanes(lane_stride(2 * width))
 
         def run(a: int, b: int, size: int) -> int:
             return multiply_lanes(a, b, width, schedule, size)[0]
@@ -242,11 +247,12 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
 
         limit, schedule_field = EXHAUSTIVE_MULT_WIDTH, schedule.value
     else:
-        lanes = _adder(args).lanes
+        kernel = _adder(args).lanes
         stride = lane_stride(width)
+        lanes = verify_lanes(stride)
 
         def run(a: int, b: int, size: int) -> int:
-            return lanes(a, b, width, size)[0]
+            return kernel(a, b, width, size)[0]
 
         def expect(a: int, b: int, size: int) -> int:
             # each lane's sum fits its stride, so one add checks every lane
@@ -276,7 +282,7 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     passed = 0
     failed = 0
     counterexample = None
-    for packed_a, packed_b, size in _verify_batches(args, exhaustive, stride):
+    for packed_a, packed_b, size in _verify_batches(args, exhaustive, stride, lanes):
         try:
             if run(packed_a, packed_b, size) == expect(packed_a, packed_b, size):
                 passed += size

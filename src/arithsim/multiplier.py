@@ -18,13 +18,13 @@ Schedule A uses only 3:2 stages; schedule B quantizes until three rows remain
 and finishes with one 3:2 stage. The surviving two rows are added by the
 three-tick double-width adder.
 
-`multiply_lanes` runs K multiplications side by side: every row holds K
-lanes at `row_stride` of the row width: the 2N row bits and one byte of
-padding, which holds `majority << 1` and every quantizer digit, so a
-lane-mask check rejects a lane's overflow with the one-lane message. The
-operands and products stay at `bitvec.lane_stride(2N)`, the final add's
-layout, and are re-spaced on the way in and out. `multiply` is its K = 1
-call, which needs no re-spacing.
+`multiply_lanes` runs K multiplications side by side, all at one lane
+stride, `row_stride` of the row width: the 2N row bits and one byte of
+padding, 136 bits at N = 64. The padding holds `majority << 1` and every
+quantizer digit, so a lane-mask check rejects a lane's overflow with the
+one-lane message. The operands come in at that stride, and the rows, the
+final double-width add and the products stay at it. `multiply` is its
+K = 1 call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from enum import Enum
 from functools import lru_cache, reduce
 from operator import or_
 
-from .bitvec import BitVector, ModelIntegrityError, lane_mask, lane_stride, misfit, respace_lanes
+from .bitvec import BitVector, ModelIntegrityError, lane_mask, misfit
 from . import flash
 
 
@@ -176,6 +176,14 @@ class MultiplyResult:
     report: ScheduleReport
 
 
+@lru_cache(maxsize=4)
+def bit_masks(n: int, lanes: int) -> tuple[int, ...]:
+    """Bit i of every lane at `row_stride(2 * n)`, for i < n; a few shapes
+    cached, since every batch of a sweep asks for them."""
+    ones = lane_mask(1, row_stride(2 * n), lanes)
+    return tuple(ones << i for i in range(n))
+
+
 def partial_product_lanes(a: int, b: int, n: int, lanes: int = 1) -> RowSet:
     """All N shifted rows of `lanes` pairs of n-bit operands, zero rows
     included: in every lane, row i = (a << i) * b_i. The operands are
@@ -184,9 +192,11 @@ def partial_product_lanes(a: int, b: int, n: int, lanes: int = 1) -> RowSet:
     Column p then holds exactly the convolution bits a_j * b_{p-j}. Keeping
     zero rows keeps the row count and the schedule shape data-independent.
     """
-    ones = lane_mask(1, row_stride(2 * n), lanes)
-    # (s << n) - s: n ones in each lane whose bit i of b is set
-    rows = [(a & (s << n) - s) << i if (s := b >> i & ones) else 0 for i in range(n)]
+    # masks of a power-of-two lane count, so a sweep's last, short batch
+    # shares its full batches' masks: a lane past the operands meets 0 bits
+    masks = bit_masks(n, 1 << (lanes - 1).bit_length())
+    # (t << n) - t: ones at bits i to i + n - 1 of each lane whose b_i is set
+    rows = [((t << n) - t) & (a << i) if (t := b & bit) else 0 for i, bit in enumerate(masks)]
     return RowSet(2 * n, tuple(rows), lanes)
 
 
@@ -294,18 +304,17 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
     trajectory = [len(rows.rows)]
     stages = []
     ticks = 0
-    current = rows
-    while (n := len(current.rows)) > 2:
+    while (n := len(rows.rows)) > 2:
         if schedule is Schedule.A or n == 3:
-            current, record = csa_stage(current)
+            rows, record = csa_stage(rows)
         elif n & (n - 1) == 0:
-            current, record = quantize_columns(current, leave_out=1)
+            rows, record = quantize_columns(rows, leave_out=1)
         else:
-            current, record = quantize_columns(current)
+            rows, record = quantize_columns(rows)
         stages.append(record)
         trajectory.append(record.rows_out)
         ticks += record.ticks
-    return current, ScheduleReport(tuple(stages), tuple(trajectory), ticks)
+    return rows, ScheduleReport(tuple(stages), tuple(trajectory), ticks)
 
 
 def check_multiplier_width(width: int) -> None:
@@ -318,23 +327,14 @@ def multiply_lanes(
     a: int, b: int, n: int, schedule: Schedule, lanes: int = 1
 ) -> tuple[int, ScheduleReport]:
     """Full products of `lanes` pairs of n-bit operands packed at
-    `lane_stride(2 * n)`: partial rows, consolidation, one double-width
+    `row_stride(2 * n)`: partial rows, consolidation, one double-width
     addition. Returns the 2N-bit products in the same lanes and the
-    schedule's report.
-
-    The rows run at `row_stride(2 * n)`, about half the operands' stride;
-    the operands are re-spaced to it and the final two rows back, since
-    the double-width adder needs four half blocks per lane."""
+    schedule's report. Every step runs at the operands' stride."""
     check_multiplier_width(n)
-    stride, packed = lane_stride(2 * n), row_stride(2 * n)
-    if lanes > 1:  # one lane sits at bit 0 in both layouts
-        a, b = (respace_lanes(v, stride, packed, lanes, n) for v in (a, b))
+    stride = row_stride(2 * n)
     rows, report = consolidate(partial_product_lanes(a, b, n, lanes), schedule)
-    final = rows.rows
-    if lanes > 1:
-        final = (respace_lanes(row, packed, stride, lanes, 2 * n) for row in final)
-    product, _ = flash.double_width_lanes(*final, n, lanes)
-    fit = lane_mask(2 * n, stride, lanes)
+    product, _ = flash.double_width_lanes(*rows.rows, n, stride, lanes)
+    fit = row_layout(2 * n, lanes)[0]
     if product & fit != product:
         raise ModelIntegrityError("product escaped its 2N-bit width")
     return product, report

@@ -321,7 +321,9 @@ def test_block_sum_check_accepts_exactly_the_balanced_states():
             blocks = list(zip(_blocks(s, w, count), _blocks(a, w, count), _blocks(b, w, count)))
             views = dict(k=2, level=level, sums=BitVector(4, s), a=BitVector(4, a), b=BitVector(4, b))
             for carry_word in range(1 << 5):
-                got = _outcome(CascadeState._check_block_sums, 2, level, s, carry_word, a, b)
+                got = _outcome(
+                    CascadeState._check_block_sums, 2, level, s, carry_word, a ^ b, a & b
+                )
                 assert _outcome(CascadeState, carry_word=carry_word, **views) == got
                 carries = placed.get(carry_word)
                 if carries is None:

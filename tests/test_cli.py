@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,10 +298,15 @@ def test_unknown_subcommand_exits_nonzero(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports arithsim from src/, as pytest's own process does
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "arithsim.cli", "cost", "--table"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "schedule_speedup" in result.stdout

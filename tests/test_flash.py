@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithsim.bitvec import BitVector, ModelIntegrityError, blockwise_add, increment_mask
+from arithsim.bitvec import (
+    BitVector,
+    ModelIntegrityError,
+    blockwise_add,
+    increment_mask,
+    lane_stride,
+)
 from arithsim.flash import (
     FireSet,
     HalfAddState,
@@ -298,14 +304,14 @@ def test_double_width_add_examples():
         BitVector(4, 0xF), BitVector(4, 0x0), BitVector(4, 0x1), BitVector(4, 0x0)
     )
     assert result.sum.value == 0x10
-    assert double_width_lanes(0x0F, 0x01, 4)[1] == 1  # the cross carry
+    assert double_width_lanes(0x0F, 0x01, 4, lane_stride(8))[1] == 1  # the cross carry
     assert result.ticks == 3
 
     quiet = double_width_add(
         BitVector(4, 1), BitVector(4, 0), BitVector(4, 2), BitVector(4, 0)
     )
     assert quiet.sum.value == 3
-    assert double_width_lanes(1, 2, 4)[1] == 0
+    assert double_width_lanes(1, 2, 4, lane_stride(8))[1] == 0
 
     with pytest.raises(ValueError):
         double_width_add(
@@ -365,7 +371,8 @@ def test_pair_leaf_blocks_match_the_per_block_loop(rng):
     for block_width in (2, 4, 8):
         for a in range(256):
             for b in range(256):
-                assert pair_leaf_blocks(a, b, 8, block_width) == per_block_network(
+                parities = block_parity_masks(8, block_width)
+                assert pair_leaf_blocks(a, b, 8, parities) == per_block_network(
                     a, b, 8, block_width
                 )
     # the blocked adder's blocks and the double-width adder's halves
@@ -373,13 +380,15 @@ def test_pair_leaf_blocks_match_the_per_block_loop(rng):
         for _ in range(2_000):
             a, b = rng.getrandbits(width), rng.getrandbits(width)
             for block_width in block_widths:
-                assert pair_leaf_blocks(a, b, width, block_width) == per_block_network(
+                parities = block_parity_masks(width, block_width)
+                assert pair_leaf_blocks(a, b, width, parities) == per_block_network(
                     a, b, width, block_width
                 )
+    # the parity masks refuse odd blocks and blocks that do not divide the word
     with pytest.raises(ValueError):
-        pair_leaf_blocks(0, 0, 8, 3)
+        pair_leaf_blocks(0, 0, 8, block_parity_masks(8, 3))
     with pytest.raises(ValueError):
-        pair_leaf_blocks(0, 0, 12, 8)
+        pair_leaf_blocks(0, 0, 12, block_parity_masks(12, 8))
 
 
 def test_block_parity_masks_are_every_other_block():

@@ -63,8 +63,26 @@ def test_flash_lanes_match_their_single_pairs(data):
 def test_double_width_lanes_match_their_single_pairs(data):
     n = data.draw(st.integers(min_value=1, max_value=65))  # odd halves too
     stride = lane_stride(2 * n)
-    batch, single = batch_and_pairs(flash.double_width_lanes, data, 2 * n, stride, n)
+    batch, single = batch_and_pairs(flash.double_width_lanes, data, 2 * n, stride, n, stride)
     assert batch == single
+
+
+@given(st.data())
+def test_double_width_lanes_agree_at_the_adder_and_the_row_stride(data):
+    # the adder packs at lane_stride(2N), the multiplier's final add at
+    # row_stride(2N): each lane's sum and cross carry are the same
+    n = data.draw(st.sampled_from(MULTIPLIER_WIDTHS + (1, 3, 5, 7, 9, 31, 33, 63, 65)))
+    count = data.draw(st.integers(min_value=1, max_value=24))
+    pairs = operands(data, 2 * n, count)
+    results = []
+    for stride in (lane_stride(2 * n), multiplier.row_stride(2 * n)):
+        words = flash.double_width_lanes(
+            pack_lanes([x for x, _ in pairs], stride), pack_lanes([y for _, y in pairs], stride),
+            n, stride, count,
+        )
+        results.append([lanes_of(word, stride, count) for word in words])
+    assert results[0] == results[1]
+    assert results[0][0] == [x + y for x, y in pairs]
 
 
 @given(st.data())
@@ -95,7 +113,7 @@ def test_cascade_lanes_match_their_single_pairs(data):
 def test_multiply_lanes_match_their_single_pairs(data):
     n = data.draw(st.sampled_from(MULTIPLIER_WIDTHS))
     schedule = data.draw(st.sampled_from(tuple(Schedule)))
-    stride = lane_stride(2 * n)
+    stride = multiplier.row_stride(2 * n)
     count = data.draw(st.integers(min_value=1, max_value=12))
     pairs = operands(data, n, count)
     products, report = multiplier.multiply_lanes(
@@ -127,6 +145,16 @@ def test_unpack_narrow_lanes_reads_the_multiplier_operands_as_unpack_lanes(n, da
     values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
     word = pack_lanes(values, stride)
     assert unpack_narrow_lanes(word, stride, count, n) == unpack_lanes(word, stride, count)
+
+
+@given(st.sampled_from((16, 24, 40, 72, 136, 256)), st.integers(1, 64), st.data())
+def test_unpack_narrow_lanes_is_unpack_lanes_at_any_whole_byte_stride(stride, bits, data):
+    # the adders' strides, odd byte counts, and the multiplier's 136-bit rows
+    count = data.draw(st.integers(min_value=1, max_value=512))
+    top = (1 << min(bits, stride)) - 1
+    values = data.draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+    word = pack_lanes(values, stride)
+    assert unpack_narrow_lanes(word, stride, count, bits) == unpack_lanes(word, stride, count)
 
 
 @pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
@@ -171,7 +199,7 @@ def test_a_range_message_names_the_first_lane_that_fails(bad):
 @pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
 def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
     # all-ones operands fill every column, so the digits climb highest
-    stride, top = lane_stride(2 * n), (1 << n) - 1
+    stride, top = multiplier.row_stride(2 * n), (1 << n) - 1
     count = cli.verify_lanes(stride)
     a = b = pack_lanes([top] * count, stride)
     products, _ = multiplier.multiply_lanes(a, b, n, schedule, count)
@@ -308,14 +336,14 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
         return sum_row, carry_row
 
     monkeypatch.setattr(multiplier, "csa_3_2", flips_one_lane)
-    wide = lane_stride(2 * n)
-    size = cli.verify_lanes(wide)
+    # verify packs at the row stride and sizes batches at the adders' stride
+    size = cli.verify_lanes(lane_stride(2 * n))
     start = 200 // size * size
     batch = pairs[start : start + size]
     assert 0 < 200 - start < len(batch) - 1
     with pytest.raises(ModelIntegrityError, match="3:2 stage lost value"):
-        multiplier.multiply_lanes(pack_lanes([a for a, _ in batch], wide),
-                                  pack_lanes([b for _, b in batch], wide), n, Schedule.A,
+        multiplier.multiply_lanes(pack_lanes([a for a, _ in batch], stride),
+                                  pack_lanes([b for _, b in batch], stride), n, Schedule.A,
                                   len(batch))
 
     def run(a, b):
@@ -331,7 +359,7 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
 def sweep_batches(width, stride, trials=None, seed=None):
     """`verify`'s batches of a sweep, exhaustive when no trial count is given."""
     args = argparse.Namespace(width=width, trials=trials, seed=seed)
-    return list(cli._verify_batches(args, trials is None, stride))
+    return list(cli._verify_batches(args, trials is None, stride, cli.verify_lanes(stride)))
 
 
 def batch_pairs(batches, stride):

@@ -206,10 +206,11 @@ def test_check_block_sums_raises_as_the_old_form(width, data):
     sums, carry_word = cascade.cascade_lanes(a, b, width, lanes)[level - 1]
     if data.draw(st.booleans(), label="flip"):  # break the balance too
         sums ^= 1 << data.draw(st.integers(0, lanes * stride - 1), label="flipped bit")
-    args = (*strays(data, [sums, carry_word, a, b], stride, lanes, width), lanes)
-    assert outcome(CascadeState._check_block_sums, k, level, *args) == outcome(
-        old_check_block_sums, k, level, *args
-    )
+    sums, carry_word, a, b = strays(data, [sums, carry_word, a, b], stride, lanes, width)
+    # the check takes the operands as a ^ b and a & b
+    assert outcome(
+        CascadeState._check_block_sums, k, level, sums, carry_word, a ^ b, a & b, lanes
+    ) == outcome(old_check_block_sums, k, level, sums, carry_word, a, b, lanes)
 
 
 @given(st.sampled_from(WIDTHS), st.data())
