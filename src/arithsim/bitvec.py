@@ -5,6 +5,9 @@ MSB-first, matching the written form of binary numbers. Lowercase unprefixed
 hex is the interchange encoding. Everything here is immutable, so values can
 be shared freely between threads.
 
+Lane kernels run K circuits side by side in one word (SWAR; Lamport, CACM
+1975), every kernel at the one stride `lane_stride`.
+
 Lane masks are nonnegative, and no kernel builds a mask's complement: x & ~m
 is written x ^ (x & m), and a range check reads x & m != x (Warren, Hacker's
 Delight, section 2-1). Both are exact for every int, but on a word of
@@ -105,11 +108,12 @@ def block_bottoms(width: int, w: int) -> int:
 
 
 def lane_stride(width: int) -> int:
-    """The lane stride of `width`-bit adder operands: 2 * width rounded up to
-    whole bytes. Each lane holds its sum and carry wires with zero padding
-    above them, the stride is a multiple of every block width, and with odd
-    halves it is four of the double-width adder's padded half blocks."""
-    return (2 * width + 7) // 8 * 8
+    """The lane stride of every kernel on `width`-bit values: the width in
+    whole bytes plus a padding byte (136 bits at 128), which holds the carry
+    out; the double-width adder's padded half blocks plus carry, at most
+    2N + 3 bits; `majority << 1`; and every quantizer digit, at most bit
+    2N + 5 for N <= 64."""
+    return (width + 7) // 8 * 8 + 8
 
 
 @lru_cache
@@ -198,11 +202,11 @@ def block_tops(width: int, w: int) -> int:
     return block_bottoms(width, w) << (w - 1)
 
 
-def blockwise_add(x: int, y: int, width: int, w: int) -> tuple[int, int]:
-    """Add x and y inside every w-bit block, carries cut at the block edges
-    (Warren, Hacker's Delight, section 2-18): returns the sums and a carry
-    word holding block i's carry at bit (i+1)*w, its weight."""
-    top = block_tops(width, w)
+def blockwise_add(x: int, y: int, top: int) -> tuple[int, int]:
+    """Add x and y inside every block that ends at a bit of `top`, carries
+    cut at the block edges (Warren, Hacker's Delight, section 2-18): returns
+    the sums and a carry word holding each block's carry just above its top,
+    its weight."""
     xt, yt = x & top, y & top
     t = (x ^ xt) + (y ^ yt)  # below the block tops, so no block carries out
     ht = xt ^ yt

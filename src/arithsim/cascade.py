@@ -20,9 +20,10 @@ them. `CascadeState` is a checked view of one level, which the kernel never
 builds. All functions are pure and all values immutable.
 
 The kernel runs K additions side by side: the operands are packed at
-`bitvec.lane_stride`, twice the width, so every lane's blocks and saved
-carries, its top carry included, stay inside the lane and the block masks
-line up across lanes. `cascade_add` is its K = 1 call.
+`bitvec.lane_stride`, and each level's block masks are one lane's blocks
+repeated at the stride, so every lane's blocks and saved carries stay
+inside the lane, its top carry in the padding byte. `cascade_add` is its
+K = 1 call.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .bitvec import (
     BitVector,
     ModelIntegrityError,
     block_bottoms,
+    block_tops,
     blockwise_add,
     increment_mask,
     lane_mask,
@@ -60,11 +62,10 @@ def level_carries(carry_word: int, width: int, level: int) -> tuple[int, ...]:
 def level_masks(width: int, level: int, lanes: int = 1) -> tuple[int, int, int]:
     """A level's masks on `lanes` lanes of `width`-bit values: the value
     bits, the block bottoms and the saved carries' bits, block i's at
-    (i+1)*2**level."""
+    (i+1)*2**level, each one lane's bits repeated at `lane_stride(width)`."""
     stride = lane_stride(width)
-    fit = lane_mask(width, stride, lanes)
-    bottoms = block_bottoms(stride * lanes, 1 << level)
-    return fit, bottoms, (fit & bottoms) << (1 << level)
+    bottoms = block_bottoms(width, 1 << level) * lane_mask(1, stride, lanes)
+    return lane_mask(width, stride, lanes), bottoms, bottoms << (1 << level)
 
 
 @lru_cache
@@ -178,7 +179,7 @@ def leaf_init(a: BitVector, b: BitVector) -> tuple[int, int]:
     width = a.width
     if width < 2 or width & (width - 1):
         raise ValueError(f"width must be a power of two >= 2, got {width}")
-    return blockwise_add(a.value, b.value, width, 2)
+    return blockwise_add(a.value, b.value, block_tops(width, 2))
 
 
 def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVector, int]:
@@ -204,15 +205,18 @@ def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVecto
     return BitVector(w, full & ((1 << w) - 1)), full >> w
 
 
-def cascade_step(sums: int, carry_word: int, width: int, level: int) -> tuple[int, int]:
-    """One tick from `level` to the next: absorb every even block's carry,
-    which sits on its odd neighbour's bottom bit, into that neighbour, all
-    pairs in one blockwise add."""
+def cascade_step(
+    sums: int, carry_word: int, width: int, level: int, lanes: int = 1
+) -> tuple[int, int]:
+    """One tick from `level` to the next, on `lanes` lanes: absorb every even
+    block's carry, which sits on its odd neighbour's bottom bit, into that
+    neighbour, all pairs in one blockwise add."""
     w = 1 << level
     if w >= width:
         raise ValueError(f"cascade already complete at level {width.bit_length() - 1}")
-    even_carries = carry_word & (block_bottoms(width, 2 * w) << w)
-    sums, overflow = blockwise_add(sums, even_carries, width, 2 * w)
+    pairs = level_masks(width, level + 1, lanes)[1]  # the bottoms of the 2w-bit blocks
+    even_carries = carry_word & (pairs << w)
+    sums, overflow = blockwise_add(sums, even_carries, pairs << (2 * w - 1))
     odd_carries = carry_word ^ even_carries
     if overflow & odd_carries:
         raise ModelIntegrityError("saturated word cannot hold a high carry")
@@ -238,13 +242,13 @@ def cascade_lanes(a: int, b: int, width: int, lanes: int = 1) -> list[tuple[int,
             raise ValueError(f"value {misfit(value, fit, lane_stride(width), lanes)}"
                              f" does not fit in {width} bits")
     k = width.bit_length() - 1
-    packed = lane_stride(width) * lanes
     check, half, both = CascadeState._check_block_sums, a ^ b, a & b
-    sums, carry_word = blockwise_add(a, b, packed, 2)  # tick 1: the leaf lookups
+    # tick 1: the leaf lookups, on two-bit blocks tiled across every lane
+    sums, carry_word = blockwise_add(a, b, block_tops(lane_stride(width) * lanes, 2))
     check(k, 1, sums, carry_word, half, both, lanes)
     levels = [(sums, carry_word)]
     for level in range(1, k):
-        sums, carry_word = cascade_step(sums, carry_word, packed, level)
+        sums, carry_word = cascade_step(sums, carry_word, width, level, lanes)
         check(k, level + 1, sums, carry_word, half, both, lanes)
         levels.append((sums, carry_word))
     return levels

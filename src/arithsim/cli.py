@@ -6,14 +6,16 @@ configurations (seed included) produce byte-identical bytes. The default
 format comes from the ARITHSIM_FORMAT environment variable when set.
 
 `add` and `verify` run the adders' lane kernels from `costs.ADDERS`.
-`verify` runs pairs in batches through a design's lane kernel, as many
-lanes as fit a word of VERIFY_WORD_BITS bits, and a failing batch's pairs one
-at a time through the same kernel. An exhaustive batch is a run of
-consecutive pair indices a * 2**width + b, so at width 8 it spans 16 values
-of a. A random batch is one `getrandbits` draw, parted into packed a and b
-words; it holds the values of a pair-by-pair loop in the same order. The argument
-parser is built on the first call and kept for the process, so a
-short call pays for its pairs, not for argparse.
+`verify` packs every design's pairs at `bitvec.lane_stride` and runs them in
+batches through its lane kernel, at most as many lanes as fit a word of
+VERIFY_WORD_BITS bits, and a failing batch's pairs one at a time through the
+same kernel. An exhaustive batch is a run of consecutive pair indices
+a * 2**width + b, so at width 8 it spans 16 values of a. A random sweep runs
+in the fewest batches that fit, of sizes differing by at most one; each is
+one `getrandbits` draw, parted into packed a and b words, holding the values
+of a pair-by-pair loop in the same order. The argument parser is built on
+the first call and kept for the process, so a short call pays for its
+pairs, not for argparse.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
 """
@@ -51,7 +53,6 @@ from .multiplier import (
     consolidate,
     multiply,
     multiply_lanes,
-    row_stride,
 )
 
 # random.Random is CPython's Mersenne Twister; the name travels in every
@@ -62,18 +63,13 @@ FORMAT_ENV_VAR = "ARITHSIM_FORMAT"
 EXHAUSTIVE_ADDER_WIDTH = 8
 EXHAUSTIVE_MULT_WIDTH = 4
 
-# The most bits in one word of a `verify` batch (8 KiB): the adders' lane
-# kernels run `verify_lanes(stride)` circuits side by side in it, 4096 at the
-# 16-bit stride of the width-8 adders, 256 at the 256-bit stride of the
-# 128-bit adders. In-process sweeps (best of 15, 2-core Xeon, Python 3.11):
-# the four width-8 adders took 19.4, 12.4, 11.0, 10.4, 10.4 and 15.8 ms at
-# 128, 1024, 2048, 4096, 8192 and 65,536 lanes; at stride 256, 256 lanes beat
-# 128 (4096 pairs through each 128-bit adder 17.2 to 14.4 ms, 1024 through
-# each 64-bit schedule 14.0 to 10.9 ms) and 512 were no better. The
-# multiplier packs its batches at the narrower row stride but sizes them as
-# at the adders' `lane_stride(2N)`, 256 pairs at N = 64: 481 lanes, a whole
-# word of 136-bit rows, checked 4810 pairs no faster, and split a 500-pair
-# sweep 481 + 19, about 7% slower than 256 + 244 (in-process, alternating).
+# The most bits in one word of a `verify` batch (8 KiB): a design's lane
+# kernel runs `verify_lanes(stride)` circuits side by side in it, 4096 at the
+# 16-bit stride of the width-8 adders, 481 at the 136-bit stride of the
+# 128-bit adders and of the 64-bit multiplier's rows. In-process sweeps
+# (best of 15, 2-core Xeon, Python 3.11): the four width-8 adders took 19.4,
+# 12.4, 11.0, 10.4, 10.4 and 15.8 ms at 128, 1024, 2048, 4096, 8192 and
+# 65,536 lanes.
 VERIFY_WORD_BITS = 1 << 16
 
 
@@ -152,8 +148,8 @@ def cmd_mul(args: argparse.Namespace, structured: bool) -> int:
 
 
 def verify_lanes(stride: int) -> int:
-    """The pairs in one `verify` batch at `stride`: as many lanes as fit
-    VERIFY_WORD_BITS, and at least one."""
+    """The most pairs in one `verify` batch at `stride`: as many lanes as
+    fit VERIFY_WORD_BITS, and at least one."""
     return max(1, VERIFY_WORD_BITS // stride)
 
 
@@ -187,35 +183,40 @@ def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tup
     significant first, and keeps the top k % 32 bits of a partial last
     word. One draw of all the loop's words therefore holds its values in
     order, one per slot of whole words, and leaves the generator where the
-    loop would. Where the slots already sit at half the stride, two masks
-    part the a and b lanes; otherwise each value's bytes are re-spaced."""
+    loop would. Each value's bytes are then re-spaced from its slot to its
+    lane."""
     slot, drop, low, kept = _draw_layout(width, 2 * size)
     draw = rng.getrandbits(2 * slot * size)
     values = draw & low | draw >> drop & kept
-    if stride == 2 * slot:
-        lanes = lane_mask(width, stride, size)
-        return values & lanes, values >> slot & lanes
     return tuple(respace_lanes(v, 2 * slot, stride, size, width) for v in (values, values >> slot))
 
 
-def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int, lanes: int):
+def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     """The (a, b) value pairs in order, packed at `stride`, in batches of at
-    most `lanes`: (packed a, packed b, pair count). An exhaustive batch is a
-    run of consecutive pair indices a * 2**width + b: the start's a in every
-    lane plus the cached `_index_steps`. Its strides are 8 and 16 bits, so a
-    batch is 8192 or 4096 pairs, or the whole sweep, and holds whole runs of
-    b. A random batch is one draw of the values that a pair-by-pair sweep
+    most `verify_lanes(stride)`: (packed a, packed b, pair count).
+
+    An exhaustive batch is a run of consecutive pair indices a * 2**width +
+    b: the start's a in every lane plus the cached `_index_steps`. It must
+    hold whole runs of b, as at the 16-bit stride of every exhaustive sweep
+    (4096 pairs, or the whole sweep), and raises ValueError otherwise. A
+    random sweep runs in the fewest batches that fit, their sizes differing
+    by at most one (500 multiplier pairs at N = 64 as 250 + 250, not
+    481 + 19); a batch is one draw of the values that a pair-by-pair sweep
     draws, a then b for each pair."""
-    width = args.width
+    width, lanes = args.width, verify_lanes(stride)
     if exhaustive:
-        size = min(lanes, 1 << 2 * width)
+        run, size = 1 << width, min(lanes, 1 << 2 * width)
+        if size % run:
+            raise ValueError(f"a batch of {size} pairs holds no whole number of {run}-pair runs")
         ones, (a_steps, b_steps) = lane_mask(1, stride, size), _index_steps(width, size, stride)
         for start in range(0, 1 << 2 * width, size):
             yield (start >> width) * ones + a_steps, b_steps, size
         return
     rng = random.Random(args.seed)
-    for start in range(0, args.trials, lanes):
-        size = min(lanes, args.trials - start)
+    batches = -(-args.trials // lanes)
+    base, extra = divmod(args.trials, batches)
+    for index in range(batches):
+        size = base + (index < extra)
         yield *_random_pairs(rng, width, size, stride), size
 
 
@@ -234,9 +235,7 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     if args.design == "mult":
         check_multiplier_width(width)
         schedule = Schedule(args.schedule)
-        # the multiplier's one stride; batches sized as at the adders' (see
-        # VERIFY_WORD_BITS)
-        stride, lanes = row_stride(2 * width), verify_lanes(lane_stride(2 * width))
+        stride = lane_stride(2 * width)
 
         def run(a: int, b: int, size: int) -> int:
             return multiply_lanes(a, b, width, schedule, size)[0]
@@ -249,7 +248,6 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     else:
         kernel = _adder(args).lanes
         stride = lane_stride(width)
-        lanes = verify_lanes(stride)
 
         def run(a: int, b: int, size: int) -> int:
             return kernel(a, b, width, size)[0]
@@ -282,7 +280,7 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     passed = 0
     failed = 0
     counterexample = None
-    for packed_a, packed_b, size in _verify_batches(args, exhaustive, stride, lanes):
+    for packed_a, packed_b, size in _verify_batches(args, exhaustive, stride):
         try:
             if run(packed_a, packed_b, size) == expect(packed_a, packed_b, size):
                 passed += size

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
-from .bitvec import BitVector, ModelIntegrityError, lane_stride
+from .bitvec import BitVector, ModelIntegrityError
 from . import cascade, flash, multiplier
 from .multiplier import RowSet, Schedule
 
@@ -111,9 +111,8 @@ ADDERS = {
         needs="an even width >= 2",
         accepts=lambda w: w >= 2 and not w % 2,
         cost=lambda w: (double_width_gates(w // 2), flash.DOUBLE_WIDTH_TICKS),
-        lanes=lambda a, b, w, k: _ticked(
-            flash.double_width_lanes(a, b, w // 2, lane_stride(w), k), flash.DOUBLE_WIDTH_TICKS
-        ),
+        lanes=lambda a, b, w, k: _ticked(flash.double_width_lanes(a, b, w // 2, k),
+                                         flash.DOUBLE_WIDTH_TICKS),
         label="halves",
         template="cross carry: {cross_carry}",
         trace=lambda words, w: [dict(cross_carry=words[1])],

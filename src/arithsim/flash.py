@@ -22,11 +22,12 @@ doubling block sizes level by level.
 
 Each adder is one lane kernel (`flash_lanes`, `double_width_lanes`,
 `blocked_lanes`): its ticks run on a word of K operand pairs packed at
-`bitvec.lane_stride`, which is K copies of the circuit side by side. The
-double-width kernel takes any stride that holds its two half blocks and the
-carry out, as the multiplier's rows do. Every lane holds its own sum and
-carry wires with zero padding above them, so no segment, block or carry
-crosses into the next lane, and every check is a lane-mask check. `flash_add`, `double_width_add` and `blocked_add` are the
+`bitvec.lane_stride`, which is K copies of the circuit side by side; the
+multiplier's final add is `double_width_lanes` on its rows at the same
+stride. Every lane holds its own sum and carry wires with the padding byte
+above them, its blocks are one lane's blocks repeated at the stride, so no
+segment, block or carry crosses into the next lane, and every check is a
+lane-mask check. `flash_add`, `double_width_add` and `blocked_add` are the
 K = 1 call of their kernel.
 """
 
@@ -39,6 +40,7 @@ from math import isqrt
 from .bitvec import (
     BitVector,
     ModelIntegrityError,
+    block_tops,
     blockwise_add,
     increment_mask,
     lane_mask,
@@ -265,17 +267,18 @@ def increment_by_pow2(x: BitVector, i: int) -> ResolveResult:
 
 
 @lru_cache
-def block_parity_masks(width: int, block_width: int) -> tuple[int, int]:
-    """The wires of the even and of the odd `block_width`-bit blocks of a
-    `width`-bit word, for `pair_leaf_blocks`; cached, since each adder asks
-    for the same few. The even blocks are the low halves of
-    2 * `block_width`-bit lanes, one more lane than whole pairs when the
-    block count is odd. A failed check caches nothing."""
+def block_parity_masks(width: int, block_width: int, lanes: int = 1) -> tuple[int, int]:
+    """The wires of the even and of the odd `block_width`-bit blocks of
+    every lane of `width`-bit values, for `pair_leaf_blocks`; cached, since
+    each adder asks for the same few. In a lane the even blocks are the low
+    halves of 2 * `block_width`-bit spans, one more span than whole pairs
+    when the block count is odd. A failed check caches nothing."""
     if block_width % 2 or width % block_width:
         raise ValueError(f"{width} bits do not split into even {block_width}-bit blocks")
     pair = 2 * block_width
     even = lane_mask(block_width, pair, -(-width // pair))
-    return even, ((1 << width) - 1) ^ even
+    ones = lane_mask(1, lane_stride(width), lanes)
+    return even * ones, (((1 << width) - 1) ^ even) * ones
 
 
 def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> tuple[int, int]:
@@ -285,7 +288,7 @@ def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> t
 
     `parities` is the wires of the even and of the odd blocks, each block an
     even number of wires from an even wire, no two of one parity adjacent:
-    `block_parity_masks` for equal blocks across the word, or the
+    `block_parity_masks` for equal blocks in every lane, or the
     double-width adder's two halves in every lane.
 
     Tick 1 pair-adds all bit couples through the 16-entry lookup units. Tick 2
@@ -296,7 +299,7 @@ def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> t
     out.
     """
     # tick 1: pair-leaf initialization, the 16-entry lookups as one blockwise add
-    s_val, carried_weight = blockwise_add(x, y, width, 2)
+    s_val, carried_weight = blockwise_add(x, y, block_tops(width, 2))
     if s_val + carried_weight != x + y:
         raise ModelIntegrityError("pair-leaf initialization lost value")
 
@@ -316,26 +319,21 @@ def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> t
 
 
 @lru_cache
-def double_width_masks(
-    n: int, stride: int, lanes: int = 1
-) -> tuple[int, int, int, int, int, tuple[int, int]]:
-    """The double-width adder's layout for N-bit halves in `stride`-bit
-    lanes: the packed width, then every lane's bit 0, its n low wires, its
-    low padded half block, its n+1 low wires, and the wires of its low and
-    of its high half block, the pair-leaf network's parities. A lane holds
-    both half blocks and the high one's carry out; a failed check caches
-    nothing."""
-    bw = n + (n & 1)
-    if stride % 2 or stride <= 2 * bw:
-        raise ValueError(f"a {stride}-bit lane cannot hold two {bw}-bit half blocks and a carry")
+def double_width_masks(n: int, lanes: int = 1) -> tuple[int, int, int, int, int, tuple[int, int]]:
+    """The double-width adder's layout for N-bit halves in lanes at
+    `lane_stride(2 * n)`: the packed width, then every lane's bit 0, its n
+    low wires, its low padded half block, its n+1 low wires, and the wires
+    of its low and of its high half block, the pair-leaf network's
+    parities. A lane holds both half blocks and the high one's carry out."""
+    bw, stride = n + (n & 1), lane_stride(2 * n)
     ones, low_half, block, fit = (lane_mask(bits, stride, lanes) for bits in (1, n, bw, n + 1))
     return stride * lanes, ones, low_half, block, fit, (block, block << bw)
 
 
-def double_width_lanes(x: int, y: int, n: int, stride: int, lanes: int = 1) -> tuple[int, int]:
+def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int]:
     """Add 2N-bit values as parallel N-bit halves plus one cross carry, on
-    `lanes` pairs packed at `stride` bits: `lane_stride(2 * n)` for the
-    adder, the multiplier's `row_stride(2 * n)` for its final add.
+    `lanes` pairs packed at `lane_stride(2 * n)`, as the adder and the
+    multiplier's final add pack them.
 
     Ticks 1-2 run the pair-leaf network with each lane's two halves as its
     two blocks; an odd half gets one zero top wire, so no pair straddles the
@@ -345,7 +343,7 @@ def double_width_lanes(x: int, y: int, n: int, stride: int, lanes: int = 1) -> t
     lane's bit 0, both in the operands' lanes.
     """
     bw = n + (n & 1)
-    packed, ones, low_half, block, fit, parities = double_width_masks(n, stride, lanes)
+    packed, ones, low_half, block, fit, parities = double_width_masks(n, lanes)
     if n & 1:  # move each high half up one wire by adding it to itself
         x, y = x + (x ^ (x & low_half)), y + (y ^ (y & low_half))
     wires, carry_weight = pair_leaf_blocks(x, y, packed, parities)
@@ -372,7 +370,7 @@ def double_width_add(
         if vec.width != n:
             raise ValueError(f"{name} must be {n} bits wide, got {vec.width}")
     a, b = a_lo.value | (a_hi.value << n), b_lo.value | (b_hi.value << n)
-    total = double_width_lanes(a, b, n, lane_stride(2 * n))[0]
+    total = double_width_lanes(a, b, n)[0]
     return ResolveResult(BitVector(2 * n + 1, total), DOUBLE_WIDTH_TICKS)
 
 
@@ -406,7 +404,7 @@ def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]
     lane.
     """
     packed, bw = blocked_shape(width, lanes)
-    wires, carry_weight = pair_leaf_blocks(a, b, packed, block_parity_masks(packed, bw))
+    wires, carry_weight = pair_leaf_blocks(a, b, packed, block_parity_masks(width, bw, lanes))
 
     # tick 3: the network across blocks; the top block's carry lands on the
     # overflow bit

@@ -19,8 +19,8 @@ and finishes with one 3:2 stage. The surviving two rows are added by the
 three-tick double-width adder.
 
 `multiply_lanes` runs K multiplications side by side, all at one lane
-stride, `row_stride` of the row width: the 2N row bits and one byte of
-padding, 136 bits at N = 64. The padding holds `majority << 1` and every
+stride, `bitvec.lane_stride` of the row width: the 2N row bits and one byte
+of padding, 136 bits at N = 64. The padding holds `majority << 1` and every
 quantizer digit, so a lane-mask check rejects a lane's overflow with the
 one-lane message. The operands come in at that stride, and the rows, the
 final double-width add and the products stay at it. `multiply` is its
@@ -34,7 +34,7 @@ from enum import Enum
 from functools import lru_cache, reduce
 from operator import or_
 
-from .bitvec import BitVector, ModelIntegrityError, lane_mask, misfit
+from .bitvec import BitVector, ModelIntegrityError, lane_mask, lane_stride, misfit
 from . import flash
 
 
@@ -57,7 +57,7 @@ MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 @dataclass(frozen=True)
 class RowSet:
     """An unordered-sum collection of rows of `lanes` lanes of `width` bits
-    each, packed at `row_stride(width)`; zero rows count. The running sum
+    each, packed at `lane_stride(width)`; zero rows count. The running sum
     is summed once, here, so a stage's check re-sums only its own output."""
 
     width: int
@@ -77,7 +77,7 @@ class RowSet:
                 return
         for index, row in enumerate(rows):  # name the first row that does not fit
             if row < 0 or row & fit != row:
-                shown = misfit(row, fit, row_stride(self.width), self.lanes)
+                shown = misfit(row, fit, lane_stride(self.width), self.lanes)
                 raise ValueError(f"row {index} = {shown} does not fit in {self.width} bits")
 
     def total(self) -> int:
@@ -136,22 +136,14 @@ class ScheduleReport:
             raise ValueError("total_ticks must equal the sum of stage ticks")
 
 
-def row_stride(width: int) -> int:
-    """The lane stride of `width`-bit rows: the row's whole bytes plus one
-    byte of padding. Above 2N-bit rows a stage drives at most bit
-    2N - 1 + floor(log2 N), a digit of N rows' count, so for N <= 64 every
-    overflow lands in that byte."""
-    return (width + 7) // 8 * 8 + 8
-
-
 @lru_cache
 def row_layout(width: int, lanes: int) -> tuple[int, int]:
-    """Rows of `lanes` lanes of `width` bits at `row_stride(width)`: the
+    """Rows of `lanes` lanes of `width` bits at `lane_stride(width)`: the
     mask of every lane's row bits, and the span from the lowest lane's bit 0
     to the top of the highest lane's row, the width that the 3:2 counters'
     own overflow check guards. Every lower lane's overflow lands in its
     padding byte, outside the rows."""
-    stride = row_stride(width)
+    stride = lane_stride(width)
     return lane_mask(width, stride, lanes), (lanes - 1) * stride + width
 
 
@@ -178,16 +170,16 @@ class MultiplyResult:
 
 @lru_cache(maxsize=4)
 def bit_masks(n: int, lanes: int) -> tuple[int, ...]:
-    """Bit i of every lane at `row_stride(2 * n)`, for i < n; a few shapes
+    """Bit i of every lane at `lane_stride(2 * n)`, for i < n; a few shapes
     cached, since every batch of a sweep asks for them."""
-    ones = lane_mask(1, row_stride(2 * n), lanes)
+    ones = lane_mask(1, lane_stride(2 * n), lanes)
     return tuple(ones << i for i in range(n))
 
 
 def partial_product_lanes(a: int, b: int, n: int, lanes: int = 1) -> RowSet:
     """All N shifted rows of `lanes` pairs of n-bit operands, zero rows
     included: in every lane, row i = (a << i) * b_i. The operands are
-    packed at `row_stride(2 * n)`.
+    packed at `lane_stride(2 * n)`.
 
     Column p then holds exactly the convolution bits a_j * b_{p-j}. Keeping
     zero rows keeps the row count and the schedule shape data-independent.
@@ -327,13 +319,12 @@ def multiply_lanes(
     a: int, b: int, n: int, schedule: Schedule, lanes: int = 1
 ) -> tuple[int, ScheduleReport]:
     """Full products of `lanes` pairs of n-bit operands packed at
-    `row_stride(2 * n)`: partial rows, consolidation, one double-width
+    `lane_stride(2 * n)`: partial rows, consolidation, one double-width
     addition. Returns the 2N-bit products in the same lanes and the
     schedule's report. Every step runs at the operands' stride."""
     check_multiplier_width(n)
-    stride = row_stride(2 * n)
     rows, report = consolidate(partial_product_lanes(a, b, n, lanes), schedule)
-    product, _ = flash.double_width_lanes(*rows.rows, n, stride, lanes)
+    product, _ = flash.double_width_lanes(*rows.rows, n, lanes)
     fit = row_layout(2 * n, lanes)[0]
     if product & fit != product:
         raise ModelIntegrityError("product escaped its 2N-bit width")

@@ -51,8 +51,8 @@ def flipped_leaf_sum(monkeypatch):
     their lowest bit flipped."""
     original = cascade.blockwise_add
 
-    def flipped(x, y, width, w):
-        sums, carries = original(x, y, width, w)
+    def flipped(x, y, top):
+        sums, carries = original(x, y, top)
         return sums ^ 1, carries
 
     monkeypatch.setattr(cascade, "blockwise_add", flipped)
@@ -64,8 +64,8 @@ def flipped_step_sum(monkeypatch):
     sums with the lowest bit flipped."""
     original = cascade.cascade_step
 
-    def flipped(sums, carry_word, width, level):
-        sums, carry_word = original(sums, carry_word, width, level)
+    def flipped(sums, carry_word, width, level, lanes=1):
+        sums, carry_word = original(sums, carry_word, width, level, lanes)
         return (sums ^ 1 if level == 2 else sums), carry_word
 
     monkeypatch.setattr(cascade, "cascade_step", flipped)

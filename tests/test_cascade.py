@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithsim.bitvec import BitVector, ModelIntegrityError, blockwise_add, oracle_add
+from arithsim.bitvec import BitVector, ModelIntegrityError, block_tops, blockwise_add, oracle_add
 from arithsim.cascade import (
     PAIR_ADD_TABLE,
     CascadeState,
@@ -242,7 +242,7 @@ def _blocks(value, w, count):
 
 def test_blockwise_add_at_width_2_is_the_pair_add_table():
     for index in range(16):
-        sums, carries = blockwise_add(index & 3, index >> 2, 2, 2)
+        sums, carries = blockwise_add(index & 3, index >> 2, block_tops(2, 2))
         assert (sums, carries >> 2) == PAIR_ADD_TABLE[index]
 
 
@@ -257,7 +257,7 @@ def test_blockwise_add_is_per_block_addition_exhaustively():
                 for i, (xb, yb) in enumerate(zip(_blocks(x, w, count), _blocks(y, w, count))):
                     want_sums |= ((xb + yb) & ((1 << w) - 1)) << (i * w)
                     want_carries |= ((xb + yb) >> w) << ((i + 1) * w)
-                assert blockwise_add(x, y, width, w) == (want_sums, want_carries)
+                assert blockwise_add(x, y, block_tops(width, w)) == (want_sums, want_carries)
 
 
 def _step_by_increment_units(sums_word, carry_word, width, level):

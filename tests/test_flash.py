@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from arithsim.bitvec import (
     BitVector,
     ModelIntegrityError,
+    block_tops,
     blockwise_add,
     increment_mask,
-    lane_stride,
 )
 from arithsim.flash import (
     FireSet,
@@ -304,14 +304,14 @@ def test_double_width_add_examples():
         BitVector(4, 0xF), BitVector(4, 0x0), BitVector(4, 0x1), BitVector(4, 0x0)
     )
     assert result.sum.value == 0x10
-    assert double_width_lanes(0x0F, 0x01, 4, lane_stride(8))[1] == 1  # the cross carry
+    assert double_width_lanes(0x0F, 0x01, 4)[1] == 1  # the cross carry
     assert result.ticks == 3
 
     quiet = double_width_add(
         BitVector(4, 1), BitVector(4, 0), BitVector(4, 2), BitVector(4, 0)
     )
     assert quiet.sum.value == 3
-    assert double_width_lanes(1, 2, 4, lane_stride(8))[1] == 0
+    assert double_width_lanes(1, 2, 4)[1] == 0
 
     with pytest.raises(ValueError):
         double_width_add(
@@ -355,7 +355,7 @@ def test_double_width_add_random_n64(rng):
 def per_block_network(x, y, width, block_width):
     """The reference for `pair_leaf_blocks`: the pair-leaf tick, then the
     AND network run block by block, each carry out read off the block top."""
-    s_val, carried_weight = blockwise_add(x, y, width, 2)
+    s_val, carried_weight = blockwise_add(x, y, block_tops(width, 2))
     block_mask = (1 << block_width) - 1
     resolved = carry_weight = 0
     for base in range(0, width, block_width):

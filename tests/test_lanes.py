@@ -18,6 +18,7 @@ from arithsim import cascade, cli, flash, multiplier
 from arithsim.bitvec import (
     BitVector,
     ModelIntegrityError,
+    block_tops,
     lane_stride,
     pack_lanes,
     respace_lanes,
@@ -61,28 +62,18 @@ def test_flash_lanes_match_their_single_pairs(data):
 
 @given(st.data())
 def test_double_width_lanes_match_their_single_pairs(data):
-    n = data.draw(st.integers(min_value=1, max_value=65))  # odd halves too
+    # the adder's and the multiplier's final add, odd halves too
+    n = data.draw(st.integers(min_value=1, max_value=65))
     stride = lane_stride(2 * n)
-    batch, single = batch_and_pairs(flash.double_width_lanes, data, 2 * n, stride, n, stride)
-    assert batch == single
-
-
-@given(st.data())
-def test_double_width_lanes_agree_at_the_adder_and_the_row_stride(data):
-    # the adder packs at lane_stride(2N), the multiplier's final add at
-    # row_stride(2N): each lane's sum and cross carry are the same
-    n = data.draw(st.sampled_from(MULTIPLIER_WIDTHS + (1, 3, 5, 7, 9, 31, 33, 63, 65)))
     count = data.draw(st.integers(min_value=1, max_value=24))
     pairs = operands(data, 2 * n, count)
-    results = []
-    for stride in (lane_stride(2 * n), multiplier.row_stride(2 * n)):
-        words = flash.double_width_lanes(
-            pack_lanes([x for x, _ in pairs], stride), pack_lanes([y for _, y in pairs], stride),
-            n, stride, count,
-        )
-        results.append([lanes_of(word, stride, count) for word in words])
-    assert results[0] == results[1]
-    assert results[0][0] == [x + y for x, y in pairs]
+    words = flash.double_width_lanes(
+        pack_lanes([x for x, _ in pairs], stride), pack_lanes([y for _, y in pairs], stride),
+        n, count,
+    )
+    for j, (x, y) in enumerate(pairs):
+        assert tuple(lane(word, j, stride) for word in words) == flash.double_width_lanes(x, y, n)
+        assert lane(words[0], j, stride) == x + y
 
 
 @given(st.data())
@@ -113,7 +104,7 @@ def test_cascade_lanes_match_their_single_pairs(data):
 def test_multiply_lanes_match_their_single_pairs(data):
     n = data.draw(st.sampled_from(MULTIPLIER_WIDTHS))
     schedule = data.draw(st.sampled_from(tuple(Schedule)))
-    stride = multiplier.row_stride(2 * n)
+    stride = lane_stride(2 * n)
     count = data.draw(st.integers(min_value=1, max_value=12))
     pairs = operands(data, n, count)
     products, report = multiplier.multiply_lanes(
@@ -157,18 +148,41 @@ def test_unpack_narrow_lanes_is_unpack_lanes_at_any_whole_byte_stride(stride, bi
     assert unpack_narrow_lanes(word, stride, count, bits) == unpack_lanes(word, stride, count)
 
 
-@pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
-def test_a_row_lane_holds_every_bit_a_stage_can_reach(n):
-    # majority << 1 reaches bit 2N; a quantizer digit, bit 2N - 1 + floor(log2 N)
-    assert 2 * n + 1 + n.bit_length() - 1 <= multiplier.row_stride(2 * n)
-    assert multiplier.row_stride(2 * n) % 8 == 0
+def accepted_widths(design):
+    return [w for w in range(1, 513) if cli.ADDERS[cli.Design(design)].accepts(w)]
+
+
+# The highest bit each adder's kernel drives in a lane of `width`-bit values
+ADDER_TOPS = {
+    "flash": lambda w: w,  # wire n, the carry out
+    "cascade": lambda w: w,  # the top block's saved carry
+    # two half blocks of bw = n + (n & 1) bits and the high one's carry out
+    "flash_double": lambda w: 2 * (w // 2 + (w // 2 & 1)),
+    "blocked_double": lambda w: w,  # the overflow bit
+}
+
+
+@pytest.mark.parametrize(
+    "widths, top",
+    [pytest.param(accepted_widths(design), top, id=design) for design, top in ADDER_TOPS.items()]
+    # 2N-bit rows: majority << 1 reaches bit 2N; a quantizer digit, bit
+    # 2N - 1 + floor(log2 N)
+    + [pytest.param([2 * n], lambda w: w - 1 + (w // 2).bit_length() - 1, id=str(n))
+       for n in MULTIPLIER_WIDTHS],
+)
+def test_a_row_lane_holds_every_bit_a_stage_can_reach(widths, top):
+    # every width each kernel accepts, up to 512 bits
+    assert widths
+    for width in widths:
+        assert lane_stride(width) % 8 == 0
+        assert top(width) < lane_stride(width), width
 
 
 @pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
 def test_a_row_overflowing_a_lower_lane_is_caught_in_its_padding(n):
     # every row holds the middle lane's top bit: a 3:2 stage's majority and
     # a quantizer's count of 7 both carry it out of that lane
-    top = pack_lanes([0, 1 << 2 * n - 1, 0], multiplier.row_stride(2 * n))
+    top = pack_lanes([0, 1 << 2 * n - 1, 0], lane_stride(2 * n))
     # the message names the lane: its bits and its index
     message = f"row 1 = {1 << 2 * n} in lane 1 does not fit in {2 * n} bits"
     with pytest.raises(ValueError, match=message):
@@ -187,7 +201,7 @@ def test_a_range_message_names_the_first_lane_that_fails(bad):
         (lane_stride(128), lambda word: cascade.cascade_lanes(word, 0, 128, 256)),
         (lane_stride(128), lambda word: cascade.CascadeState._check_block_sums(
             7, 1, word, 0, 0, 0, 256)),
-        (multiplier.row_stride(128), lambda word: multiplier.RowSet(128, (0, word), 256)),
+        (lane_stride(128), lambda word: multiplier.RowSet(128, (0, word), 256)),
     ):
         word = pack_lanes([full] * 256, stride) | 1 << bad * stride + 128
         with pytest.raises(ValueError) as caught:
@@ -199,7 +213,7 @@ def test_a_range_message_names_the_first_lane_that_fails(bad):
 @pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
 def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
     # all-ones operands fill every column, so the digits climb highest
-    stride, top = multiplier.row_stride(2 * n), (1 << n) - 1
+    stride, top = lane_stride(2 * n), (1 << n) - 1
     count = cli.verify_lanes(stride)
     a = b = pack_lanes([top] * count, stride)
     products, _ = multiplier.multiply_lanes(a, b, n, schedule, count)
@@ -213,7 +227,8 @@ def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
     data=st.data(),
 )
 def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, seed, multiplier_rows, data):
-    # at the adders' stride and at the stride of the multiplier's 2N-bit rows
+    # at the stride of `width`-bit values and at that of the 2N-bit rows
+    # that the multiplier packs its operands in
     stride = lane_stride(2 * width if multiplier_rows else width)
     size = data.draw(st.integers(min_value=1, max_value=cli.verify_lanes(stride)))
     loop, feed = random.Random(seed), random.Random(seed)
@@ -291,13 +306,13 @@ def test_a_fault_in_one_cascade_lane_fails_its_batch(capsys, monkeypatch):
     width, stride, trials, seed = 128, lane_stride(128), 300, 5
     rng = random.Random(seed)
     pairs = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(trials)]
-    target = cascade.blockwise_add(*pairs[200], stride, 2)[0]
+    target = cascade.blockwise_add(*pairs[200], block_tops(width, 2))[0]
     original = cascade.cascade_step
 
-    def flips_one_lane(sums, carry_word, packed, level):
-        out, carries = original(sums, carry_word, packed, level)
+    def flips_one_lane(sums, carry_word, width, level, lanes):
+        out, carries = original(sums, carry_word, width, level, lanes)
         if level == 1:
-            for j in range(packed // stride):
+            for j in range(lanes):
                 if lane(sums, j, stride) == target:
                     out ^= 1 << j * stride
         return out, carries
@@ -326,7 +341,7 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
     first_rows = [multiplier.partial_product_lanes(a, b, n).rows[:3] for a, b in pairs]
     target = first_rows[200]
     assert first_rows.count(target) == 1
-    stride, original = multiplier.row_stride(2 * n), multiplier.csa_3_2
+    stride, original = lane_stride(2 * n), multiplier.csa_3_2
 
     def flips_one_lane(r1, r2, r3, width):
         sum_row, carry_row = original(r1, r2, r3, width)
@@ -336,8 +351,7 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
         return sum_row, carry_row
 
     monkeypatch.setattr(multiplier, "csa_3_2", flips_one_lane)
-    # verify packs at the row stride and sizes batches at the adders' stride
-    size = cli.verify_lanes(lane_stride(2 * n))
+    size = cli.verify_lanes(stride)
     start = 200 // size * size
     batch = pairs[start : start + size]
     assert 0 < 200 - start < len(batch) - 1
@@ -359,7 +373,7 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
 def sweep_batches(width, stride, trials=None, seed=None):
     """`verify`'s batches of a sweep, exhaustive when no trial count is given."""
     args = argparse.Namespace(width=width, trials=trials, seed=seed)
-    return list(cli._verify_batches(args, trials is None, stride, cli.verify_lanes(stride)))
+    return list(cli._verify_batches(args, trials is None, stride))
 
 
 def batch_pairs(batches, stride):
@@ -377,11 +391,21 @@ def batch_pairs(batches, stride):
     + [pytest.param(w, lane_stride(2 * w), id=f"mult-{w}") for w in range(1, 5)],
 )
 def test_an_exhaustive_sweep_holds_every_pair_once_in_a_major_order(width, stride):
-    # every batch fills the word, or holds the whole sweep: at width 8, 16
-    # values of a each
+    # every exhaustive sweep the CLI runs packs at 16 bits; every batch fills
+    # the word, or holds the whole sweep: at width 8, 16 values of a each
+    assert stride == 16
     batches = sweep_batches(width, stride)
     assert {size for *_, size in batches} == {min(cli.verify_lanes(stride), 1 << 2 * width)}
     assert batch_pairs(batches, stride) == list(itertools.product(range(1 << width), repeat=2))
+
+
+def test_an_exhaustive_batch_of_part_runs_raises():
+    # at width 10 and its own 24-bit stride a batch of 2730 pairs would end
+    # inside a run of 1024 values of b, and the sweep would skip and repeat
+    # pairs
+    assert cli.verify_lanes(lane_stride(10)) == 2730
+    with pytest.raises(ValueError, match="no whole number of 1024-pair runs"):
+        sweep_batches(10, lane_stride(10))
 
 
 @given(
@@ -396,8 +420,10 @@ def test_a_random_sweep_is_the_pair_by_pair_loop_in_full_batches(
     stride = lane_stride(2 * width if multiplier_rows else width)
     batches = sweep_batches(width, stride, trials, seed)
     loop, lanes = random.Random(seed), cli.verify_lanes(stride)
-    full, rest = divmod(trials, lanes)
-    assert [size for *_, size in batches] == [lanes] * full + [rest] * (rest > 0)
+    # the fewest batches that fit, their sizes differing by at most one
+    sizes = [size for *_, size in batches]
+    assert len(sizes) == -(-trials // lanes)
+    assert max(sizes) - min(sizes) <= 1
     assert batch_pairs(batches, stride) == [
         (loop.getrandbits(width), loop.getrandbits(width)) for _ in range(trials)
     ]

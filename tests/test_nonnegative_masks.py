@@ -18,12 +18,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arithsim import bitvec, cascade, flash, multiplier
-from arithsim.bitvec import ModelIntegrityError, block_bottoms, lane_mask, lane_stride
+from arithsim.bitvec import ModelIntegrityError, block_bottoms, block_tops, lane_mask, lane_stride
 from arithsim.cascade import CascadeState, level_masks
-from arithsim.multiplier import RowSet, row_stride
+from arithsim.multiplier import RowSet
 
 KERNEL_MODULES = (bitvec, cascade, flash, multiplier)
-WIDTHS = (8, 128)  # the narrow and the wide adder strides, 16 and 256 bits
+WIDTHS = (8, 128)  # the narrow and the wide adder strides, 16 and 136 bits
 
 
 @pytest.mark.parametrize("module", KERNEL_MODULES, ids=lambda m: m.__name__)
@@ -41,6 +41,22 @@ def test_no_kernel_module_complements_a_word(module):
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert)
     ]
     assert inverts == []
+
+
+@pytest.mark.parametrize("module", (cascade, flash, multiplier), ids=lambda m: m.__name__)
+def test_no_kernel_module_has_a_stride_rule_of_its_own(module):
+    # `bitvec.lane_stride` is the one lane layout: a stride rule of a
+    # kernel's own, or a stride taken from the caller, would let two callers
+    # pack the same circuit two ways
+    tree = ast.parse(Path(module.__file__).read_text())
+    rules = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.endswith("_stride")
+        or isinstance(node, ast.arg) and node.arg == "stride"
+    ]
+    assert rules == []
 
 
 def outcome(f, *args):
@@ -147,7 +163,7 @@ def old_operand_check(a, b, width, lanes):
 
 
 def old_row_set_check(width, rows, lanes):
-    fit = lane_mask(width, row_stride(width), lanes)
+    fit = lane_mask(width, lane_stride(width), lanes)
     over = ~fit
     if not rows or min(rows) >= 0 and not (
         max(rows) if lanes == 1 else reduce(or_, rows)
@@ -155,7 +171,7 @@ def old_row_set_check(width, rows, lanes):
         return
     for index, row in enumerate(rows):
         if row < 0 or row & over:
-            row = shown(row, fit, row_stride(width), lanes)
+            row = shown(row, fit, lane_stride(width), lanes)
             raise ValueError(f"row {index} = {row} does not fit in {width} bits")
 
 
@@ -224,7 +240,7 @@ def test_cascade_lanes_checks_its_operands_as_the_old_form(width, data):
 
 @given(st.sampled_from(WIDTHS), st.data())
 def test_row_set_raises_as_the_old_form(width, data):
-    stride = row_stride(width)
+    stride = lane_stride(width)
     lanes = data.draw(st.integers(min_value=1, max_value=64), label="lanes")
     fit = lane_mask(width, stride, lanes)
     count = data.draw(st.integers(min_value=0, max_value=4), label="rows")
@@ -241,7 +257,7 @@ def test_blockwise_add_returns_the_old_words(width, data):
     x, y = strays(data, words, stride, lanes, width)
     w = 1 << data.draw(st.integers(1, stride.bit_length() - 1), label="log2 block width")
     packed = stride * lanes
-    assert bitvec.blockwise_add(x, y, packed, w) == old_blockwise_add(x, y, packed, w)
+    assert bitvec.blockwise_add(x, y, block_tops(packed, w)) == old_blockwise_add(x, y, packed, w)
 
 
 @given(st.sampled_from(WIDTHS), st.data())
