@@ -12,13 +12,12 @@ import random
 
 from arithsim.bitvec import BitVector
 from arithsim.cascade import level_records
-from arithsim.costs import ADDERS, Design, check_width
+from arithsim.costs import DESIGNS, Design, check_width
 from arithsim.flash import fire_pairs
-from arithsim.multiplier import MULTIPLIER_WIDTHS, Schedule, multiply
 
 
 def show_cascade(a: BitVector, b: BitVector) -> None:
-    adder, width = ADDERS[Design.CASCADE], a.width
+    adder, width = DESIGNS[Design.CASCADE], a.width
     total, carry, ticks, levels = adder.add(a.value, b.value, width)
     print(f"cascade {a} + {b}")
     for record in level_records(levels, width):
@@ -28,7 +27,7 @@ def show_cascade(a: BitVector, b: BitVector) -> None:
 
 
 def show_flash(a: BitVector, b: BitVector) -> None:
-    adder, n = ADDERS[Design.FLASH], a.width
+    adder, n = DESIGNS[Design.FLASH], a.width
     total, _, ticks, (_, c, ends) = adder.add(a.value, b.value, n)
     print(f"flash {a} + {b}")
     print(f"  tick 1: s={a.value ^ b.value:0{n + 1}b} c={c:0{n}b}")
@@ -37,19 +36,17 @@ def show_flash(a: BitVector, b: BitVector) -> None:
     print(f"  sum={total} ticks={ticks}")
 
 
-def show_multiply(a: BitVector, b: BitVector, schedule: Schedule) -> None:
-    result = multiply(a, b, schedule)
-    print(f"multiply {int(a)} x {int(b)}, schedule {schedule.value}")
-    for index, stage in enumerate(result.report.stages, start=1):
+def show_multiply(a: BitVector, b: BitVector, design: Design) -> None:
+    circuit = DESIGNS[design]
+    product, ticks, report = circuit.lanes(a.value, b.value, a.width, 1)
+    print(f"multiply {int(a)} x {int(b)}, schedule {circuit.schedule}")
+    for index, stage in enumerate(report.stages, start=1):
         print(
             f"  stage {index}: {stage.kind.value} {stage.rows_in} -> {stage.rows_out} "
             f"rows ({stage.left_out} left out, {stage.ticks} ticks, "
             f"{stage.circuits_used} circuits)"
         )
-    print(
-        f"  product={int(result.product)} "
-        f"(= {int(a) * int(b)}) ticks={result.ticks}"
-    )
+    print(f"  product={product} (= {int(a) * int(b)}) ticks={ticks}")
 
 
 def main() -> int:
@@ -69,10 +66,13 @@ def main() -> int:
     show_cascade(a, b)
     print()
     show_flash(a, b)
-    if args.width in MULTIPLIER_WIDTHS:
-        print()
-        for schedule in Schedule:
-            show_multiply(a, b, schedule)
+    try:
+        check_width(Design.MULT_SCHEDULE_A, args.width)
+    except ValueError:
+        return 0  # the multiplier takes fewer widths than the adders
+    print()
+    for design in (Design.MULT_SCHEDULE_A, Design.MULT_SCHEDULE_B):
+        show_multiply(a, b, design)
     return 0
 
 

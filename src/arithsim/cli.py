@@ -5,9 +5,10 @@ Operands travel as lowercase unprefixed hex. Structured output is one
 configurations (seed included) produce byte-identical bytes. The default
 format comes from the ARITHSIM_FORMAT environment variable when set.
 
-`add` and `verify` run the adders' lane kernels from `costs.ADDERS`.
-`verify` packs every design's pairs at `bitvec.lane_stride` and runs them in
-batches through its lane kernel, at most as many lanes as fit a word of
+Every command reads its design's `costs.DESIGNS` entry through the width
+rule `costs.check_width`. `add` and `mul` run its lane kernel at K = 1;
+`verify` packs pairs at its stride and runs them in batches through its lane
+kernel against its oracle, at most as many lanes as fit a word of
 VERIFY_WORD_BITS bits, and a failing batch's pairs one at a time through the
 same kernel. An exhaustive batch is a run of consecutive pair indices
 a * 2**width + b, so at width 8 it spans 16 values of a. A random sweep runs
@@ -28,40 +29,20 @@ import random
 import sys
 from functools import lru_cache
 
-from .bitvec import (
-    BitVector,
-    ModelIntegrityError,
-    lane_mask,
-    lane_stride,
-    oracle_add,
-    oracle_mul,
-    pack_lanes,
-    respace_lanes,
-    unpack_lanes,
-    unpack_narrow_lanes,
-)
-from .costs import ADDERS, Adder, Design, check_width, cost_report, reference_table
-# Nothing here calls these four: the benchmark's tracer (`cli_targets` in
+from .bitvec import BitVector, ModelIntegrityError, lane_mask, pack_lanes, respace_lanes
+from .bitvec import unpack_lanes
+from .costs import DESIGNS, Circuit, Design, check_width, cost_report, reference_table
+# Nothing here calls these five: the benchmark's tracer (`cli_targets` in
 # perfbench/tracing.py) wraps them in this module, so they stay importable.
 from .cascade import cascade_add  # noqa: F401
 from .flash import blocked_add, double_width_add, flash_add  # noqa: F401
-from .multiplier import (
-    PUBLISHED_ROW_COUNT,
-    RowSet,
-    Schedule,
-    check_multiplier_width,
-    consolidate,
-    multiply,
-    multiply_lanes,
-)
+from .multiplier import multiply  # noqa: F401
+from .multiplier import PUBLISHED_ROW_COUNT, RowSet, Schedule, consolidate
 
 # random.Random is CPython's Mersenne Twister; the name travels in every
 # report header so sweeps can be re-run bit for bit.
 GENERATOR_NAME = "mt19937"
 FORMAT_ENV_VAR = "ARITHSIM_FORMAT"
-
-EXHAUSTIVE_ADDER_WIDTH = 8
-EXHAUSTIVE_MULT_WIDTH = 4
 
 # The most bits in one word of a `verify` batch (8 KiB): a design's lane
 # kernel runs `verify_lanes(stride)` circuits side by side in it, 4096 at the
@@ -73,7 +54,7 @@ EXHAUSTIVE_MULT_WIDTH = 4
 VERIFY_WORD_BITS = 1 << 16
 
 
-ADDER_DESIGNS = tuple(design.value for design in ADDERS)
+ADDER_DESIGNS = tuple(d.value for d, circuit in DESIGNS.items() if circuit.schedule == "-")
 
 
 def _record(__label: str, **fields) -> str:
@@ -82,14 +63,15 @@ def _record(__label: str, **fields) -> str:
     return " ".join(parts)
 
 
-def _adder(args: argparse.Namespace) -> Adder:
-    design = Design(args.design)
-    check_width(design, args.width)
-    return ADDERS[design]
+def _circuit(args: argparse.Namespace) -> Circuit:
+    """The table entry an argv names, its width checked: the one mapping of
+    `mul` and `verify --design mult` to the multiplier under --schedule."""
+    name = f"mult_schedule_{args.schedule.lower()}" if args.design == "mult" else args.design
+    return check_width(Design(name), args.width)
 
 
 def cmd_add(args: argparse.Namespace, structured: bool) -> int:
-    adder = _adder(args)
+    adder = _circuit(args)
     a = BitVector.from_hex(args.a_hex, args.width)
     b = BitVector.from_hex(args.b_hex, args.width)
     sum_vec, carry, ticks, words = adder.add(a.value, b.value, args.width)
@@ -120,10 +102,12 @@ def cmd_add(args: argparse.Namespace, structured: bool) -> int:
 
 
 def cmd_mul(args: argparse.Namespace, structured: bool) -> int:
+    circuit = _circuit(args)
     a = BitVector.from_hex(args.a_hex, args.width)
     b = BitVector.from_hex(args.b_hex, args.width)
-    result = multiply(a, b, Schedule(args.schedule))
-    trajectory = ",".join(str(n) for n in result.report.row_trajectory)
+    product, ticks, report = circuit.lanes(a.value, b.value, args.width, 1)
+    product = BitVector(2 * args.width, product).to_hex()
+    trajectory = ",".join(str(n) for n in report.row_trajectory)
     if structured:
         print(
             _record(
@@ -132,8 +116,8 @@ def cmd_mul(args: argparse.Namespace, structured: bool) -> int:
                 width=args.width,
                 a=a.to_hex(),
                 b=b.to_hex(),
-                product=result.product.to_hex(),
-                ticks=result.ticks,
+                product=product,
+                ticks=ticks,
                 trajectory=trajectory,
             )
         )
@@ -141,8 +125,8 @@ def cmd_mul(args: argparse.Namespace, structured: bool) -> int:
         print(f"mul schedule={args.schedule} width={args.width}")
         print(f"a          = {a.to_hex()}")
         print(f"b          = {b.to_hex()}")
-        print(f"product    = {result.product.to_hex()}")
-        print(f"ticks      = {result.ticks}")
+        print(f"product    = {product}")
+        print(f"ticks      = {ticks}")
         print(f"trajectory = [{trajectory}]")
     return 0
 
@@ -231,72 +215,45 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     by pair through the same kernel at K = 1, so counts and counterexamples
     are those of a pair-by-pair sweep.
     """
-    width = args.width
-    if args.design == "mult":
-        check_multiplier_width(width)
-        schedule = Schedule(args.schedule)
-        stride = lane_stride(2 * width)
-
-        def run(a: int, b: int, size: int) -> int:
-            return multiply_lanes(a, b, width, schedule, size)[0]
-
-        def expect(a: int, b: int, size: int) -> int:
-            a, b = (unpack_narrow_lanes(v, stride, size, width) for v in (a, b))
-            return pack_lanes(map(oracle_mul, a, b), stride)
-
-        limit, schedule_field = EXHAUSTIVE_MULT_WIDTH, schedule.value
-    else:
-        kernel = _adder(args).lanes
-        stride = lane_stride(width)
-
-        def run(a: int, b: int, size: int) -> int:
-            return kernel(a, b, width, size)[0]
-
-        def expect(a: int, b: int, size: int) -> int:
-            # each lane's sum fits its stride, so one add checks every lane
-            return oracle_add(a, b)
-
-        limit, schedule_field = EXHAUSTIVE_ADDER_WIDTH, "-"
-
-    exhaustive = width <= limit
-    total = (1 << width) ** 2 if exhaustive else args.trials
-    mode = "exhaustive" if exhaustive else "random"
+    width, circuit = args.width, _circuit(args)
+    stride = circuit.stride(width)
+    exhaustive = width <= circuit.exhaustive
     header_fields = dict(
         command="verify",
         design=args.design,
         width=width,
-        schedule=schedule_field,
-        mode=mode,
-        trials=total,
+        schedule=circuit.schedule,
+        mode="exhaustive" if exhaustive else "random",
+        trials=(1 << width) ** 2 if exhaustive else args.trials,
         seed="-" if exhaustive else args.seed,
         generator=GENERATOR_NAME,
     )
     if structured:
         print(_record("header", **header_fields))
     else:
-        fields = " ".join(f"{k}={v}" for k, v in header_fields.items())
-        print(fields)
+        print(" ".join(f"{k}={v}" for k, v in header_fields.items()))
 
     passed = 0
     failed = 0
     counterexample = None
+    run, expect = circuit.lanes, circuit.oracle
     for packed_a, packed_b, size in _verify_batches(args, exhaustive, stride):
         try:
-            if run(packed_a, packed_b, size) == expect(packed_a, packed_b, size):
+            if run(packed_a, packed_b, width, size)[0] == expect(packed_a, packed_b, width, size):
                 passed += size
                 continue
         except (ModelIntegrityError, ValueError):
             pass
         for a, b in zip(unpack_lanes(packed_a, stride, size), unpack_lanes(packed_b, stride, size)):
             try:
-                got = run(a, b, 1)
+                got = run(a, b, width, 1)[0]
             except (ModelIntegrityError, ValueError) as exc:
                 failed += 1
                 if counterexample is None:
                     error = "_".join(f"{type(exc).__name__}: {exc}".split())
                     counterexample = f"a={a:x},b={b:x},error={error}"
                 continue
-            want = expect(a, b, 1)
+            want = expect(a, b, width, 1)
             if got == want:
                 passed += 1
             else:
@@ -402,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     add.add_argument("b_hex")
 
     mul = sub.add_parser("mul", parents=[common], help="multiply two hex operands")
+    mul.set_defaults(design="mult")
     mul.add_argument("--schedule", choices=("A", "B"), default="B")
     mul.add_argument("--width", type=int, required=True)
     mul.add_argument("a_hex")

@@ -1,6 +1,8 @@
 """The designs, their closed-form gate, memory, and clock-tick costs, and the
-adder table `ADDERS`: one entry per adder holds its width rule, published
-cost, lane kernel and `--trace` view, for `cost`, the CLI and the scripts alike.
+design table `DESIGNS`: one entry per design, the four adders and the
+multiplier under either schedule, holds its width rule, lane layout, lane
+kernel, oracle, sweep limit, cost and `--trace` view, for `cost`, the CLI
+and the scripts alike.
 
 Gate counts cover the special-purpose AND gates only; the lookup units are
 costed as associative-memory entries where a design uses them. Tick counts
@@ -18,7 +20,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
-from .bitvec import BitVector, ModelIntegrityError
+from .bitvec import BitVector, ModelIntegrityError, lane_stride, oracle_add, oracle_mul
+from .bitvec import pack_lanes, unpack_narrow_lanes
 from . import cascade, flash, multiplier
 from .multiplier import RowSet, Schedule
 
@@ -32,34 +35,54 @@ class Design(str, Enum):
     MULT_SCHEDULE_B = "mult_schedule_b"
 
 
-class Adder(NamedTuple):
-    """One adder design: all that `cost`, the CLI and the scripts know of it.
+def lane_sums(a: int, b: int, width: int, k: int) -> int:
+    """The adders' oracle on k pairs packed at `lane_stride(width)`: each
+    lane's sum fits its stride, so one add checks every lane."""
+    return oracle_add(a, b)
 
-    `accepts(width)` tests the operand widths its simulator takes, and
-    `needs` phrases them for error messages; `cost(width)` is its published
-    (special AND gates, ticks) at such a width. `lanes(a, b, width, k)` runs
-    its lane kernel on k pairs packed at `bitvec.lane_stride(width)`: (each
-    lane's N+1-bit sum in the same lanes, ticks, the kernel's words). `add`
-    is its one-pair call. `--trace` prints one `label` record, or one
-    `template` line, per field dict that `trace(words, width)` yields from
-    one pair's words. `gates(width)` is the simulator's gate tally, where it
-    keeps one. `add` shows an N+1-bit sum, or with `carry_apart` an N-bit
-    sum and the carry apart.
+
+def lane_products(a: int, b: int, n: int, k: int) -> int:
+    """The multiplier's oracle on k pairs of n-bit operands packed at
+    `lane_stride(2 * n)`: each lane's product, in the same lanes."""
+    stride = lane_stride(2 * n)
+    a, b = (unpack_narrow_lanes(v, stride, k, n) for v in (a, b))
+    return pack_lanes(map(oracle_mul, a, b), stride)
+
+
+class Circuit(NamedTuple):
+    """One design: all that `cost`, the CLI and the scripts know of it.
+
+    `accepts(width)` tests the operand widths it takes, and `needs` phrases
+    them for error messages; `cost(width)` is its published (special AND
+    gates, memory entries, ticks). `lanes(a, b, width, k)` runs its lane
+    kernel on k pairs packed at `stride(width)` (the multiplier's 2N-bit
+    rows): (each lane's result, ticks, the kernel's words, the multiplier's
+    `ScheduleReport`); `oracle` takes the same arguments and gives the
+    results `verify` wants, sweeping every pair up to width `exhaustive`
+    and naming `schedule` in its header. An adder's `add` is its one-pair
+    call, showing an N+1-bit sum, or with `carry_apart` an N-bit sum and
+    the carry; `--trace` prints one `label` record, or `template` line, per
+    field dict of `trace(words, width)`; `gates(width)` is the simulator's
+    own gate tally, where it keeps one.
     """
 
     needs: str
     accepts: Callable[[int], bool]
-    cost: Callable[[int], tuple[int, int]]
+    cost: Callable[[int], tuple[int, int, int]]
     lanes: Callable[[int, int, int, int], tuple]
-    label: str
-    template: str
-    trace: Callable[[tuple, int], Iterable[dict]]
+    oracle: Callable[[int, int, int, int], int] = lane_sums
+    exhaustive: int = 8
+    schedule: str = "-"
+    stride: Callable[[int], int] = lane_stride
+    label: str = ""
+    template: str = ""
+    trace: Callable[[tuple, int], Iterable[dict]] | None = None
     gates: Callable[[int], int] | None = None
     carry_apart: bool = False
 
     def add(self, a: int, b: int, width: int) -> tuple[BitVector, int, int, tuple]:
-        """One pair through the lane kernel at K = 1: (display sum, carry
-        bit, ticks, words)."""
+        """One pair through an adder's lane kernel at K = 1: (display sum,
+        carry bit, ticks, words)."""
         total, ticks, words = self.lanes(a, b, width, 1)
         shown = width + (not self.carry_apart)
         return BitVector(shown, total & ((1 << shown) - 1)), total >> width, ticks, words
@@ -78,13 +101,32 @@ def _levels(levels: list) -> tuple:
     return sum(levels[-1]), len(levels), levels
 
 
+def _multiplier(schedule: Schedule) -> Circuit:
+    """The multiplier under one consolidation schedule."""
+
+    def cost(width: int) -> tuple[int, int, int]:
+        estimate = mult_hardware_estimate(schedule, width)
+        return 0, estimate.total_memory_entries(), estimate.ticks
+
+    def lanes(a: int, b: int, width: int, k: int) -> tuple:
+        product, report = multiplier.multiply_lanes(a, b, width, schedule, k)
+        return product, report.total_ticks + flash.DOUBLE_WIDTH_TICKS, report
+
+    return Circuit(
+        needs=f"a multiplier width in {multiplier.MULTIPLIER_WIDTHS}",
+        accepts=lambda w: w in multiplier.MULTIPLIER_WIDTHS,
+        cost=cost, lanes=lanes, oracle=lane_products,
+        exhaustive=4, schedule=schedule.value, stride=lambda w: lane_stride(2 * w),
+    )
+
+
 # The simulators are looked up on their home modules at call time, so a
 # wrapper installed there (a tracer, a test's fault) is the one that runs.
-ADDERS = {
-    Design.CASCADE: Adder(
+DESIGNS = {
+    Design.CASCADE: Circuit(
         needs="a power-of-two width >= 2",
         accepts=lambda w: w >= 2 and not w & (w - 1),
-        cost=lambda w: (cascade_gates(w.bit_length() - 1), w.bit_length() - 1),
+        cost=lambda w: (cascade_gates(w.bit_length() - 1), 0, w.bit_length() - 1),
         lanes=lambda a, b, w, k: _levels(cascade.cascade_lanes(a, b, w, k)),
         label="level",
         template="level {level}: sums={sums} carries={carries}",
@@ -94,10 +136,10 @@ ADDERS = {
         gates=lambda w: cascade.special_and_gates(w.bit_length() - 1),
         carry_apart=True,
     ),
-    Design.FLASH: Adder(
+    Design.FLASH: Circuit(
         needs="a width >= 1",
         accepts=lambda w: w >= 1,
-        cost=lambda w: (flash_gates(w), flash.FLASH_ADD_TICKS),
+        cost=lambda w: (flash_gates(w), 0, flash.FLASH_ADD_TICKS),
         lanes=lambda a, b, w, k: _ticked(flash.flash_lanes(a, b, w, k), flash.FLASH_ADD_TICKS),
         label="firings",
         template="firings: [{pairs}] gates={gates}",
@@ -107,33 +149,37 @@ ADDERS = {
         )],
         gates=flash.network_gates,
     ),
-    Design.FLASH_DOUBLE: Adder(
+    Design.FLASH_DOUBLE: Circuit(
         needs="an even width >= 2",
         accepts=lambda w: w >= 2 and not w % 2,
-        cost=lambda w: (double_width_gates(w // 2), flash.DOUBLE_WIDTH_TICKS),
+        cost=lambda w: (double_width_gates(w // 2), 0, flash.DOUBLE_WIDTH_TICKS),
         lanes=lambda a, b, w, k: _ticked(flash.double_width_lanes(a, b, w // 2, k),
                                          flash.DOUBLE_WIDTH_TICKS),
         label="halves",
         template="cross carry: {cross_carry}",
         trace=lambda words, w: [dict(cross_carry=words[1])],
     ),
-    Design.BLOCKED_DOUBLE: Adder(
+    Design.BLOCKED_DOUBLE: Circuit(
         needs="an even width whose half is a power-of-four",
         accepts=lambda w: not w % 2 and flash.is_power_of_four(w // 2),
-        cost=lambda w: (blocked_gates(w // 2), flash.BLOCKED_TICKS),
+        cost=lambda w: (blocked_gates(w // 2), 0, flash.BLOCKED_TICKS),
         lanes=lambda a, b, w, k: _ticked(flash.blocked_lanes(a, b, w, k), flash.BLOCKED_TICKS),
         label="block_carries",
         template="block carries: [{bits}]",
         trace=lambda words, w: [dict(bits=_joined(flash.block_carries(words[1], w)))],
     ),
+    Design.MULT_SCHEDULE_A: _multiplier(Schedule.A),
+    Design.MULT_SCHEDULE_B: _multiplier(Schedule.B),
 }
 
 
-def check_width(design: Design, width: int) -> None:
-    """Raise ValueError unless the adder `design` takes `width`-bit operands."""
-    adder = ADDERS[design]
-    if not adder.accepts(width):
-        raise ValueError(f"{design.value} needs {adder.needs}, got {width}")
+def check_width(design: Design, width: int) -> Circuit:
+    """`design`'s table entry; ValueError unless it takes `width`-bit
+    operands. The one width rule of every front end."""
+    circuit = DESIGNS[design]
+    if not circuit.accepts(width):
+        raise ValueError(f"{design.value} needs {circuit.needs}, got {width}")
+    return circuit
 
 
 @dataclass(frozen=True)
@@ -342,13 +388,7 @@ def schedule_comparison() -> ScheduleComparison:
 
 def cost_report(design: Design, width: int) -> CostReport:
     """One design's budget at one operand width."""
-    if design in ADDERS:
-        check_width(design, width)
-        gates, ticks = ADDERS[design].cost(width)
-        return CostReport(design, width, gates, 0, ticks)
-    schedule = Schedule.A if design is Design.MULT_SCHEDULE_A else Schedule.B
-    estimate = mult_hardware_estimate(schedule, width)
-    return CostReport(design, width, 0, estimate.total_memory_entries(), estimate.ticks)
+    return CostReport(design, width, *check_width(design, width).cost(width))
 
 
 def reference_table() -> tuple[tuple[str, int], ...]:

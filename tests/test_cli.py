@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -98,6 +99,22 @@ def test_mul_structured(capsys):
     )
 
 
+def test_mul_checks_its_width_before_its_operands(capsys):
+    # as `add` and `verify` do, through the table's width rule: ff does not
+    # fit in 3 bits, but the width is named first
+    for argv, design in (
+        (["mul", "--width", "3", "ff", "1"], "mult_schedule_b"),
+        (["mul", "--schedule", "A", "--width", "3", "ff", "1"], "mult_schedule_a"),
+        (["verify", "--design", "mult", "--width", "3"], "mult_schedule_b"),
+    ):
+        assert run_cli(capsys, argv) == (
+            2, "", f"error: {design} needs a multiplier width in (4, 8, 16, 32, 64), got 3\n"
+        )
+    assert run_cli(capsys, ["add", "--design", "cascade", "--width", "3", "ff", "1"]) == (
+        2, "", "error: cascade needs a power-of-two width >= 2, got 3\n"
+    )
+
+
 def test_verify_flash_exhaustive(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--design", "flash", "--width", "8"])
     assert code == 0
@@ -141,18 +158,22 @@ def test_verify_structured_reruns_are_byte_identical(capsys):
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
-    # force a wrong reference so the mismatch path is reachable
-    monkeypatch.setattr(cli, "oracle_add", lambda a, b: a + b + 1)
-    code, out, _ = run_cli(
-        capsys, ["verify", "--design", "flash", "--width", "4", "--format", "structured"]
-    )
-    assert code == 1
-    assert "failed=256" in out
-    assert "counterexample=a=0,b=0,got=0,want=1" in out
+    # force a wrong reference so the mismatch path is reachable, for the
+    # adders' one-word oracle and the multiplier's per-lane products
+    for oracle, wrong, design in (
+        ("oracle_add", lambda a, b: a + b + 1, "flash"),
+        ("oracle_mul", lambda a, b: a * b + 1, "mult"),
+    ):
+        argv = ["verify", "--design", design, "--width", "4"]
+        monkeypatch.setattr(costs, oracle, wrong)
+        code, out, _ = run_cli(capsys, argv + ["--format", "structured"])
+        assert code == 1, design
+        assert "failed=256" in out
+        assert "counterexample=a=0,b=0,got=0,want=1" in out
 
-    monkeypatch.undo()
-    code, out, _ = run_cli(capsys, ["verify", "--design", "flash", "--width", "4"])
-    assert code == 0
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, design
 
 
 def test_verify_all_adder_designs_small(capsys):
@@ -163,9 +184,13 @@ def test_verify_all_adder_designs_small(capsys):
 
 
 def test_every_adder_design_has_one_table_entry_and_cli_choice():
-    adders = [d for d in costs.Design if not d.value.startswith("mult_")]
-    assert list(costs.ADDERS) == adders
-    assert cli.ADDERS is costs.ADDERS
+    # every `Design` member, multiplier schedules included, has one entry
+    assert list(costs.DESIGNS) == list(costs.Design)
+    assert cli.DESIGNS is costs.DESIGNS
+    schedules = {d.value: circuit.schedule for d, circuit in costs.DESIGNS.items()}
+    assert schedules.pop("mult_schedule_a") == "A" and schedules.pop("mult_schedule_b") == "B"
+    assert set(schedules.values()) == {"-"}  # the four adders
+    adders = [costs.Design(d) for d in schedules]
     commands = cli.build_parser()._subparsers._group_actions[0].choices
     choices = {
         name: next(a.choices for a in commands[name]._actions if a.dest == "design")
@@ -173,6 +198,37 @@ def test_every_adder_design_has_one_table_entry_and_cli_choice():
     }
     assert choices == {"add": cli.ADDER_DESIGNS, "verify": cli.ADDER_DESIGNS + ("mult",)}
     assert cli.ADDER_DESIGNS == tuple(d.value for d in adders)
+
+
+def design_comparisons(function):
+    """Lines where `function` compares a value against "mult", a `Design`
+    value or a `Design` member."""
+    names = {"mult"} | {d.value for d in costs.Design}
+    return [
+        node.lineno
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        if isinstance(operand, ast.Constant) and operand.value in names
+        or isinstance(operand, ast.Attribute) and getattr(operand.value, "id", None) == "Design"
+    ]
+
+
+@pytest.mark.parametrize("module", (cli, costs), ids=lambda m: m.__name__)
+def test_no_front_end_function_branches_on_a_design(module):
+    # what differs between designs lives in their `costs.DESIGNS` entries;
+    # the one mapping from argv to a design is `cli._circuit`
+    tree = ast.parse(Path(module.__file__).read_text())
+    branches = {
+        f"{getattr(node, 'name', '<lambda>')}:{node.lineno}": design_comparisons(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and getattr(node, "name", "<lambda>") != "_circuit"
+    }
+    assert {name: lines for name, lines in branches.items() if lines} == {}
+    if module is cli:
+        circuit = next(n for n in ast.walk(tree) if getattr(n, "name", None) == "_circuit")
+        assert len(design_comparisons(circuit)) == 1
 
 
 def test_cost_single_design(capsys):

@@ -149,7 +149,7 @@ def test_unpack_narrow_lanes_is_unpack_lanes_at_any_whole_byte_stride(stride, bi
 
 
 def accepted_widths(design):
-    return [w for w in range(1, 513) if cli.ADDERS[cli.Design(design)].accepts(w)]
+    return [w for w in range(1, 513) if cli.DESIGNS[cli.Design(design)].accepts(w)]
 
 
 # The highest bit each adder's kernel drives in a lane of `width`-bit values
@@ -242,7 +242,7 @@ def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, seed, multip
 
 def adder(design, width):
     """One adder as `verify` runs it pair by pair, on ints."""
-    lanes = cli.ADDERS[design].lanes
+    lanes = cli.DESIGNS[design].lanes
     return lambda a, b: lanes(a, b, width, 1)[0]
 
 
@@ -318,12 +318,10 @@ def test_a_fault_in_one_cascade_lane_fails_its_batch(capsys, monkeypatch):
         return out, carries
 
     monkeypatch.setattr(cascade, "cascade_step", flips_one_lane)
-    size = cli.verify_lanes(stride)
-    start = 200 // size * size
-    batch = pairs[start : start + size]
+    a, b, size, start = batch_holding(sweep_batches(width, stride, trials, seed), 200)
+    assert batch_pairs([(a, b, size)], stride) == pairs[start : start + size]
     with pytest.raises(ModelIntegrityError, match="balance broken at level 2, block 0$"):
-        cascade.cascade_lanes(pack_lanes([a for a, _ in batch], stride),
-                              pack_lanes([b for _, b in batch], stride), width, len(batch))
+        cascade.cascade_lanes(a, b, width, size)
 
     want = pair_by_pair(adder(cli.Design.CASCADE, width), pairs)
     assert "failed=1 counterexample=a=" in want
@@ -351,14 +349,11 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
         return sum_row, carry_row
 
     monkeypatch.setattr(multiplier, "csa_3_2", flips_one_lane)
-    size = cli.verify_lanes(stride)
-    start = 200 // size * size
-    batch = pairs[start : start + size]
-    assert 0 < 200 - start < len(batch) - 1
+    a, b, size, start = batch_holding(sweep_batches(n, stride, trials, seed), 200)
+    assert batch_pairs([(a, b, size)], stride) == pairs[start : start + size]
+    assert 0 < 200 - start < size - 1
     with pytest.raises(ModelIntegrityError, match="3:2 stage lost value"):
-        multiplier.multiply_lanes(pack_lanes([a for a, _ in batch], stride),
-                                  pack_lanes([b for _, b in batch], stride), n, Schedule.A,
-                                  len(batch))
+        multiplier.multiply_lanes(a, b, n, Schedule.A, size)
 
     def run(a, b):
         return multiplier.multiply(BitVector(n, a), BitVector(n, b), Schedule.A).product.value
@@ -374,6 +369,17 @@ def sweep_batches(width, stride, trials=None, seed=None):
     """`verify`'s batches of a sweep, exhaustive when no trial count is given."""
     args = argparse.Namespace(width=width, trials=trials, seed=seed)
     return list(cli._verify_batches(args, trials is None, stride))
+
+
+def batch_holding(batches, index):
+    """The batch of `batches` that holds pair `index`: (packed a, packed b,
+    pair count, index of its first pair)."""
+    start = 0
+    for a, b, size in batches:
+        if index < start + size:
+            return a, b, size, start
+        start += size
+    raise IndexError(index)
 
 
 def batch_pairs(batches, stride):

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from arithsim.costs import ADDERS
+from arithsim.cli import ADDER_DESIGNS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,9 +81,9 @@ def test_latency_area_tradeoff_runs():
     assert WIDTH_128_ROWS in result.stdout
     assert result.stdout.endswith(HEADLINE_BLOCK)
     assert "flash               12      78      78     2    20/20\n" in result.stdout
-    # one row per `ADDERS` entry at a width every adder takes; a blank line ends the table
+    # one row per adder entry at a width every adder takes; a blank line ends the table
     rows = [row.split() for row in result.stdout.split("\n\n")[0].splitlines()[1:]]
-    assert [row[0] for row in rows if row[1] == "128"] == [design.value for design in ADDERS]
+    assert [row[0] for row in rows if row[1] == "128"] == list(ADDER_DESIGNS)
 
 
 def test_demo_run_runs():
