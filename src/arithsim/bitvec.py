@@ -6,7 +6,10 @@ hex is the interchange encoding. Everything here is immutable, so values can
 be shared freely between threads.
 
 Lane kernels run K circuits side by side in one word (SWAR; Lamport, CACM
-1975), every kernel at the one stride `lane_stride`.
+1975), every kernel at the one stride `lane_stride`. Values enter and leave
+a lane word as bytes: `pack_lanes`, `unpack_lanes` and `unpack_narrow_lanes`
+here, and `verify`'s random draw, which copies each value's bytes from the
+draw straight to its lane.
 
 Lane masks are nonnegative, and no kernel builds a mask's complement: x & ~m
 is written x ^ (x & m), and a range check reads x & m != x (Warren, Hacker's
@@ -181,18 +184,6 @@ def unpack_narrow_lanes(word: int, stride: int, count: int, bits: int) -> list[i
     if layout is None:
         return unpack_lanes(word, stride, count)
     return list(layout.unpack(word.to_bytes(layout.size, "little")))
-
-
-def respace_lanes(word: int, src: int, dst: int, count: int, bits: int) -> int:
-    """The low `bits` bits of each of the `count` lanes of a word at stride
-    `src`, packed at stride `dst`; both strides are whole bytes of at least
-    `bits` bits. Each lane's ceil(bits / 8) low bytes are copied, even for
-    one lane, so bits above them are dropped."""
-    src, dst = src // 8, dst // 8
-    data, out = word.to_bytes(src * count, "little"), bytearray(dst * count)
-    for j in range(-(-bits // 8)):
-        out[j::dst] = data[j::src]
-    return int.from_bytes(out, "little")
 
 
 @lru_cache

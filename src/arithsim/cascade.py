@@ -126,12 +126,13 @@ class CascadeState:
         if carry_word & slots != carry_word:
             raise ValueError(f"level {level} carries must sit at bits (i+1)*{1 << level}")
         carry_in = sums ^ half
-        carry_out = (both | (half & carry_in)) << 1
         # a broken rule marks a bit of its block: a carry into a bottom marks
-        # that bit, a wrong carry out marks the bit it came from
+        # that bit, and a carry out other than the carry in or saved carry
+        # just above it marks the bit it came from; comparing them one bit
+        # down takes one shift
         into_bottoms = carry_in & bottoms
-        wrong_out = carry_out ^ carry_in ^ into_bottoms ^ carry_word
-        broken = into_bottoms | wrong_out >> 1
+        above = (carry_in ^ into_bottoms ^ carry_word) >> 1
+        broken = into_bottoms | (both | half & carry_in) ^ above
         if broken:
             block = ((broken & -broken).bit_length() - 1) % lane_stride(width) >> level
             raise ModelIntegrityError(f"block-sum balance broken at level {level}, block {block}")

@@ -13,10 +13,10 @@ VERIFY_WORD_BITS bits, and a failing batch's pairs one at a time through the
 same kernel. An exhaustive batch is a run of consecutive pair indices
 a * 2**width + b, so at width 8 it spans 16 values of a. A random sweep runs
 in the fewest batches that fit, of sizes differing by at most one; each is
-one `getrandbits` draw, parted into packed a and b words, holding the values
-of a pair-by-pair loop in the same order. The argument parser is built on
-the first call and kept for the process, so a short call pays for its
-pairs, not for argparse.
+one `getrandbits` draw, read into bytes once and parted into packed a and b
+words, holding the values of a pair-by-pair loop in the same order. The
+argument parser is built on the first call and kept for the process, so a
+short call pays for its pairs, not for argparse.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
 """
@@ -29,8 +29,7 @@ import random
 import sys
 from functools import lru_cache
 
-from .bitvec import BitVector, ModelIntegrityError, lane_mask, pack_lanes, respace_lanes
-from .bitvec import unpack_lanes
+from .bitvec import BitVector, ModelIntegrityError, lane_mask, pack_lanes, unpack_lanes
 from .costs import DESIGNS, Circuit, Design, check_width, cost_report, reference_table
 # Nothing here calls these five: the benchmark's tracer (`cli_targets` in
 # perfbench/tracing.py) wraps them in this module, so they stay importable.
@@ -167,12 +166,22 @@ def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tup
     significant first, and keeps the top k % 32 bits of a partial last
     word. One draw of all the loop's words therefore holds its values in
     order, one per slot of whole words, and leaves the generator where the
-    loop would. Each value's bytes are then re-spaced from its slot to its
-    lane."""
+    loop would. Where the width is whole 32-bit words, each value fills
+    its slot; otherwise cached masks bring each value's last word down by
+    the dropped bits. The draw is read into bytes once, and each value's
+    bytes are copied from its slot, a's the low and b's the high half of a
+    pair's, to its lane of the a or the b word."""
     slot, drop, low, kept = _draw_layout(width, 2 * size)
     draw = rng.getrandbits(2 * slot * size)
-    values = draw & low | draw >> drop & kept
-    return tuple(respace_lanes(v, 2 * slot, stride, size, width) for v in (values, values >> slot))
+    if drop:
+        draw = draw & low | draw >> drop & kept
+    pair, lane = slot // 4, stride // 8  # a pair's bytes in the draw, a lane's in a word
+    data = draw.to_bytes(pair * size, "little")
+    a, b = bytearray(lane * size), bytearray(lane * size)
+    for j in range(-(-width // 8)):
+        a[j::lane] = data[j::pair]
+        b[j::lane] = data[pair // 2 + j :: pair]
+    return int.from_bytes(a, "little"), int.from_bytes(b, "little")
 
 
 def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):

@@ -110,7 +110,7 @@ def _multiplier(schedule: Schedule) -> Circuit:
 
     def lanes(a: int, b: int, width: int, k: int) -> tuple:
         product, report = multiplier.multiply_lanes(a, b, width, schedule, k)
-        return product, report.total_ticks + flash.DOUBLE_WIDTH_TICKS, report
+        return product, multiplier.multiply_ticks(report), report
 
     return Circuit(
         needs=f"a multiplier width in {multiplier.MULTIPLIER_WIDTHS}",
@@ -297,11 +297,10 @@ CONVENTIONAL_ADDER_TICKS = 15
 
 
 @lru_cache(maxsize=None)
-def _simulated_schedule_ticks(schedule: Schedule) -> int:
-    """Stage ticks of the published 64-row schedule, taken from a real run."""
+def _simulated_ticks(schedule: Schedule) -> int:
+    """Ticks of the published 64-row multiplication, taken from a real run."""
     rows = RowSet(2 * multiplier.PUBLISHED_ROW_COUNT, (0,) * multiplier.PUBLISHED_ROW_COUNT)
-    _, report = multiplier.consolidate(rows, schedule)
-    return report.total_ticks
+    return multiplier.multiply_ticks(multiplier.consolidate(rows, schedule)[1])
 
 
 def end_to_end_ticks(schedule: Schedule, accounting: str = "published") -> int:
@@ -312,15 +311,11 @@ def end_to_end_ticks(schedule: Schedule, accounting: str = "published") -> int:
     plus the three-tick double-width adder. `simulated` accounting uses the
     stage counts this package runs plus the three-tick adder for both.
     """
-    if accounting == "published":
-        if schedule is Schedule.A:
-            return (
-                consolidation_lower_bound(multiplier.PUBLISHED_ROW_COUNT, 2)
-                + CONVENTIONAL_ADDER_TICKS
-            )
-        return _simulated_schedule_ticks(schedule) + flash.DOUBLE_WIDTH_TICKS
-    if accounting == "simulated":
-        return _simulated_schedule_ticks(schedule) + flash.DOUBLE_WIDTH_TICKS
+    if accounting == "published" and schedule is Schedule.A:
+        stages = consolidation_lower_bound(multiplier.PUBLISHED_ROW_COUNT, 2)
+        return stages + CONVENTIONAL_ADDER_TICKS
+    if accounting in ("published", "simulated"):
+        return _simulated_ticks(schedule)
     raise ValueError(f"unknown accounting {accounting!r}")
 
 

@@ -300,7 +300,8 @@ def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> t
     """
     # tick 1: pair-leaf initialization, the 16-entry lookups as one blockwise add
     s_val, carried_weight = blockwise_add(x, y, block_tops(width, 2))
-    if s_val + carried_weight != x + y:
+    total = x + y
+    if s_val + carried_weight != total:
         raise ModelIntegrityError("pair-leaf initialization lost value")
 
     # tick 2: the network inside every block; pair p's carry, of weight
@@ -313,7 +314,7 @@ def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> t
         inside = blocks & mask
         resolved |= inside
         carry_weight |= blocks ^ inside
-    if resolved + carry_weight != x + y:
+    if resolved + carry_weight != total:
         raise ModelIntegrityError("in-block resolution lost value")
     return resolved, carry_weight
 

@@ -68,13 +68,9 @@ class RowSet:
     def __post_init__(self) -> None:
         rows, fit = self.rows, row_layout(self.width, self.lanes)[0]
         object.__setattr__(self, "_total", sum(rows))
-        if not rows:
+        bits = reduce(or_, rows, 0)  # negative if any row is
+        if bits & fit == bits:
             return
-        if min(rows) >= 0:
-            # with one lane the largest row has the rows' highest bit
-            bits = max(rows) if self.lanes == 1 else reduce(or_, rows)
-            if bits & fit == bits:
-                return
         for index, row in enumerate(rows):  # name the first row that does not fit
             if row < 0 or row & fit != row:
                 shown = misfit(row, fit, lane_stride(self.width), self.lanes)
@@ -169,26 +165,42 @@ class MultiplyResult:
 
 
 @lru_cache(maxsize=4)
-def bit_masks(n: int, lanes: int) -> tuple[int, ...]:
-    """Bit i of every lane at `lane_stride(2 * n)`, for i < n; a few shapes
-    cached, since every batch of a sweep asks for them."""
+def bit_masks(n: int, lanes: int) -> tuple[int, tuple[int, ...]]:
+    """Every lane's n low bits at `lane_stride(2 * n)`, and for each i < n
+    its bits i and i + n; a few shapes cached, since every batch of a sweep
+    asks for them."""
     ones = lane_mask(1, lane_stride(2 * n), lanes)
-    return tuple(ones << i for i in range(n))
+    pair = ones | ones << n
+    return ones * ((1 << n) - 1), tuple(pair << i for i in range(n))
 
 
 def partial_product_lanes(a: int, b: int, n: int, lanes: int = 1) -> RowSet:
     """All N shifted rows of `lanes` pairs of n-bit operands, zero rows
     included: in every lane, row i = (a << i) * b_i. The operands are
-    packed at `lane_stride(2 * n)`.
+    packed at `lane_stride(2 * n)`; a bit outside a lane's n bits, or
+    above the top lane, raises ValueError naming the first lane with one.
 
     Column p then holds exactly the convolution bits a_j * b_{p-j}. Keeping
     zero rows keeps the row count and the schedule shape data-independent.
     """
     # masks of a power-of-two lane count, so a sweep's last, short batch
-    # shares its full batches' masks: a lane past the operands meets 0 bits
-    masks = bit_masks(n, 1 << (lanes - 1).bit_length())
-    # (t << n) - t: ones at bits i to i + n - 1 of each lane whose b_i is set
-    rows = [((t << n) - t) & (a << i) if (t := b & bit) else 0 for i, bit in enumerate(masks)]
+    # shares its full batches' masks: a lane past the operands meets 0 bits,
+    # and its fit passes a bit above the top lane only where it holds more
+    size = 1 << (lanes - 1).bit_length()
+    fit, masks = bit_masks(n, size)
+    bits = a | b
+    past_top = size > lanes and bits.bit_length() > (lanes - 1) * lane_stride(2 * n) + n
+    if bits & fit != bits or past_top:
+        stride = lane_stride(2 * n)
+        fit = lane_mask(n, stride, lanes)
+        for value in (a, b):
+            if value & fit != value:
+                shown = misfit(value, fit, stride, lanes)
+                raise ValueError(f"value {shown} does not fit in {n} bits")
+    # b in n bits makes t = b & m each lane's b_i and (b << n) & m its t << n,
+    # so their difference is ones at bits i to i + n - 1 where b_i is set
+    bn = b << n
+    rows = [((bn & m) - t) & (a << i) if (t := b & m) else 0 for i, m in enumerate(masks)]
     return RowSet(2 * n, tuple(rows), lanes)
 
 
@@ -315,6 +327,12 @@ def check_multiplier_width(width: int) -> None:
         raise ValueError(f"multiplier width must be one of {MULTIPLIER_WIDTHS}, got {width}")
 
 
+def multiply_ticks(report: ScheduleReport) -> int:
+    """A multiplication's ticks: its schedule's stages, then the final
+    double-width add."""
+    return report.total_ticks + flash.DOUBLE_WIDTH_TICKS
+
+
 def multiply_lanes(
     a: int, b: int, n: int, schedule: Schedule, lanes: int = 1
 ) -> tuple[int, ScheduleReport]:
@@ -339,6 +357,6 @@ def multiply(a: BitVector, b: BitVector, schedule: Schedule) -> MultiplyResult:
     product, report = multiply_lanes(a.value, b.value, n, schedule)
     return MultiplyResult(
         product=BitVector(2 * n, product),
-        ticks=report.total_ticks + flash.DOUBLE_WIDTH_TICKS,
+        ticks=multiply_ticks(report),
         report=report,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import arithsim
-from arithsim import cascade, cli, flash, multiplier
+from arithsim import bitvec, cascade, cli, costs, flash, multiplier
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -99,3 +99,33 @@ def test_the_cli_entry_points_are_their_home_modules_functions():
              "blocked_add": flash, "multiply": multiplier}
     assert [name for name, home in homes.items()
             if getattr(cli, name) is not getattr(home, name)] == []
+
+
+# The cached big-int masks after one verify sweep and one op of every
+# workload, from cold caches. A cached mask lives as long as the process: a
+# cached even-carry mask in `cascade_step` raised perfbench's peak_rss_mib.
+# A change that caches a new mask re-pins these counts and says why.
+CACHED_MASKS = {
+    "bitvec.lane_mask": 38,
+    "bitvec.block_tops": 6,
+    "cascade.level_masks": 27,
+    "flash.double_width_masks": 6,
+    "multiplier.bit_masks": 2,
+}
+
+
+def test_one_sweep_of_every_workload_caches_the_pinned_masks(harness, capsys):
+    _, workloads = harness
+    modules = (bitvec, cascade, flash, multiplier, costs, cli)
+    for module in modules:
+        for value in vars(module).values():
+            getattr(value, "cache_clear", lambda: None)()
+    for workload in workloads.WORKLOADS.values():
+        for argv in workload.verify_argvs(1):
+            assert cli.main(argv) == 0
+        op = workloads.make_op(arithsim, workload)
+        assert op(*next(workloads.operand_stream(workload, 1)))[0] == workload.sim_ticks
+    capsys.readouterr()
+    caches = {f"{module.__name__.split('.')[-1]}.{name}": getattr(module, name)
+              for module in modules for name in vars(module)}
+    assert {name: caches[name].cache_info().currsize for name in CACHED_MASKS} == CACHED_MASKS

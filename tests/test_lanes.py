@@ -11,7 +11,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arithsim import cascade, cli, flash, multiplier
@@ -21,7 +21,6 @@ from arithsim.bitvec import (
     block_tops,
     lane_stride,
     pack_lanes,
-    respace_lanes,
     unpack_lanes,
     unpack_narrow_lanes,
 )
@@ -116,19 +115,6 @@ def test_multiply_lanes_match_their_single_pairs(data):
         assert lane(products, j, stride) == x * y
 
 
-@given(st.data())
-def test_respace_lanes_is_unpack_then_pack(data):
-    bits = data.draw(st.integers(min_value=1, max_value=80))
-    size = -(-bits // 8)
-    src, dst = (8 * data.draw(st.integers(min_value=size, max_value=size + 4)) for _ in "sd")
-    count = data.draw(st.integers(min_value=1, max_value=24))
-    values = data.draw(st.lists(st.integers(0, (1 << src) - 1), min_size=count, max_size=count))
-    word = pack_lanes(values, src)
-    # only each lane's ceil(bits / 8) low bytes travel, even in a one-lane word
-    kept = [v & (1 << 8 * size) - 1 for v in unpack_lanes(word, src, count)]
-    assert respace_lanes(word, src, dst, count, bits) == pack_lanes(kept, dst)
-
-
 @given(st.sampled_from(MULTIPLIER_WIDTHS), st.data())
 def test_unpack_narrow_lanes_reads_the_multiplier_operands_as_unpack_lanes(n, data):
     stride = lane_stride(2 * n)
@@ -209,6 +195,23 @@ def test_a_range_message_names_the_first_lane_that_fails(bad):
         assert str(caught.value).endswith(message)
 
 
+@pytest.mark.parametrize("operand", ["a", "b"])
+@pytest.mark.parametrize("lanes, bad", [(1, 0), (5, 0), (5, 2), (5, 5)])
+@pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
+def test_a_multiplier_operand_bit_outside_its_lane_names_the_lane(n, lanes, bad, operand):
+    # the row select reads bit i + n of b, so each operand lane holds n bits:
+    # the stray is bit n of lane `bad`, or for lane 5 of 5, past the top
+    # lane but inside the cached masks' 8 lanes, its bit 0
+    stride, top = lane_stride(2 * n), (1 << n) - 1
+    word = pack_lanes([top] * lanes, stride)
+    stray = word | 1 << bad * stride + (n if bad < lanes else 0)
+    a, b = (stray, word) if operand == "a" else (word, stray)
+    shown = stray if lanes == 1 else f"{lane(stray, bad, stride)} in lane {bad}"
+    with pytest.raises(ValueError) as caught:
+        multiplier.multiply_lanes(a, b, n, Schedule.B, lanes)
+    assert str(caught.value) == f"value {shown} does not fit in {n} bits"
+
+
 @pytest.mark.parametrize("schedule", tuple(Schedule))
 @pytest.mark.parametrize("n", MULTIPLIER_WIDTHS)
 def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
@@ -224,13 +227,20 @@ def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
     width=st.integers(min_value=9, max_value=160),
     seed=st.integers(),
     multiplier_rows=st.booleans(),
-    data=st.data(),
+    size=st.integers(min_value=1, max_value=cli.verify_lanes(lane_stride(9))),
 )
-def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, seed, multiplier_rows, data):
+# widths of whole 32-bit words, whose values fill their draw slots unmasked
+@example(width=32, seed=1, multiplier_rows=False, size=1638)
+@example(width=64, seed=2, multiplier_rows=True, size=250)
+@example(width=96, seed=3, multiplier_rows=False, size=1)
+@example(width=128, seed=4, multiplier_rows=False, size=334)
+@example(width=160, seed=5, multiplier_rows=True, size=199)
+def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, seed, multiplier_rows, size):
     # at the stride of `width`-bit values and at that of the 2N-bit rows
-    # that the multiplier packs its operands in
+    # that the multiplier packs its operands in; a size past the stride's
+    # full batch wraps round to 1
     stride = lane_stride(2 * width if multiplier_rows else width)
-    size = data.draw(st.integers(min_value=1, max_value=cli.verify_lanes(stride)))
+    size = (size - 1) % cli.verify_lanes(stride) + 1
     loop, feed = random.Random(seed), random.Random(seed)
     values = [loop.getrandbits(width) for _ in range(2 * size)]
     a, b = cli._random_pairs(feed, width, size, stride)
