@@ -25,7 +25,7 @@ from arithsim.multiplier import Schedule
 
 
 def run_design(design: Design, width: int, samples: int, seed: int) -> tuple[int, str]:
-    """Random-sweep one adder; returns (passes, simulated gate tally or -)."""
+    """Random-sweep one adder; returns (passes, the entry's gate tally or -)."""
     adder = DESIGNS[design]
     rng = random.Random(seed ^ width)
     pairs = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(samples)]

@@ -9,7 +9,9 @@ Lane kernels run K circuits side by side in one word (SWAR; Lamport, CACM
 1975), every kernel at the one stride `lane_stride`. Values enter and leave
 a lane word as bytes: `pack_lanes`, `unpack_lanes` and `unpack_narrow_lanes`
 here, and `verify`'s random draw, which copies each value's bytes from the
-draw straight to its lane.
+draw straight to its lane. Every kernel takes its operands through one
+check, `check_operands`, and every one-pair call its widths through
+`operand_width`.
 
 Lane masks are nonnegative, and no kernel builds a mask's complement: x & ~m
 is written x ^ (x & m), and a range check reads x & m != x (Warren, Hacker's
@@ -146,6 +148,26 @@ def misfit(word: int, fit: int, stride: int, lanes: int) -> str:
     return f"{word >> lane * stride & ((1 << stride) - 1)} in lane {lane}"
 
 
+def operand_width(a: BitVector, b: BitVector) -> int:
+    """The width two operands share; ValueError if they differ."""
+    if a.width != b.width:
+        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
+    return a.width
+
+
+def check_operands(a: int, b: int, bits: int, stride: int, lanes: int = 1) -> None:
+    """Every lane kernel's input contract: `bits` >= 1, and each operand
+    holds `bits`-bit values in `lanes` lanes at `stride`, with no bit in a
+    lane's padding, above the top lane or below zero. A failure raises
+    ValueError naming the first operand and lane that break it."""
+    if bits < 1:
+        raise ValueError(f"width must be positive, got {bits}")
+    fit, either = lane_mask(bits, stride, lanes), a | b
+    if either & fit != either:
+        value = a if a & fit != a else b
+        raise ValueError(f"value {misfit(value, fit, stride, lanes)} does not fit in {bits} bits")
+
+
 def pack_lanes(values, stride: int) -> int:
     """One word holding `values` side by side, the first in the lowest lane;
     `stride` is a whole number of bytes."""
@@ -191,6 +213,12 @@ def block_tops(width: int, w: int) -> int:
     """The top bit of every w-bit block of a width-bit word; cached, since
     each blockwise add asks for it."""
     return block_bottoms(width, w) << (w - 1)
+
+
+def block_carries(carry_word: int, width: int, w: int) -> tuple[int, ...]:
+    """The carries of a width-bit word's w-bit blocks, lowest block first,
+    from a carry word holding each just above its block's top, its weight."""
+    return tuple((carry_word >> bit) & 1 for bit in range(w, width + 1, w))
 
 
 def blockwise_add(x: int, y: int, top: int) -> tuple[int, int]:

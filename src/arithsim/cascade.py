@@ -8,9 +8,10 @@ level l holds a + b added inside 2**l-bit blocks, each tick is one call of
 `bitvec.blockwise_add`, and the saved carries form one word, block i's carry
 at bit (i+1)*w, its weight.
 
-The ticks run on words: `leaf_init` returns level 1's (sums, carry word) and
-`cascade_step` maps one level's pair to the next. After every tick the lane
-kernel `cascade_lanes` re-checks the block-sum balance
+The ticks run on words: the lane kernel `cascade_lanes` runs tick 1, whose
+level `leaf_init` returns, and `cascade_step` maps one level's (sums, carry
+word) to the next. After every tick `cascade_lanes` re-checks the block-sum
+balance
 
     carry_i * 2**w + sum_block_i == a_block_i + b_block_i      (w = block width)
 
@@ -35,12 +36,15 @@ from .bitvec import (
     BitVector,
     ModelIntegrityError,
     block_bottoms,
+    block_carries,
     block_tops,
     blockwise_add,
+    check_operands,
     increment_mask,
     lane_mask,
     lane_stride,
     misfit,
+    operand_width,
 )
 
 # 16-entry lookup programmed with two-bit addition: the table index packs the
@@ -50,12 +54,6 @@ PAIR_ADD_TABLE: tuple[tuple[int, int], ...] = tuple(
     (((index & 3) + (index >> 2)) & 3, ((index & 3) + (index >> 2)) >> 2)
     for index in range(16)
 )
-
-
-def level_carries(carry_word: int, width: int, level: int) -> tuple[int, ...]:
-    """The saved carries of a level's carry word, lowest block first."""
-    w = 1 << level
-    return tuple((carry_word >> bit) & 1 for bit in range(w, width + w, w))
 
 
 @lru_cache
@@ -108,8 +106,8 @@ class CascadeState:
     ) -> None:
         """The level check on the words of every lane: the level range, the
         sums' range, the carry positions and the block-sum balance, given the
-        operands' a ^ b and a & b, which `cascade_lanes` builds once per add.
-        The operands fit their lanes; `cascade_lanes` checks them once too.
+        operands' a ^ b and a & b, which `cascade_lanes` builds once per add
+        from operands that `check_operands` has passed.
 
         The balance is checked bit by bit and without the kernel: s ^ a ^ b is
         each bit's carry in. None may enter a block bottom; the rest, like the
@@ -160,7 +158,7 @@ def level_records(levels, width: int) -> list[dict[str, object]]:
     digits = "0{}x".format((width + 3) // 4)
     return [
         dict(level=level, sums=format(sums, digits),
-             carries=list(level_carries(word, width, level)))
+             carries=list(block_carries(word, width, 1 << level)))
         for level, (sums, word) in enumerate(levels, start=1)
     ]
 
@@ -174,13 +172,8 @@ class CascadeResult:
 
 def leaf_init(a: BitVector, b: BitVector) -> tuple[int, int]:
     """Tick 1: add all bit pairs through the 16-entry lookup units, giving
-    level 1's sums and carry word."""
-    if a.width != b.width:
-        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    width = a.width
-    if width < 2 or width & (width - 1):
-        raise ValueError(f"width must be a power of two >= 2, got {width}")
-    return blockwise_add(a.value, b.value, block_tops(width, 2))
+    level 1's sums and carry word; the first level of `cascade_lanes`."""
+    return cascade_lanes(a.value, b.value, operand_width(a, b))[0]
 
 
 def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVector, int]:
@@ -237,11 +230,7 @@ def cascade_lanes(a: int, b: int, width: int, lanes: int = 1) -> list[tuple[int,
     at bit `width` of the lane."""
     if width < 2 or width & (width - 1):
         raise ValueError(f"width must be a power of two >= 2, got {width}")
-    fit = level_masks(width, 1, lanes)[0]
-    for value in (a, b):
-        if value & fit != value:
-            raise ValueError(f"value {misfit(value, fit, lane_stride(width), lanes)}"
-                             f" does not fit in {width} bits")
+    check_operands(a, b, width, lane_stride(width), lanes)
     k = width.bit_length() - 1
     check, half, both = CascadeState._check_block_sums, a ^ b, a & b
     # tick 1: the leaf lookups, on two-bit blocks tiled across every lane
@@ -257,9 +246,7 @@ def cascade_lanes(a: int, b: int, width: int, lanes: int = 1) -> list[tuple[int,
 
 def cascade_add(a: BitVector, b: BitVector) -> CascadeResult:
     """Add two 2**k-bit vectors in k ticks; see `cascade_lanes`."""
-    if a.width != b.width:
-        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    width = a.width
+    width = operand_width(a, b)
     levels = cascade_lanes(a.value, b.value, width)
     trace = CascadeTrace(a, b, tuple(levels), ticks=len(levels))
     sums, carry_word = levels[-1]

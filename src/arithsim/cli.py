@@ -152,10 +152,12 @@ def _draw_layout(width: int, count: int) -> tuple[int, int, int, int]:
     """Where `count` `width`-bit values sit in one getrandbits draw of their
     whole 32-bit words: the slot of whole words each value fills, the low
     bits dropped from its last word, and masks of its low whole words and
-    of its last word's kept bits, brought down by that drop."""
-    slot = -(-width // 32) * 32
+    of its last word's kept bits, brought down by that drop (0 where none)."""
+    slot, drop = -(-width // 32) * 32, -width % 32
+    if not drop:
+        return slot, 0, 0, 0
     low = lane_mask(slot - 32, slot, count)
-    return slot, -width % 32, low, lane_mask(width, slot, count) ^ low
+    return slot, drop, low, lane_mask(width, slot, count) ^ low
 
 
 def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
 from .bitvec import BitVector, ModelIntegrityError, lane_stride, oracle_add, oracle_mul
-from .bitvec import pack_lanes, unpack_narrow_lanes
+from .bitvec import block_carries, pack_lanes, unpack_narrow_lanes
 from . import cascade, flash, multiplier
 from .multiplier import RowSet, Schedule
 
@@ -62,8 +62,8 @@ class Circuit(NamedTuple):
     and naming `schedule` in its header. An adder's `add` is its one-pair
     call, showing an N+1-bit sum, or with `carry_apart` an N-bit sum and
     the carry; `--trace` prints one `label` record, or `template` line, per
-    field dict of `trace(words, width)`; `gates(width)` is the simulator's
-    own gate tally, where it keeps one.
+    field dict of `trace(words, width)`; `gates(width)` is the gate tally
+    that `--trace` and the scripts show, where the adder has one.
     """
 
     needs: str
@@ -145,9 +145,9 @@ DESIGNS = {
         template="firings: [{pairs}] gates={gates}",
         trace=lambda words, n: [dict(
             pairs=_joined(f"{i}:{j}" for i, j in flash.fire_pairs(*words[1:])),
-            gates=flash.network_gates(n),
+            gates=flash_gates(n),
         )],
-        gates=flash.network_gates,
+        gates=lambda n: flash_gates(n),
     ),
     Design.FLASH_DOUBLE: Circuit(
         needs="an even width >= 2",
@@ -166,7 +166,9 @@ DESIGNS = {
         lanes=lambda a, b, w, k: _ticked(flash.blocked_lanes(a, b, w, k), flash.BLOCKED_TICKS),
         label="block_carries",
         template="block carries: [{bits}]",
-        trace=lambda words, w: [dict(bits=_joined(flash.block_carries(words[1], w)))],
+        trace=lambda words, w: [
+            dict(bits=_joined(block_carries(words[1], w, flash.blocked_shape(w)[1])))
+        ],
     ),
     Design.MULT_SCHEDULE_A: _multiplier(Schedule.A),
     Design.MULT_SCHEDULE_B: _multiplier(Schedule.B),

@@ -42,9 +42,11 @@ from .bitvec import (
     ModelIntegrityError,
     block_tops,
     blockwise_add,
+    check_operands,
     increment_mask,
     lane_mask,
     lane_stride,
+    operand_width,
 )
 
 FLASH_ADD_TICKS = 2
@@ -134,17 +136,9 @@ def fire_pairs(carries: int, ends: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def network_gates(n: int) -> int:
-    """The N-bit AND network's N(N+1)/2 gates: each set carry's row fires one
-    gate and every other gate conjoins a 0, so each add tallies them all."""
-    return n * (n + 1) // 2
-
-
 def half_add(a: BitVector, b: BitVector) -> HalfAddState:
     """Tick 1: all sum and carry wires in parallel."""
-    if a.width != b.width:
-        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    return HalfAddState(n=a.width, s=a.value ^ b.value, c=a.value & b.value)
+    return HalfAddState(n=operand_width(a, b), s=a.value ^ b.value, c=a.value & b.value)
 
 
 def sc_and(state: HalfAddState, i: int, j: int) -> int:
@@ -237,18 +231,18 @@ def resolve(state: HalfAddState) -> ResolveResult:
 def flash_lanes(a: int, b: int, n: int, lanes: int = 1) -> tuple[int, int, int]:
     """The two ticks on `lanes` pairs of n-bit operands packed at
     `lane_stride(n)`. Returns the resolved wires (each lane's carry out on
-    its wire n), the carry word and the end word, all in the same lanes."""
+    its wire n), the carry word and the end word, all in the same lanes.
+    Operands that pass `check_operands` give wires that pass `check_wires`:
+    a ^ b and a & b fit n wires and are never high on the same index."""
+    check_operands(a, b, n, lane_stride(n), lanes)
     s, c = a ^ b, a & b  # tick 1: all sum and carry wires in parallel
-    check_wires(n, s, c, lanes)
     total, ends = absorb(s, c, n, lanes)
     return total, c, ends
 
 
 def flash_add(a: BitVector, b: BitVector) -> ResolveResult:
     """Two-tick N-bit addition; the result's top bit is the carry out."""
-    if a.width != b.width:
-        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    n = a.width
+    n = operand_width(a, b)
     return ResolveResult(BitVector(n + 1, flash_lanes(a.value, b.value, n)[0]), FLASH_ADD_TICKS)
 
 
@@ -343,6 +337,7 @@ def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int
     fires. Returns the 2N+1-bit sums and the cross carries, one on each
     lane's bit 0, both in the operands' lanes.
     """
+    check_operands(x, y, 2 * n, lane_stride(2 * n), lanes)
     bw = n + (n & 1)
     packed, ones, low_half, block, fit, parities = double_width_masks(n, lanes)
     if n & 1:  # move each high half up one wire by adding it to itself
@@ -405,6 +400,7 @@ def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]
     lane.
     """
     packed, bw = blocked_shape(width, lanes)
+    check_operands(a, b, width, lane_stride(width), lanes)
     wires, carry_weight = pair_leaf_blocks(a, b, packed, block_parity_masks(width, bw, lanes))
 
     # tick 3: the network across blocks; the top block's carry lands on the
@@ -416,16 +412,8 @@ def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]
     return total, carry_weight
 
 
-def block_carries(carry_weight: int, width: int) -> tuple[int, ...]:
-    """One pair's block carries in `blocked_lanes`' carry word, lowest first."""
-    bw = blocked_shape(width)[1]
-    return tuple((carry_weight >> top) & 1 for top in range(bw, width + 1, bw))
-
-
 def blocked_add(a: BitVector, b: BitVector) -> ResolveResult:
     """Add two 2N-bit values; see `blocked_lanes`."""
-    width = a.width
-    if b.width != width:
-        raise ValueError(f"operand widths differ: {width} vs {b.width}")
+    width = operand_width(a, b)
     total = blocked_lanes(a.value, b.value, width)[0]
     return ResolveResult(BitVector(width + 1, total), BLOCKED_TICKS)

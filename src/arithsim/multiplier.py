@@ -22,9 +22,9 @@ three-tick double-width adder.
 stride, `bitvec.lane_stride` of the row width: the 2N row bits and one byte
 of padding, 136 bits at N = 64. The padding holds `majority << 1` and every
 quantizer digit, so a lane-mask check rejects a lane's overflow with the
-one-lane message. The operands come in at that stride, and the rows, the
-final double-width add and the products stay at it. `multiply` is its
-K = 1 call.
+one-lane message. The operands come in at that stride, checked by
+`bitvec.check_operands`, and the rows, the final double-width add and the
+products stay at it. `multiply` is its K = 1 call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from enum import Enum
 from functools import lru_cache, reduce
 from operator import or_
 
-from .bitvec import BitVector, ModelIntegrityError, lane_mask, lane_stride, misfit
+from .bitvec import BitVector, ModelIntegrityError, check_operands, lane_mask, lane_stride
+from .bitvec import misfit, operand_width
 from . import flash
 
 
@@ -165,50 +166,35 @@ class MultiplyResult:
 
 
 @lru_cache(maxsize=4)
-def bit_masks(n: int, lanes: int) -> tuple[int, tuple[int, ...]]:
-    """Every lane's n low bits at `lane_stride(2 * n)`, and for each i < n
-    its bits i and i + n; a few shapes cached, since every batch of a sweep
-    asks for them."""
+def bit_masks(n: int, lanes: int) -> tuple[int, ...]:
+    """For each i < n, every lane's bits i and i + n at `lane_stride(2 * n)`;
+    a few shapes cached, since every batch of a sweep asks for them: its
+    balanced batches take at most two lane counts, plus one pair."""
     ones = lane_mask(1, lane_stride(2 * n), lanes)
     pair = ones | ones << n
-    return ones * ((1 << n) - 1), tuple(pair << i for i in range(n))
+    return tuple(pair << i for i in range(n))
 
 
 def partial_product_lanes(a: int, b: int, n: int, lanes: int = 1) -> RowSet:
     """All N shifted rows of `lanes` pairs of n-bit operands, zero rows
     included: in every lane, row i = (a << i) * b_i. The operands are
-    packed at `lane_stride(2 * n)`; a bit outside a lane's n bits, or
-    above the top lane, raises ValueError naming the first lane with one.
+    packed at `lane_stride(2 * n)` and checked by `check_operands`.
 
     Column p then holds exactly the convolution bits a_j * b_{p-j}. Keeping
     zero rows keeps the row count and the schedule shape data-independent.
     """
-    # masks of a power-of-two lane count, so a sweep's last, short batch
-    # shares its full batches' masks: a lane past the operands meets 0 bits,
-    # and its fit passes a bit above the top lane only where it holds more
-    size = 1 << (lanes - 1).bit_length()
-    fit, masks = bit_masks(n, size)
-    bits = a | b
-    past_top = size > lanes and bits.bit_length() > (lanes - 1) * lane_stride(2 * n) + n
-    if bits & fit != bits or past_top:
-        stride = lane_stride(2 * n)
-        fit = lane_mask(n, stride, lanes)
-        for value in (a, b):
-            if value & fit != value:
-                shown = misfit(value, fit, stride, lanes)
-                raise ValueError(f"value {shown} does not fit in {n} bits")
+    check_operands(a, b, n, lane_stride(2 * n), lanes)
     # b in n bits makes t = b & m each lane's b_i and (b << n) & m its t << n,
     # so their difference is ones at bits i to i + n - 1 where b_i is set
     bn = b << n
-    rows = [((bn & m) - t) & (a << i) if (t := b & m) else 0 for i, m in enumerate(masks)]
+    rows = [((bn & m) - t) & (a << i) if (t := b & m) else 0
+            for i, m in enumerate(bit_masks(n, lanes))]
     return RowSet(2 * n, tuple(rows), lanes)
 
 
 def partial_products(a: BitVector, b: BitVector) -> RowSet:
     """All N shifted rows of one pair; see `partial_product_lanes`."""
-    if a.width != b.width:
-        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    return partial_product_lanes(a.value, b.value, a.width)
+    return partial_product_lanes(a.value, b.value, operand_width(a, b))
 
 
 def csa_3_2(r1: int, r2: int, r3: int, width: int) -> tuple[int, int]:
@@ -351,9 +337,7 @@ def multiply_lanes(
 
 def multiply(a: BitVector, b: BitVector, schedule: Schedule) -> MultiplyResult:
     """Full product of one pair; see `multiply_lanes`."""
-    if a.width != b.width:
-        raise ValueError(f"operand widths differ: {a.width} vs {b.width}")
-    n = a.width
+    n = operand_width(a, b)
     product, report = multiply_lanes(a.value, b.value, n, schedule)
     return MultiplyResult(
         product=BitVector(2 * n, product),

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithsim.bitvec import BitVector, ModelIntegrityError, block_tops, blockwise_add, oracle_add
+from arithsim.bitvec import (
+    BitVector,
+    ModelIntegrityError,
+    block_carries,
+    block_tops,
+    blockwise_add,
+    oracle_add,
+)
 from arithsim.cascade import (
     PAIR_ADD_TABLE,
     CascadeState,
@@ -12,7 +19,6 @@ from arithsim.cascade import (
     cascade_step,
     increment_unit,
     leaf_init,
-    level_carries,
     level_records,
     special_and_gates,
     step_gate_count,
@@ -32,14 +38,14 @@ def test_pair_add_table_is_two_bit_addition():
 def test_leaf_init_zero():
     sums, carry_word = leaf_init(BitVector(4, 0), BitVector(4, 0))
     assert sums == 0
-    assert level_carries(carry_word, 4, 1) == (0, 0)
+    assert block_carries(carry_word, 4, 2) == (0, 0)
 
 
 def test_leaf_init_11_plus_6():
     # low block 3+2=5: sum bits 01, carry 1; high block 2+1=3: sum bits 11
     sums, carry_word = leaf_init(BitVector(4, 11), BitVector(4, 6))
     assert sums == 0b1101
-    assert level_carries(carry_word, 4, 1) == (1, 0)
+    assert block_carries(carry_word, 4, 2) == (1, 0)
     assert (sums & 0b11, sums >> 2) == (1, 3)
 
 
@@ -47,7 +53,7 @@ def test_leaf_init_all_ones():
     # each block 3+3=6: sum bits 10, carry 1
     sums, carry_word = leaf_init(BitVector(4, 15), BitVector(4, 15))
     assert sums == 0b1010
-    assert level_carries(carry_word, 4, 1) == (1, 1)
+    assert block_carries(carry_word, 4, 2) == (1, 1)
 
 
 def test_leaf_init_rejects_bad_widths():
@@ -101,7 +107,7 @@ def test_increment_unit_adds_exactly_inc(width_log, high_carry, inc, data):
 def test_cascade_step_merges_blocks():
     sums, carry_word = cascade_step(*leaf_init(BitVector(4, 11), BitVector(4, 6)), 4, 1)
     assert sums == 0b0001
-    assert level_carries(carry_word, 4, 2) == (1,)
+    assert block_carries(carry_word, 4, 4) == (1,)
     with pytest.raises(ValueError):
         cascade_step(sums, carry_word, 4, 2)  # already at level k
 
@@ -109,7 +115,7 @@ def test_cascade_step_merges_blocks():
 def test_cascade_step_all_ones():
     sums, carry_word = cascade_step(*leaf_init(BitVector(4, 15), BitVector(4, 15)), 4, 1)
     assert sums == 0b1110
-    assert level_carries(carry_word, 4, 2) == (1,)
+    assert block_carries(carry_word, 4, 4) == (1,)
 
 
 def test_state_validation_catches_tampered_carries():
@@ -146,7 +152,7 @@ def _check_levels_independently(result, a, b):
         state = CascadeState(trace.ticks, level, BitVector(width, sums), carry_word, a, b)
         w = 1 << state.level
         mask = (1 << w) - 1
-        for i, carry in enumerate(level_carries(state.carry_word, width, state.level)):
+        for i, carry in enumerate(block_carries(state.carry_word, width, w)):
             a_blk = (a.value >> (i * w)) & mask
             b_blk = (b.value >> (i * w)) & mask
             s_blk = (state.sums.value >> (i * w)) & mask
@@ -263,7 +269,7 @@ def test_blockwise_add_is_per_block_addition_exhaustively():
 def _step_by_increment_units(sums_word, carry_word, width, level):
     """cascade_step as the paper draws it: one increment unit per block pair."""
     w = 1 << level
-    carries_in = level_carries(carry_word, width, level)
+    carries_in = block_carries(carry_word, width, w)
     sums_in = _blocks(sums_word, w, len(carries_in))
     sums = 0
     carries = []
@@ -282,7 +288,7 @@ def _assert_steps_match_increment_units(a, b):
     for level in range(1, width.bit_length() - 1):
         want = _step_by_increment_units(sums, carry_word, width, level)
         sums, carry_word = cascade_step(sums, carry_word, width, level)
-        assert (sums, level_carries(carry_word, width, level + 1)) == want
+        assert (sums, block_carries(carry_word, width, 1 << level + 1)) == want
 
 
 def test_cascade_step_is_the_increment_units_exhaustively():
@@ -337,7 +343,7 @@ def test_block_sum_check_accepts_exactly_the_balanced_states():
                     assert got == (ModelIntegrityError, message)
                 else:
                     assert got is None
-                    assert level_carries(carry_word, 4, level) == carries
+                    assert block_carries(carry_word, 4, 1 << level) == carries
 
 
 def test_a_flipped_leaf_sum_is_a_block_sum_break(flipped_leaf_sum):

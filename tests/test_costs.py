@@ -1,6 +1,5 @@
 import pytest
 
-from arithsim.bitvec import BitVector
 from arithsim.costs import (
     Design,
     blocked_gate_split,
@@ -16,7 +15,6 @@ from arithsim.costs import (
     schedule_comparison,
     schedule_speedup,
 )
-from arithsim.flash import fire_set, half_add, network_gates
 from arithsim.multiplier import Schedule
 
 
@@ -31,12 +29,6 @@ def test_flash_gates_values():
     assert [flash_gates(n) for n in (4, 8, 16, 64, 128)] == [10, 36, 136, 2080, 8256]
     with pytest.raises(ValueError):
         flash_gates(0)
-
-
-def test_fire_set_budget_agrees_with_the_formula():
-    for n in (4, 8, 16, 64):
-        state = half_add(BitVector(n, 0), BitVector(n, 0))
-        assert network_gates(fire_set(state).width) == flash_gates(n)
 
 
 def test_double_width_gates():

@@ -5,18 +5,20 @@ from hypothesis import strategies as st
 from arithsim.bitvec import (
     BitVector,
     ModelIntegrityError,
+    block_carries,
     block_tops,
     blockwise_add,
     increment_mask,
 )
+from arithsim.costs import flash_gates
 from arithsim.flash import (
     FireSet,
     HalfAddState,
     apply_firings_sequentially,
     block_parity_masks,
-    block_carries,
     blocked_add,
     blocked_lanes,
+    blocked_shape,
     complement_segments,
     double_width_add,
     double_width_lanes,
@@ -25,7 +27,6 @@ from arithsim.flash import (
     flash_add,
     half_add,
     increment_by_pow2,
-    network_gates,
     pair_leaf_blocks,
     resolve,
     sc_and,
@@ -109,7 +110,7 @@ def test_fire_set_examples():
 def test_fire_set_gate_budget():
     for n in (1, 2, 4, 8, 16, 64):
         state = half_add(BitVector(n, 0), BitVector(n, 0))
-        assert network_gates(fire_set(state).width) == n * (n + 1) // 2
+        assert flash_gates(fire_set(state).width) == n * (n + 1) // 2
 
 
 def test_fire_set_matches_gatewise_evaluation(rng):
@@ -405,7 +406,7 @@ def test_blocked_add_examples():
     zero = blocked_add(BitVector(8, 0), BitVector(8, 0))
     assert zero.sum.value == 0
     assert zero.ticks == 3
-    assert len(block_carries(blocked_lanes(0, 0, 8)[1], 8)) == 2
+    assert len(block_carries(blocked_lanes(0, 0, 8)[1], 8, blocked_shape(8)[1])) == 2
 
     carry_chain = blocked_add(BitVector(8, 0xFF), BitVector(8, 0x01))
     assert carry_chain.sum.value == 0x100
@@ -435,7 +436,7 @@ def test_blocked_add_random_n16(rng):
         b = rng.getrandbits(32)
         result = blocked_add(BitVector(32, a), BitVector(32, b))
         assert result.sum.value == a + b
-        assert len(block_carries(blocked_lanes(a, b, 32)[1], 32)) == 4
+        assert len(block_carries(blocked_lanes(a, b, 32)[1], 32, blocked_shape(32)[1])) == 4
 
 
 def test_blocked_add_random_n64(rng):

@@ -201,7 +201,7 @@ def test_a_range_message_names_the_first_lane_that_fails(bad):
 def test_a_multiplier_operand_bit_outside_its_lane_names_the_lane(n, lanes, bad, operand):
     # the row select reads bit i + n of b, so each operand lane holds n bits:
     # the stray is bit n of lane `bad`, or for lane 5 of 5, past the top
-    # lane but inside the cached masks' 8 lanes, its bit 0
+    # lane, its bit 0
     stride, top = lane_stride(2 * n), (1 << n) - 1
     word = pack_lanes([top] * lanes, stride)
     stray = word | 1 << bad * stride + (n if bad < lanes else 0)
