@@ -13,15 +13,7 @@ the table doubles as a smoke test.
 import argparse
 import random
 
-from arithsim.costs import (
-    DESIGNS,
-    Design,
-    blocked_gate_split,
-    cost_report,
-    mult_hardware_estimate,
-    reference_table,
-)
-from arithsim.multiplier import Schedule
+from arithsim.costs import DESIGNS, Design, blocked_gate_split, cost_report, reference_table
 
 
 def run_design(design: Design, width: int, samples: int, seed: int) -> tuple[int, str]:
@@ -68,12 +60,13 @@ def main() -> int:
     print()
     in_block, cross_block = blocked_gate_split(64)
     print(f"blocked 128-bit split: {in_block} in-block + {cross_block} cross-block")
-    for schedule in Schedule:
-        estimate = mult_hardware_estimate(schedule)
-        print(
-            f"mult 64-bit {schedule.value}: {estimate.total_memory_entries()} memory entries, "
-            f"{estimate.ticks} ticks"
-        )
+    for design, circuit in DESIGNS.items():
+        if circuit.schedule != "-":
+            report = cost_report(design, 64)
+            print(
+                f"mult 64-bit {circuit.schedule}: {report.memory_entries} memory entries, "
+                f"{report.ticks} ticks"
+            )
 
     print()
     print("headline numbers:")

@@ -5,11 +5,11 @@ kernel, oracle, sweep limit, cost and `--trace` view, for `cost`, the CLI
 and the scripts alike.
 
 Gate counts cover the special-purpose AND gates only; the lookup units are
-costed as associative-memory entries where a design uses them. Tick counts
-come in two accountings for the multiplier schedules: the `published`
-accounting combines a stage lower bound with a conventional final adder for
-schedule A, while the `simulated` accounting uses the stage counts and
-three-tick adder this package actually runs.
+costed as associative-memory entries where a design uses them. A cost's
+ticks are the published ones: for the multiplier, `end_to_end_ticks` prices
+schedule A with a stage lower bound and a conventional final adder, while
+`multiplier.multiply_ticks` gives the stage counts and three-tick adder that
+this package actually runs, and that `mul` and `verify` report.
 """
 
 from __future__ import annotations
@@ -56,14 +56,15 @@ class Circuit(NamedTuple):
     them for error messages; `cost(width)` is its published (special AND
     gates, memory entries, ticks). `lanes(a, b, width, k)` runs its lane
     kernel on k pairs packed at `stride(width)` (the multiplier's 2N-bit
-    rows): (each lane's result, ticks, the kernel's words, the multiplier's
-    `ScheduleReport`); `oracle` takes the same arguments and gives the
-    results `verify` wants, sweeping every pair up to width `exhaustive`
-    and naming `schedule` in its header. An adder's `add` is its one-pair
-    call, showing an N+1-bit sum, or with `carry_apart` an N-bit sum and
-    the carry; `--trace` prints one `label` record, or `template` line, per
-    field dict of `trace(words, width)`; `gates(width)` is the gate tally
-    that `--trace` and the scripts show, where the adder has one.
+    rows): (each lane's result, ticks, the kernel's words), the words being
+    the multiplier's `ScheduleReport`; `oracle` takes the same arguments and
+    gives the results `verify` wants, sweeping every pair up to width
+    `exhaustive` and naming `schedule` in its header. An adder's `add` is
+    its one-pair call, showing an N+1-bit sum, or with `carry_apart` an
+    N-bit sum and the carry; `--trace` prints one `label` record, or
+    `template` line, per field dict of `trace(words, width)`; `gates(width)`
+    is the gate tally that `--trace` and the scripts show, where the adder
+    has one.
     """
 
     needs: str
@@ -105,8 +106,11 @@ def _multiplier(schedule: Schedule) -> Circuit:
     """The multiplier under one consolidation schedule."""
 
     def cost(width: int) -> tuple[int, int, int]:
-        estimate = mult_hardware_estimate(schedule, width)
-        return 0, estimate.total_memory_entries(), estimate.ticks
+        if width != 64:
+            raise ValueError(f"hardware estimate is defined for width 64 only, got {width}")
+        circuits, quantizers = multiplier_banks(schedule)
+        entries = ENTRIES_PER_CSA * circuits + ENTRIES_PER_QUANTIZER * quantizers
+        return 0, entries, end_to_end_ticks(schedule)
 
     def lanes(a: int, b: int, width: int, k: int) -> tuple:
         product, report = multiplier.multiply_lanes(a, b, width, schedule, k)
@@ -193,34 +197,6 @@ class CostReport:
     ticks: int
 
 
-@dataclass(frozen=True)
-class MultiplierEstimate:
-    """Hardware budget for one 64-bit multiplier schedule."""
-
-    schedule: Schedule
-    width: int
-    csa_circuits: int
-    csa_memory_entries: int  # 8 two-bit entries per 3:2 circuit
-    quantizers_63_to_6: int
-    quantizer_memory_entries: int  # 64 six-bit entries per quantizer
-    ticks: int
-
-    def total_memory_entries(self) -> int:
-        return self.csa_memory_entries + self.quantizer_memory_entries
-
-
-@dataclass(frozen=True)
-class ScheduleComparison:
-    """Schedule A's extra 3:2 hardware against schedule B's quantizer bank."""
-
-    a_exclusive_csa_circuits: int
-    a_exclusive_memory_entries: int
-    b_quantizer_memory_entries: int
-    ticks_a: int
-    ticks_b: int
-    speedup: int
-
-
 def cascade_gates(k: int) -> int:
     """Special AND gates in the k-stage cascade adder: k * 2**(k-1) - 1.
 
@@ -296,6 +272,9 @@ def consolidation_lower_bound(from_rows: int, to_rows: int) -> int:
 
 # Schedule A's published accounting finishes with a conventional adder.
 CONVENTIONAL_ADDER_TICKS = 15
+# The multiplier's lookup units, as memory entries per unit.
+ENTRIES_PER_CSA = 8  # two-bit entries per 3:2 circuit
+ENTRIES_PER_QUANTIZER = 64  # six-bit entries per 63-to-6 quantizer
 
 
 @lru_cache(maxsize=None)
@@ -305,82 +284,36 @@ def _simulated_ticks(schedule: Schedule) -> int:
     return multiplier.multiply_ticks(multiplier.consolidate(rows, schedule)[1])
 
 
-def end_to_end_ticks(schedule: Schedule, accounting: str = "published") -> int:
-    """Ticks for a full 64-bit multiplication under one schedule.
-
-    `published` accounting: schedule A takes the 3:2 stage lower bound plus
-    a 15-tick conventional adder; schedule B takes its simulated stage count
-    plus the three-tick double-width adder. `simulated` accounting uses the
-    stage counts this package runs plus the three-tick adder for both.
+def end_to_end_ticks(schedule: Schedule) -> int:
+    """Published ticks for a full 64-bit multiplication: schedule A takes
+    the 3:2 stage lower bound plus a 15-tick conventional adder, schedule B
+    its stage count from a real run plus the three-tick double-width adder.
+    The ticks this package runs, 13 under A, are `multiplier.multiply_ticks`.
     """
-    if accounting == "published" and schedule is Schedule.A:
+    if schedule is Schedule.A:
         stages = consolidation_lower_bound(multiplier.PUBLISHED_ROW_COUNT, 2)
         return stages + CONVENTIONAL_ADDER_TICKS
-    if accounting in ("published", "simulated"):
-        return _simulated_ticks(schedule)
-    raise ValueError(f"unknown accounting {accounting!r}")
+    return _simulated_ticks(schedule)
 
 
-def schedule_speedup() -> int:
-    """Exact tick ratio of schedule A to schedule B, published accounting."""
-    a = end_to_end_ticks(Schedule.A)
-    b = end_to_end_ticks(Schedule.B)
-    if a % b:
-        raise ModelIntegrityError(f"tick ratio {a}/{b} is not integral")
-    return a // b
-
-
-def mult_hardware_estimate(schedule: Schedule, width: int = 64) -> MultiplierEstimate:
-    """Hardware budget for the published 64-bit multiplier.
+def multiplier_banks(schedule: Schedule) -> tuple[int, int]:
+    """(3:2 circuits, 63-to-6 quantizers) of the published 64-bit multiplier.
 
     Schedule A sizes its 3:2 bank for the first (widest) stage: the 21 row
     triples cover staggered rows, so triple i spans 6i + 1 active columns,
-    21 * 61 = 1281 circuits in all, each an 8-entry two-bit lookup. Schedule
-    B pairs one 64-level quantizer with each of the 128 product columns (64
-    six-bit entries apiece) plus the final 3:2 stage's 128 circuits; its
-    second quantizer stage reuses the first bank.
+    21 * 61 = 1281 circuits in all. Schedule B pairs one quantizer with
+    each of the 128 product columns, plus the final 3:2 stage's 128
+    circuits; its second quantizer stage reuses the first bank. So B trades
+    A's other 1153 circuits (9224 two-bit entries) for the quantizers'
+    8192 six-bit entries, and takes 8 ticks to A's 24.
     """
-    if width != 64:
-        raise ValueError(f"hardware estimate is defined for width 64 only, got {width}")
-    if schedule is Schedule.A:
-        circuits = sum(6 * i + 1 for i in range(21))
-        if circuits != 21 * 61:
-            raise ModelIntegrityError("staggered-row circuit count disagrees")
-        return MultiplierEstimate(
-            schedule=schedule,
-            width=width,
-            csa_circuits=circuits,
-            csa_memory_entries=circuits * 8,
-            quantizers_63_to_6=0,
-            quantizer_memory_entries=0,
-            ticks=end_to_end_ticks(schedule),
-        )
-    columns = 2 * width
-    return MultiplierEstimate(
-        schedule=schedule,
-        width=width,
-        csa_circuits=columns,
-        csa_memory_entries=columns * 8,
-        quantizers_63_to_6=columns,
-        quantizer_memory_entries=64 * columns,
-        ticks=end_to_end_ticks(schedule),
-    )
-
-
-def schedule_comparison() -> ScheduleComparison:
-    """The published trade: schedule B swaps 1153 3:2 circuits (9224 two-bit
-    entries) for the quantizer bank's 8192 six-bit entries."""
-    a = mult_hardware_estimate(Schedule.A)
-    b = mult_hardware_estimate(Schedule.B)
-    extra_circuits = a.csa_circuits - b.csa_circuits
-    return ScheduleComparison(
-        a_exclusive_csa_circuits=extra_circuits,
-        a_exclusive_memory_entries=extra_circuits * 8,
-        b_quantizer_memory_entries=b.quantizer_memory_entries,
-        ticks_a=a.ticks,
-        ticks_b=b.ticks,
-        speedup=schedule_speedup(),
-    )
+    if schedule is Schedule.B:
+        columns = 2 * multiplier.PUBLISHED_ROW_COUNT
+        return columns, columns
+    circuits = sum(6 * i + 1 for i in range(21))
+    if circuits != 21 * 61:
+        raise ModelIntegrityError("staggered-row circuit count disagrees")
+    return circuits, 0
 
 
 def cost_report(design: Design, width: int) -> CostReport:
@@ -390,16 +323,19 @@ def cost_report(design: Design, width: int) -> CostReport:
 
 def reference_table() -> tuple[tuple[str, int], ...]:
     """The headline numbers every release must reproduce, computed live."""
-    comparison = schedule_comparison()
+    (circuits_a, _), (circuits_b, quantizers_b) = map(multiplier_banks, Schedule)
+    ticks_a, ticks_b = map(end_to_end_ticks, Schedule)
+    if ticks_a % ticks_b:
+        raise ModelIntegrityError(f"tick ratio {ticks_a}/{ticks_b} is not integral")
     return (
         ("cascade_gates_width_128", cost_report(Design.CASCADE, 128).special_and_gates),
         ("double_width_gates_width_128", cost_report(Design.FLASH_DOUBLE, 128).special_and_gates),
         ("blocked_gates_width_128", cost_report(Design.BLOCKED_DOUBLE, 128).special_and_gates),
-        ("schedule_a_csa_circuits", mult_hardware_estimate(Schedule.A).csa_circuits),
-        ("schedule_b_quantizer_entries", comparison.b_quantizer_memory_entries),
-        ("schedule_a_exclusive_entries", comparison.a_exclusive_memory_entries),
+        ("schedule_a_csa_circuits", circuits_a),
+        ("schedule_b_quantizer_entries", ENTRIES_PER_QUANTIZER * quantizers_b),
+        ("schedule_a_exclusive_entries", ENTRIES_PER_CSA * (circuits_a - circuits_b)),
         ("consolidation_stage_lower_bound", consolidation_lower_bound(64, 2)),
-        ("schedule_a_ticks", end_to_end_ticks(Schedule.A)),
-        ("schedule_b_ticks", end_to_end_ticks(Schedule.B)),
-        ("schedule_speedup", schedule_speedup()),
+        ("schedule_a_ticks", ticks_a),
+        ("schedule_b_ticks", ticks_b),
+        ("schedule_speedup", ticks_a // ticks_b),
     )

@@ -98,12 +98,12 @@ def wire_masks(n: int, lanes: int = 1) -> tuple[int, int]:
     return lane_mask(n, stride, lanes), lane_mask(n + 1, stride, lanes)
 
 
-def check_wires(n: int, s: int, c: int, lanes: int = 1) -> None:
-    """The wire checks after tick 1, on every lane: n+1 sum wires with the
-    top one at 0, n carry wires, and no index high on both."""
+def check_wires(n: int, s: int, c: int) -> None:
+    """The wire checks after tick 1: n+1 sum wires with the top one at 0,
+    n carry wires, and no index high on both."""
     if n < 1:
         raise ValueError(f"width must be positive, got {n}")
-    low, wires = wire_masks(n, lanes)
+    low, wires = wire_masks(n)
     if s & wires != s or c & low != c:
         raise ValueError("wire widths must be n+1 sum bits and n carry bits")
     if s & low != s:

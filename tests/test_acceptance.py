@@ -20,9 +20,7 @@ from arithsim.costs import (
     double_width_gates,
     end_to_end_ticks,
     flash_gates,
-    mult_hardware_estimate,
-    schedule_comparison,
-    schedule_speedup,
+    reference_table,
 )
 from arithsim.flash import (
     apply_firings_sequentially,
@@ -275,15 +273,14 @@ def test_criterion_7_multiplier_correctness(verdict, stage_totals):
 
 
 def test_criterion_8_hardware_estimates(verdict):
-    estimate_a = mult_hardware_estimate(Schedule.A)
-    comparison = schedule_comparison()
+    table = dict(reference_table())
     observed = {
-        "csa_circuits_a": estimate_a.csa_circuits,
-        "quantizer_entries_b": comparison.b_quantizer_memory_entries,
-        "comparison_entries": comparison.a_exclusive_memory_entries,
+        "csa_circuits_a": table["schedule_a_csa_circuits"],
+        "quantizer_entries_b": table["schedule_b_quantizer_entries"],
+        "comparison_entries": table["schedule_a_exclusive_entries"],
         "ticks_a": end_to_end_ticks(Schedule.A),
         "ticks_b": end_to_end_ticks(Schedule.B),
-        "speedup": schedule_speedup(),
+        "speedup": table["schedule_speedup"],
     }
     expected = {
         "csa_circuits_a": 1281,
