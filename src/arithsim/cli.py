@@ -1,9 +1,12 @@
 """Command-line front end: add, mul, verify, cost, schedule.
 
-Operands travel as lowercase unprefixed hex. Structured output is one
-`key=value` record per line with a fixed field order, so identical
-configurations (seed included) produce byte-identical bytes. The default
-format comes from the ARITHSIM_FORMAT environment variable when set.
+Operands travel as lowercase unprefixed hex. Every line on stdout is a
+record printed by `_emit`, the one place that chooses between the formats:
+each command states a record's fields once, and the structured format prints
+them as `record=<label> key=value ...` in a fixed field order, so identical
+configurations (seed included) produce byte-identical bytes; the text format
+prints the command's layout of the same values. The default format comes
+from the ARITHSIM_FORMAT environment variable when set.
 
 Every command reads its design's `costs.DESIGNS` entry through the width
 rule `costs.check_width`. `add` and `mul` run its lane kernel at K = 1;
@@ -56,10 +59,24 @@ VERIFY_WORD_BITS = 1 << 16
 ADDER_DESIGNS = tuple(d.value for d, circuit in DESIGNS.items() if circuit.schedule == "-")
 
 
-def _record(__label: str, **fields) -> str:
-    parts = [f"record={__label}"]
-    parts.extend(f"{key}={value}" for key, value in fields.items())
-    return " ".join(parts)
+def _pairs(fields: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in fields.items())
+
+
+def _aligned(fields: dict, pad: int) -> str:
+    """The text layout of a block of fields: `key = value` lines, keys padded to `pad`."""
+    return "\n".join(f"{key:<{pad}} = {value}" for key, value in fields.items())
+
+
+def _emit(structured: bool, label: str, fields: dict, text: str | None = None) -> None:
+    """Print one record: `record=<label>` and its fields as key=value pairs
+    in the structured format; `text` in the text format, by default the
+    fields' key=value pairs alone."""
+    if structured:
+        text = f"record={label} {_pairs(fields)}"
+    elif text is None:
+        text = _pairs(fields)
+    print(text)
 
 
 def _circuit(args: argparse.Namespace) -> Circuit:
@@ -74,29 +91,14 @@ def cmd_add(args: argparse.Namespace, structured: bool) -> int:
     a = BitVector.from_hex(args.a_hex, args.width)
     b = BitVector.from_hex(args.b_hex, args.width)
     sum_vec, carry, ticks, words = adder.add(a.value, b.value, args.width)
-    if structured:
-        print(
-            _record(
-                "add",
-                design=args.design,
-                width=args.width,
-                a=a.to_hex(),
-                b=b.to_hex(),
-                sum=sum_vec.to_hex(),
-                carry=carry,
-                ticks=ticks,
-            )
-        )
-    else:
-        print(f"add design={args.design} width={args.width}")
-        print(f"a      = {a.to_hex()} ({a.to_binary()})")
-        print(f"b      = {b.to_hex()} ({b.to_binary()})")
-        print(f"sum    = {sum_vec.to_hex()} ({sum_vec.to_binary()})")
-        print(f"carry  = {carry}")
-        print(f"ticks  = {ticks}")
+    head = dict(design=args.design, width=args.width)
+    vectors = dict(a=a, b=b, sum=sum_vec)  # the text form shows each one's binary too
+    fields = {key: vec.to_hex() for key, vec in vectors.items()} | dict(carry=carry, ticks=ticks)
+    shown = fields | {key: f"{fields[key]} ({vec.to_binary()})" for key, vec in vectors.items()}
+    _emit(structured, "add", head | fields, f"add {_pairs(head)}\n{_aligned(shown, 6)}")
     if args.trace:
         for fields in adder.trace(words, args.width):
-            print(_record(adder.label, **fields) if structured else adder.template.format(**fields))
+            _emit(structured, adder.label, fields, adder.template.format(**fields))
     return 0
 
 
@@ -107,26 +109,10 @@ def cmd_mul(args: argparse.Namespace, structured: bool) -> int:
     product, ticks, report = circuit.lanes(a.value, b.value, args.width, 1)
     product = BitVector(2 * args.width, product).to_hex()
     trajectory = ",".join(str(n) for n in report.row_trajectory)
-    if structured:
-        print(
-            _record(
-                "mul",
-                schedule=args.schedule,
-                width=args.width,
-                a=a.to_hex(),
-                b=b.to_hex(),
-                product=product,
-                ticks=ticks,
-                trajectory=trajectory,
-            )
-        )
-    else:
-        print(f"mul schedule={args.schedule} width={args.width}")
-        print(f"a          = {a.to_hex()}")
-        print(f"b          = {b.to_hex()}")
-        print(f"product    = {product}")
-        print(f"ticks      = {ticks}")
-        print(f"trajectory = [{trajectory}]")
+    head = dict(schedule=args.schedule, width=args.width)
+    fields = dict(a=a.to_hex(), b=b.to_hex(), product=product, ticks=ticks, trajectory=trajectory)
+    shown = fields | dict(trajectory=f"[{trajectory}]")
+    _emit(structured, "mul", head | fields, f"mul {_pairs(head)}\n{_aligned(shown, 10)}")
     return 0
 
 
@@ -239,10 +225,7 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
         seed="-" if exhaustive else args.seed,
         generator=GENERATOR_NAME,
     )
-    if structured:
-        print(_record("header", **header_fields))
-    else:
-        print(" ".join(f"{k}={v}" for k, v in header_fields.items()))
+    _emit(structured, "header", header_fields)
 
     passed = 0
     failed = 0
@@ -271,41 +254,28 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
                 failed += 1
                 if counterexample is None:
                     counterexample = f"a={a:x},b={b:x},got={got:x},want={want:x}"
-    if structured:
-        print(_record("verify", passed=passed, failed=failed, counterexample=counterexample or "-"))
-    else:
-        print(f"result: {passed}/{passed + failed} pass")
-        if counterexample is not None:
-            print(f"first counterexample: {counterexample}")
+    text = f"result: {passed}/{passed + failed} pass"
+    if counterexample is not None:
+        text += f"\nfirst counterexample: {counterexample}"
+    fields = dict(passed=passed, failed=failed, counterexample=counterexample or "-")
+    _emit(structured, "verify", fields, text)
     return 0 if failed == 0 else 1
 
 
 def cmd_cost(args: argparse.Namespace, structured: bool) -> int:
     if args.table:
         for name, value in reference_table():
-            if structured:
-                print(_record("cost", name=name, value=value))
-            else:
-                print(f"{name:34s} {value}")
+            _emit(structured, "cost", dict(name=name, value=value), f"{name:34s} {value}")
         return 0
     report = cost_report(Design(args.design), args.width)
-    if structured:
-        print(
-            _record(
-                "cost",
-                design=report.design.value,
-                width=report.width,
-                gates=report.special_and_gates,
-                entries=report.memory_entries,
-                ticks=report.ticks,
-            )
-        )
-    else:
-        print(f"design  = {report.design.value}")
-        print(f"width   = {report.width}")
-        print(f"gates   = {report.special_and_gates}")
-        print(f"entries = {report.memory_entries}")
-        print(f"ticks   = {report.ticks}")
+    fields = dict(
+        design=report.design.value,
+        width=report.width,
+        gates=report.special_and_gates,
+        entries=report.memory_entries,
+        ticks=report.ticks,
+    )
+    _emit(structured, "cost", fields, _aligned(fields, 7))
     return 0
 
 
@@ -324,23 +294,12 @@ def cmd_schedule(args: argparse.Namespace, structured: bool) -> int:
             ticks=stage.ticks,
             circuits=stage.circuits_used,
         )
-        if structured:
-            print(_record("stage", **fields))
-        else:
-            print(" ".join(f"{k}={v}" for k, v in fields.items()))
+        _emit(structured, "stage", fields)
     trajectory = ",".join(str(n) for n in report.row_trajectory)
-    if structured:
-        print(
-            _record(
-                "schedule",
-                schedule=args.schedule,
-                rows=rows,
-                trajectory=trajectory,
-                total_ticks=report.total_ticks,
-            )
-        )
-    else:
-        print(f"schedule {args.schedule}: trajectory=[{trajectory}] total_ticks={report.total_ticks}")
+    ticks = report.total_ticks
+    fields = dict(schedule=args.schedule, rows=rows, trajectory=trajectory, total_ticks=ticks)
+    text = f"schedule {args.schedule}: trajectory=[{trajectory}] total_ticks={ticks}"
+    _emit(structured, "schedule", fields, text)
     return 0
 
 

@@ -181,6 +181,16 @@ def complement_segments(s: int, carries: int, ends: int) -> int:
     just above the carries. Only the segments that run from each carry to the
     lowest 0 above it, sharing no wire, pass, so any other end word is a
     model break.
+
+    On non-negative words, two conjuncts of the first check reject no
+    triple that the rest would pass. `union < 0` changes nothing: a
+    negative union leaves infinitely many interior bits, which the interior
+    test refuses with the same message. The upper-neighbour test only picks
+    the message of some rejected triples: when the union is not negative
+    and the start check holds, the bottom wire of every run of the union is
+    a start, so union + starts == ends << 1 carries each run into the wire
+    above its top; the top wire of every run is then an end, and every
+    interior wire's upper neighbour is in the union.
     """
     starts = carries << 1
     union = (ends << 1) - starts

@@ -15,6 +15,7 @@ from arithsim.bitvec import (
 from arithsim.cascade import (
     PAIR_ADD_TABLE,
     CascadeState,
+    CascadeTrace,
     cascade_add,
     cascade_step,
     increment_unit,
@@ -142,6 +143,12 @@ def test_state_validation_checks_shapes():
         CascadeState(k=2, level=1, sums=v, carry_word=2 << 4, a=v, b=v)
     with pytest.raises(ValueError, match="value 16 does not fit in 4 bits"):
         CascadeState._check_block_sums(2, 1, 16, 0, 0, 0)
+    with pytest.raises(ValueError, match="sums must be 4 bits wide, got 8"):
+        CascadeState(k=2, level=1, sums=BitVector(8, 0), carry_word=0, a=v, b=v)
+    with pytest.raises(ValueError, match="trace needs at least the leaf state"):
+        CascadeTrace(a=v, b=v, levels=(), ticks=2)
+    with pytest.raises(ValueError, match="trace must cover all k levels at one tick each"):
+        CascadeTrace(a=v, b=v, levels=((0, 0),), ticks=1)
 
 
 def _check_levels_independently(result, a, b):

@@ -231,6 +231,34 @@ def test_no_front_end_function_branches_on_a_design(module):
         assert len(design_comparisons(circuit)) == 1
 
 
+def test_every_stdout_line_goes_through_emit():
+    # `cli._emit` is the one place that picks a format: no other function
+    # tests `structured`, and every other print goes to stderr
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def format_tests(function):
+        return [
+            node.lineno
+            for node in ast.walk(function)
+            if isinstance(node, (ast.If, ast.IfExp, ast.While))
+            and any(getattr(name, "id", None) == "structured" for name in ast.walk(node.test))
+        ]
+
+    def stdout_prints(function):
+        return [
+            node.lineno
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+            and not any(keyword.arg == "file" for keyword in node.keywords)
+        ]
+
+    found = {f.name: (format_tests(f), stdout_prints(f)) for f in functions}
+    emit = found.pop("_emit", ([], []))
+    assert {name: lines for name, lines in found.items() if lines != ([], [])} == {}
+    assert [len(lines) for lines in emit] == [1, 1]
+
+
 def test_cost_single_design(capsys):
     code, out, _ = run_cli(capsys, ["cost", "--design", "blocked_double", "--width", "128"])
     assert code == 0
@@ -295,6 +323,9 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert "width must be positive" in err, argv
+    for argv in (["cost", "--design", "flash"], ["cost", "--width", "8"]):
+        want = (2, "", "error: cost needs --design and --width, or --table\n")
+        assert run_cli(capsys, argv) == want, argv
     # width 8 sweeps exhaustively and ignores --trials, which is still checked
     code, out, err = run_cli(
         capsys, ["verify", "--design", "flash", "--width", "8", "--trials", "0"]

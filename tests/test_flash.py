@@ -224,6 +224,57 @@ def test_complement_segments_is_the_segment_definition_for_every_word():
     assert wrong == []
 
 
+def reduced_check(s, carries, ends):
+    """The message `complement_segments`' check would raise without its
+    `union < 0` and upper-neighbour conjuncts, or None if it passes."""
+    starts = carries << 1
+    union = (ends << 1) - starts
+    interior = union ^ (union & ends)
+    if ends & s or interior & s != interior:
+        return "a fired segment is not a run of 1 wires up to a 0 wire"
+    if union ^ (union & (interior << 1)) != starts:
+        return "fired segments do not start just above their carries"
+    return None
+
+
+def complement_check(s, carries, ends):
+    try:
+        complement_segments(s, carries, ends)
+    except ModelIntegrityError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_implied_conjuncts_reject_no_triple_of_their_own():
+    # every s < 2**6, carries < 2**5 and ends < 2**6: the check with and
+    # without the two conjuncts rejects the same triples
+    wrong = [
+        (s, carries, ends)
+        for s in range(1 << 6)
+        for carries in range(1 << 5)
+        for ends in range(1 << 6)
+        if (complement_check(s, carries, ends) is None) != (reduced_check(s, carries, ends) is None)
+    ]
+    assert wrong == []
+    # they choose the message: here the upper-neighbour test fires first
+    assert complement_check(2, 0, 1) == "a fired segment is not a run of 1 wires up to a 0 wire"
+    assert reduced_check(2, 0, 1) == "fired segments do not start just above their carries"
+
+
+@given(st.integers(1, 128), st.data())
+def test_the_implied_conjuncts_reject_no_triple_of_their_own_at_any_width(n, data):
+    a, b = (data.draw(st.integers(0, (1 << n) - 1)) for _ in "ab")
+    s, carries = a ^ b, a & b
+    if data.draw(st.booleans(), label="any words"):
+        s = data.draw(st.integers(0, (1 << n + 1) - 1), label="s")
+        carries = data.draw(st.integers(0, (1 << n) - 1), label="carries")
+    # the firing search's ends, as they are or with one or any wires flipped
+    one_wire = st.integers(0, n + 1).map(lambda j: 1 << j)
+    flips = st.just(0) | one_wire | st.integers(0, (1 << n + 2) - 1)
+    ends = find_firings(s, carries) ^ data.draw(flips, label="flipped ends")
+    assert (complement_check(s, carries, ends) is None) == (reduced_check(s, carries, ends) is None)
+
+
 def test_resolve_examples():
     assert resolve(half_add(BitVector(4, 5), BitVector(4, 3))).sum.to_binary() == "01000"
     assert resolve(half_add(BitVector(4, 15), BitVector(4, 1))).sum.to_binary() == "10000"
@@ -417,6 +468,8 @@ def test_blocked_add_rejects_bad_shapes():
         blocked_add(BitVector(8, 0), BitVector(16, 0))
     with pytest.raises(ValueError):
         blocked_add(BitVector(16, 0), BitVector(16, 0))  # half 8 not a power of 4
+    with pytest.raises(ValueError, match="operand width must be even, got 7"):
+        blocked_lanes(0, 0, 7)
 
 
 def test_blocked_add_exhaustive_small():

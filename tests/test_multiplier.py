@@ -184,6 +184,11 @@ def test_stage_record_laws_are_enforced():
             kind=StageKind.CSA_3_2, rows_in=7, rows_out=5, left_out=0, ticks=1,
             circuits_used=2,
         )
+    with pytest.raises(ValueError, match="a 3:2 stage takes one tick"):
+        StageRecord(
+            kind=StageKind.CSA_3_2, rows_in=7, rows_out=5, left_out=1, ticks=2,
+            circuits_used=2,
+        )
     with pytest.raises(ValueError):
         StageRecord(
             kind=StageKind.QUANTIZER, rows_in=8, rows_out=5, left_out=1, ticks=2,
@@ -204,6 +209,13 @@ def test_schedule_report_must_be_consistent():
         ScheduleReport(stages=(record,), row_trajectory=(4, 2), total_ticks=1)
     with pytest.raises(ValueError):
         ScheduleReport(stages=(record,), row_trajectory=(3, 2), total_ticks=2)
+    with pytest.raises(ValueError, match="stage 0 rows_out disagrees with trajectory"):
+        ScheduleReport(stages=(record,), row_trajectory=(3, 5), total_ticks=1)
+    six = StageRecord(
+        kind=StageKind.CSA_3_2, rows_in=9, rows_out=6, left_out=0, ticks=1, circuits_used=3,
+    )
+    with pytest.raises(ValueError, match="consolidation must end at two rows"):
+        ScheduleReport(stages=(six,), row_trajectory=(9, 6), total_ticks=1)
 
 
 def test_schedule_a_from_64_zero_rows():
