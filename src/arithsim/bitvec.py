@@ -18,6 +18,13 @@ is written x ^ (x & m), and a range check reads x & m != x (Warren, Hacker's
 Delight, section 2-1). Both are exact for every int, but on a word of
 thousands of bits any bitwise op with a negative operand copies it through
 two's complement, several times the cost of the op itself.
+
+For the same reason a kernel uses a mask it already holds instead of
+shifting one: on a lane word a shift or an add costs several ANDs or XORs
+(on 45-65 kbit words, 2.6-3.8 us against 0.48-0.65 us; timeit, best of 9,
+a 2-core Xeon on Python 3.11). So the cascade step takes the odd blocks'
+carries under the next level's cached slot mask, and the AND network reads
+its segments one wire down.
 """
 
 from __future__ import annotations

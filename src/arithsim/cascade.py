@@ -204,14 +204,20 @@ def cascade_step(
 ) -> tuple[int, int]:
     """One tick from `level` to the next, on `lanes` lanes: absorb every even
     block's carry, which sits on its odd neighbour's bottom bit, into that
-    neighbour, all pairs in one blockwise add."""
+    neighbour, all pairs in one blockwise add.
+
+    The odd blocks' carries sit at the next level's slots, so they are
+    `carry_word` under that level's cached mask and the even ones are the
+    rest. That is exact for a carry word inside this level's slots, which is
+    every word `cascade_lanes` hands over, since this level's check rejects
+    any other; a stray bit outside the slots counts as an even carry and is
+    added into the sums."""
     w = 1 << level
     if w >= width:
         raise ValueError(f"cascade already complete at level {width.bit_length() - 1}")
-    pairs = level_masks(width, level + 1, lanes)[1]  # the bottoms of the 2w-bit blocks
-    even_carries = carry_word & (pairs << w)
-    sums, overflow = blockwise_add(sums, even_carries, pairs << (2 * w - 1))
-    odd_carries = carry_word ^ even_carries
+    _, pairs, odd_slots = level_masks(width, level + 1, lanes)  # the 2w-bit blocks
+    odd_carries = carry_word & odd_slots
+    sums, overflow = blockwise_add(sums, carry_word ^ odd_carries, pairs << (2 * w - 1))
     if overflow & odd_carries:
         raise ModelIntegrityError("saturated word cannot hold a high carry")
     return sums, overflow | odd_carries

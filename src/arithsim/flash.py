@@ -159,52 +159,55 @@ def segment_mask(i: int, j: int) -> int:
     return ((1 << (j - i)) - 1) << (i + 1)
 
 
-def find_firings(s: int, carries: int) -> int:
+def find_firings(s: int, weight: int) -> int:
     """The carry-absorbing AND network's firing search, as an end word.
 
     The gate AND(i, j) that fires for set carry bit i sits at the lowest 0 of
     the wires `s` above i (wires above the top of `s` read 0). Adding the
-    carries' weight 2**(i+1) turns exactly those 0 wires into 1s, so bit j of
-    the result is set for each fired gate.
+    carries' weight word, bit i+1 for each carry i, turns exactly those 0
+    wires into 1s, so bit j of the result is set for each fired gate. The
+    callers hold that word already or need it again, so it is taken as is.
     """
-    t = s + (carries << 1)
+    t = s + weight
     return t ^ (t & s)
 
 
 def complement_segments(s: int, carries: int, ends: int) -> int:
     """Complement every fired segment s_{i+1}..s_j of `s` simultaneously.
 
-    Pairing the carries and ends in ascending order, the segments' union is
-    (ends << 1) - (carries << 1). It is checked against the gate definition
-    on whole words: every end is a 0 wire, every other complemented wire is a
-    1 wire whose upper neighbour is complemented too, and the segments start
-    just above the carries. Only the segments that run from each carry to the
-    lowest 0 above it, sharing no wire, pass, so any other end word is a
-    model break.
+    Pairing the carries and ends in ascending order, `half` = ends - carries
+    is the segments' union one wire down, and the union is half << 1. It is
+    checked against the gate definition on whole words: every end is a 0
+    wire, every other complemented wire is a 1 wire whose upper neighbour is
+    complemented too (its own wire is in `half`), and the segments start just
+    above the carries (the wires of `half` that are not interior are the
+    carries). Only the segments that run from each carry to the lowest 0
+    above it, sharing no wire, pass, so any other end word is a model break.
+    Read one wire down, the check and the flip share one shift.
 
     On non-negative words, two conjuncts of the first check reject no
-    triple that the rest would pass. `union < 0` changes nothing: a
-    negative union leaves infinitely many interior bits, which the interior
-    test refuses with the same message. The upper-neighbour test only picks
-    the message of some rejected triples: when the union is not negative
-    and the start check holds, the bottom wire of every run of the union is
-    a start, so union + starts == ends << 1 carries each run into the wire
-    above its top; the top wire of every run is then an end, and every
-    interior wire's upper neighbour is in the union.
+    triple that the rest would pass. `half < 0` changes nothing: a negative
+    half leaves infinitely many interior bits, which the interior test
+    refuses with the same message. The upper-neighbour test `interior & s &
+    half` only picks the message of some rejected triples: when `half` is
+    not negative and the start check holds, the bottom wire of every run of
+    `half` is a carry, so half + carries == ends carries each run into the
+    wire above its top; the top wire of every run of the union is then an
+    end, and every interior wire's upper neighbour is in the union.
     """
-    starts = carries << 1
-    union = (ends << 1) - starts
+    half = ends - carries
+    union = half << 1
     interior = union ^ (union & ends)
-    if union < 0 or ends & s or interior & s & (union >> 1) != interior:
+    if half < 0 or ends & s or interior & s & half != interior:
         raise ModelIntegrityError("a fired segment is not a run of 1 wires up to a 0 wire")
-    if union ^ (union & (interior << 1)) != starts:
+    if half ^ (half & interior) != carries:
         raise ModelIntegrityError("fired segments do not start just above their carries")
     return s ^ union
 
 
 def fire_set(state: HalfAddState) -> FireSet:
     """Evaluate all N(N+1)/2 gates on the original wires."""
-    return FireSet(width=state.n, carries=state.c, ends=find_firings(state.s, state.c))
+    return FireSet(width=state.n, carries=state.c, ends=find_firings(state.s, state.c << 1))
 
 
 def apply_firings_sequentially(s: int, firings, order: list[int] | None = None) -> int:
@@ -224,10 +227,11 @@ def apply_firings_sequentially(s: int, firings, order: list[int] | None = None) 
 def absorb(s: int, c: int, n: int, lanes: int = 1) -> tuple[int, int]:
     """Tick 2 on every lane: fire the gate network and complement all
     segments at once. Returns the resolved wires and the end word."""
-    ends = find_firings(s, c)
+    weight = c << 1
+    ends = find_firings(s, weight)
     check_fire_words(n, c, ends, lanes)
     total = complement_segments(s, c, ends)
-    if total != s + 2 * c:
+    if total != s + weight:
         raise ModelIntegrityError("carry absorption changed the running total")
     return total, ends
 
@@ -314,7 +318,7 @@ def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> t
     resolved = carry_weight = 0
     for mask in parities:
         s, c = s_val & mask, carries & mask
-        blocks = complement_segments(s, c, find_firings(s, c))
+        blocks = complement_segments(s, c, find_firings(s, c << 1))
         inside = blocks & mask
         resolved |= inside
         carry_weight |= blocks ^ inside
@@ -413,10 +417,11 @@ def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]
     check_operands(a, b, width, lane_stride(width), lanes)
     wires, carry_weight = pair_leaf_blocks(a, b, packed, block_parity_masks(width, bw, lanes))
 
-    # tick 3: the network across blocks; the top block's carry lands on the
-    # overflow bit
+    # tick 3: the network across blocks, the firing search on the block
+    # carries' weight word as it comes (its bit 0 is in the first block, so
+    # never a carry); the top block's carry lands on the overflow bit
     block_tops = carry_weight >> 1
-    total = complement_segments(wires, block_tops, find_firings(wires, block_tops))
+    total = complement_segments(wires, block_tops, find_firings(wires, carry_weight))
     if total != a + b:
         raise ModelIntegrityError("cross-block resolution lost value")
     return total, carry_weight

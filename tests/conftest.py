@@ -24,8 +24,8 @@ def shortened_segment(monkeypatch):
     wire down, so the first segment stops one wire early."""
     original = flash.find_firings
 
-    def shortened(s, carries):
-        ends = original(s, carries)
+    def shortened(s, weight):
+        ends = original(s, weight)
         lowest = ends & -ends
         return ends ^ lowest ^ (lowest >> 1)
 
@@ -38,8 +38,8 @@ def extra_end(monkeypatch):
     lowest free wire above its lowest end."""
     original = flash.find_firings
 
-    def extra(s, carries):
-        ends = original(s, carries)
+    def extra(s, weight):
+        ends = original(s, weight)
         return ends | ((ends + (ends & -ends)) & ~ends)
 
     monkeypatch.setattr(flash, "find_firings", extra)

@@ -9,6 +9,9 @@ from arithsim.bitvec import (
     block_tops,
     blockwise_add,
     increment_mask,
+    lane_stride,
+    pack_lanes,
+    unpack_lanes,
 )
 from arithsim.costs import flash_gates
 from arithsim.flash import (
@@ -23,8 +26,10 @@ from arithsim.flash import (
     double_width_add,
     double_width_lanes,
     find_firings,
+    fire_pairs,
     fire_set,
     flash_add,
+    flash_lanes,
     half_add,
     increment_by_pow2,
     pair_leaf_blocks,
@@ -271,7 +276,7 @@ def test_the_implied_conjuncts_reject_no_triple_of_their_own_at_any_width(n, dat
     # the firing search's ends, as they are or with one or any wires flipped
     one_wire = st.integers(0, n + 1).map(lambda j: 1 << j)
     flips = st.just(0) | one_wire | st.integers(0, (1 << n + 2) - 1)
-    ends = find_firings(s, carries) ^ data.draw(flips, label="flipped ends")
+    ends = find_firings(s, carries << 1) ^ data.draw(flips, label="flipped ends")
     assert (complement_check(s, carries, ends) is None) == (reduced_check(s, carries, ends) is None)
 
 
@@ -300,6 +305,22 @@ def test_flash_add_exhaustive_small():
                 assert result.sum.value == a + b
                 assert result.sum.width == n + 1
                 assert result.ticks == 2
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 31, 32, 33, 63, 64, 65, 127, 128])
+def test_every_gate_fires_in_its_own_lane(n):
+    # random pairs reach few long segments (14% of the width-128 gates in a
+    # whole suite run); one pair per gate AND(i, j), a = bits i..j-1 and
+    # b = bit i, leaves sum wires i+1..j-1 over the carry on wire i, so that
+    # gate alone fires, its segment the longest run it can complement
+    gates = [(i, j) for j in range(1, n + 1) for i in range(j)]
+    a = [(1 << j) - (1 << i) for i, j in gates]
+    b = [1 << i for i, _ in gates]
+    stride, lanes = lane_stride(n), len(gates)
+    total, carries, ends = flash_lanes(pack_lanes(a, stride), pack_lanes(b, stride), n, lanes)
+    lane_words = zip(*(unpack_lanes(word, stride, lanes) for word in (carries, ends, total)))
+    for gate, x, y, (c, e, t) in zip(gates, a, b, lane_words):
+        assert (fire_pairs(c, e), t) == ((gate,), x + y)
 
 
 def test_flash_add_random_n64(rng):
@@ -413,7 +434,7 @@ def per_block_network(x, y, width, block_width):
     for base in range(0, width, block_width):
         block_s = (s_val >> base) & block_mask
         block_c = (carried_weight >> (base + 1)) & block_mask
-        block = complement_segments(block_s, block_c, find_firings(block_s, block_c))
+        block = complement_segments(block_s, block_c, find_firings(block_s, block_c << 1))
         resolved |= (block & block_mask) << base
         carry_weight |= (block >> block_width) << (base + block_width)
     return resolved, carry_weight

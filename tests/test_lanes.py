@@ -290,10 +290,10 @@ def test_a_fault_in_one_flash_lane_fails_its_batch(capsys, monkeypatch):
     width, stride = 6, lane_stride(6)
     original = flash.find_firings
 
-    def drops_an_end(s, carries):
-        ends = original(s, carries)
-        for j in range(max(s, carries).bit_length() // stride + 1):
-            if (lane(s, j, stride), lane(carries, j, stride)) == (15 ^ 5, 15 & 5):
+    def drops_an_end(s, weight):
+        ends = original(s, weight)
+        for j in range(max(s, weight).bit_length() // stride + 1):
+            if (lane(s, j, stride), lane(weight, j, stride)) == (15 ^ 5, (15 & 5) << 1):
                 lowest = lane(ends, j, stride) & -lane(ends, j, stride)
                 ends ^= lowest << j * stride
         return ends
@@ -452,12 +452,12 @@ def test_a_fault_on_one_pair_fails_its_multi_a_batch(capsys, monkeypatch):
     width, stride = 8, lane_stride(8)
     original = flash.find_firings
 
-    def drops_an_end(s, carries):
-        ends = original(s, carries)
-        count = max(s, carries).bit_length() // stride + 1
-        wires = zip(unpack_lanes(s, stride, count), unpack_lanes(carries, stride, count))
+    def drops_an_end(s, weight):
+        ends = original(s, weight)
+        count = max(s, weight).bit_length() // stride + 1
+        wires = zip(unpack_lanes(s, stride, count), unpack_lanes(weight, stride, count))
         for j, lane_wires in enumerate(wires):
-            if lane_wires == (0, 24):
+            if lane_wires == (0, 24 << 1):
                 lowest = lane(ends, j, stride) & -lane(ends, j, stride)
                 ends ^= lowest << j * stride
         return ends

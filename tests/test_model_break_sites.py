@@ -1,0 +1,77 @@
+"""Model-break checks around the AND network's words, each reached by one
+injected fault.
+
+No correct input reaches these checks, so each test replaces one module
+global of `flash` (the segment complement, the blockwise add or the
+pair-leaf network) with a faulty copy, or calls the cascade step on a
+crafted level, and asserts the exact `ModelIntegrityError` message.
+"""
+
+import re
+
+import pytest
+
+from arithsim import flash
+from arithsim.bitvec import ModelIntegrityError
+from arithsim.cascade import cascade_step
+
+
+def raises(message):
+    return pytest.raises(ModelIntegrityError, match=f"^{re.escape(message)}$")
+
+
+def faulty(monkeypatch, name, fault):
+    """Replace `flash.<name>` by `fault(original, *args)`."""
+    original = getattr(flash, name)
+    monkeypatch.setattr(flash, name, lambda *args: fault(original, *args))
+
+
+def test_absorb_refuses_a_complement_that_changes_the_total(monkeypatch):
+    faulty(monkeypatch, "complement_segments", lambda f, *args: f(*args) ^ 1)
+    with raises("carry absorption changed the running total"):
+        flash.flash_lanes(5, 3, 4)
+
+
+def test_the_pair_leaf_network_refuses_a_lookup_that_loses_value(monkeypatch):
+    faulty(monkeypatch, "blockwise_add", lambda f, *args: (f(*args)[0] ^ 1, f(*args)[1]))
+    with raises("pair-leaf initialization lost value"):
+        flash.blocked_lanes(5, 3, 8)
+
+
+def test_the_pair_leaf_network_refuses_a_block_that_loses_value(monkeypatch):
+    # every complement of zero wires comes back as 1: in the even blocks a
+    # resolved wire, in the odd blocks a carry out of bit 0, so 0 + 0 gives 2
+    faulty(monkeypatch, "complement_segments", lambda f, *args: f(*args) ^ 1)
+    with raises("in-block resolution lost value"):
+        flash.blocked_lanes(0, 0, 8)
+
+
+def test_double_width_refuses_a_low_half_carry_above_its_n_plus_1_wires(monkeypatch):
+    # odd halves only: an N-bit half in an (N+1)-wire block carries out at
+    # wire N+1, above its sum's N+1 wires; an even half's block carry is its
+    # wire N, inside them, so no fault reaches this check at even N
+    n = 3
+    faulty(monkeypatch, "pair_leaf_blocks", lambda f, *args: (f(*args)[0], 1 << n + 1))
+    with raises("a half's sum does not fit its n+1 wires"):
+        flash.double_width_lanes(0, 0, n)
+
+
+def test_double_width_refuses_a_cross_carry_into_a_full_high_half(monkeypatch):
+    # n = 2: high half 0b11 with its carry out, 0b111, and the low half's
+    # carry out, which has nowhere to go inside the high half's 3 wires
+    faulty(monkeypatch, "pair_leaf_blocks", lambda f, *args: (0b1100, 0b10100))
+    with raises("cross-carry increment escaped the high half"):
+        flash.double_width_lanes(0, 0, 2)
+
+
+def test_blocked_refuses_a_cross_block_sum_that_loses_value(monkeypatch):
+    faulty(monkeypatch, "pair_leaf_blocks", lambda f, *args: (f(*args)[0] ^ 1, f(*args)[1]))
+    with raises("cross-block resolution lost value"):
+        flash.blocked_lanes(5, 3, 8)
+
+
+def test_the_cascade_step_refuses_a_saturated_block_with_a_high_carry():
+    # width 4, level 1: the odd block 0b11 holds its own carry (bit 4) and
+    # takes the even block's (bit 2), so it overflows onto a set carry
+    with raises("saturated word cannot hold a high carry"):
+        cascade_step(0b1100, 0b10100, 4, 1)
