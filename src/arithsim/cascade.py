@@ -23,8 +23,9 @@ builds. All functions are pure and all values immutable.
 The kernel runs K additions side by side: the operands are packed at
 `bitvec.lane_stride`, and each level's block masks are one lane's blocks
 repeated at the stride, so every lane's blocks and saved carries stay
-inside the lane, its top carry in the padding byte. `cascade_add` is its
-K = 1 call.
+inside the lane, its top carry in the padding byte. The kernel takes them
+all from one cached `cascade_layout` and hands each step and check its
+level's masks. `cascade_add` is its K = 1 call.
 """
 
 from __future__ import annotations
@@ -67,6 +68,18 @@ def level_masks(width: int, level: int, lanes: int = 1) -> tuple[int, int, int]:
 
 
 @lru_cache
+def cascade_layout(width: int, lanes: int = 1) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """Everything `cascade_lanes` masks with, on `lanes` lanes of
+    `width`-bit values: the stride, the leaf lookups' 2-bit block tops, and
+    `level_masks` of every level, level 1 first. These are the ints that
+    `block_tops` and `level_masks` cache, so the layout holds no mask of its
+    own."""
+    stride = lane_stride(width)
+    levels = tuple(level_masks(width, level, lanes) for level in range(1, width.bit_length()))
+    return stride, block_tops(stride * lanes, 2), levels
+
+
+@lru_cache
 def special_and_gates(k: int) -> int:
     """Special AND gates the k-level cascade allocates."""
     return sum(step_gate_count(k, level) for level in range(1, k))
@@ -97,17 +110,20 @@ class CascadeState:
                 raise ValueError(f"{name} must be {width} bits wide, got {vec.width}")
         a, b = self.a.value, self.b.value
         CascadeState._check_block_sums(
-            self.k, self.level, self.sums.value, self.carry_word, a ^ b, a & b
+            self.k, self.level, self.sums.value, self.carry_word, a ^ b, a & b,
+            cascade_layout(width)[2],
         )
 
     @staticmethod
     def _check_block_sums(
-        k: int, level: int, sums: int, carry_word: int, half: int, both: int, lanes: int = 1
+        k: int, level: int, sums: int, carry_word: int, half: int, both: int,
+        masks: tuple[tuple[int, int, int], ...], lanes: int = 1,
     ) -> None:
         """The level check on the words of every lane: the level range, the
         sums' range, the carry positions and the block-sum balance, given the
         operands' a ^ b and a & b, which `cascade_lanes` builds once per add
-        from operands that `check_operands` has passed.
+        from operands that `check_operands` has passed, and every level's
+        `level_masks`, level 1 first, as its `cascade_layout` holds them.
 
         The balance is checked bit by bit and without the kernel: s ^ a ^ b is
         each bit's carry in. None may enter a block bottom; the rest, like the
@@ -116,8 +132,7 @@ class CascadeState:
         """
         if not 1 <= level <= k:
             raise ValueError(f"level {level} outside 1..{k}")
-        width = 1 << k
-        fit, bottoms, slots = level_masks(width, level, lanes)
+        width, (fit, bottoms, slots) = 1 << k, masks[level - 1]
         if sums & fit != sums:
             raise ValueError(f"value {misfit(sums, fit, lane_stride(width), lanes)}"
                              f" does not fit in {width} bits")
@@ -136,7 +151,7 @@ class CascadeState:
             raise ModelIntegrityError(f"block-sum balance broken at level {level}, block {block}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadeTrace:
     """All intermediate levels of one addition, kept for inspection: the
     operands and each level's (sums, carry word), level 1 first."""
@@ -163,7 +178,7 @@ def level_records(levels, width: int) -> list[dict[str, object]]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadeResult:
     sum: BitVector
     carry: int
@@ -200,9 +215,10 @@ def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVecto
 
 
 def cascade_step(
-    sums: int, carry_word: int, width: int, level: int, lanes: int = 1
+    sums: int, carry_word: int, width: int, level: int, masks: tuple[tuple[int, int, int], ...]
 ) -> tuple[int, int]:
-    """One tick from `level` to the next, on `lanes` lanes: absorb every even
+    """One tick from `level` to the next, on the lanes of `masks`, every
+    level's `level_masks` as `cascade_layout` holds them: absorb every even
     block's carry, which sits on its odd neighbour's bottom bit, into that
     neighbour, all pairs in one blockwise add.
 
@@ -215,7 +231,7 @@ def cascade_step(
     w = 1 << level
     if w >= width:
         raise ValueError(f"cascade already complete at level {width.bit_length() - 1}")
-    _, pairs, odd_slots = level_masks(width, level + 1, lanes)  # the 2w-bit blocks
+    _, pairs, odd_slots = masks[level]  # the next level's, the 2w-bit blocks
     odd_carries = carry_word & odd_slots
     sums, overflow = blockwise_add(sums, carry_word ^ odd_carries, pairs << (2 * w - 1))
     if overflow & odd_carries:
@@ -236,16 +252,17 @@ def cascade_lanes(a: int, b: int, width: int, lanes: int = 1) -> list[tuple[int,
     at bit `width` of the lane."""
     if width < 2 or width & (width - 1):
         raise ValueError(f"width must be a power of two >= 2, got {width}")
-    check_operands(a, b, width, lane_stride(width), lanes)
-    k = width.bit_length() - 1
+    stride, leaf_tops, masks = cascade_layout(width, lanes)
+    check_operands(a, b, width, masks[0][0], stride, lanes)
+    k = len(masks)
     check, half, both = CascadeState._check_block_sums, a ^ b, a & b
     # tick 1: the leaf lookups, on two-bit blocks tiled across every lane
-    sums, carry_word = blockwise_add(a, b, block_tops(lane_stride(width) * lanes, 2))
-    check(k, 1, sums, carry_word, half, both, lanes)
+    sums, carry_word = blockwise_add(a, b, leaf_tops)
+    check(k, 1, sums, carry_word, half, both, masks, lanes)
     levels = [(sums, carry_word)]
     for level in range(1, k):
-        sums, carry_word = cascade_step(sums, carry_word, width, level, lanes)
-        check(k, level + 1, sums, carry_word, half, both, lanes)
+        sums, carry_word = cascade_step(sums, carry_word, width, level, masks)
+        check(k, level + 1, sums, carry_word, half, both, masks, lanes)
         levels.append((sums, carry_word))
     return levels
 

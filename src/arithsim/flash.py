@@ -27,8 +27,10 @@ multiplier's final add is `double_width_lanes` on its rows at the same
 stride. Every lane holds its own sum and carry wires with the padding byte
 above them, its blocks are one lane's blocks repeated at the stride, so no
 segment, block or carry crosses into the next lane, and every check is a
-lane-mask check. `flash_add`, `double_width_add` and `blocked_add` are the
-K = 1 call of their kernel.
+lane-mask check. Each kernel takes its masks from one cached layout
+(`wire_masks`, `double_width_masks`, `blocked_shape`) and passes them down.
+`flash_add`, `double_width_add` and `blocked_add` are the K = 1 call of
+their kernel.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class FireSet:
     ends: int
 
     def __post_init__(self) -> None:
-        check_fire_words(self.width, self.carries, self.ends)
+        check_fire_words(self.width, self.carries, self.ends, wire_masks(self.width))
 
     @property
     def firings(self) -> tuple[tuple[int, int], ...]:
@@ -85,17 +87,19 @@ class FireSet:
         return fire_pairs(self.carries, self.ends)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolveResult:  # the flash, double-width and blocked adds' and the increment's result
     sum: BitVector  # the added width, plus the carry out on top
     ticks: int
 
 
 @lru_cache
-def wire_masks(n: int, lanes: int = 1) -> tuple[int, int]:
-    """Every lane's n low wires and its n+1 low wires."""
+def wire_masks(n: int, lanes: int = 1) -> tuple[int, int, int]:
+    """The flash adder's layout on `lanes` lanes of n-bit operands: the
+    stride, every lane's n low wires (the operands' and the carries' fit)
+    and its n+1 low wires."""
     stride = lane_stride(n)
-    return lane_mask(n, stride, lanes), lane_mask(n + 1, stride, lanes)
+    return stride, lane_mask(n, stride, lanes), lane_mask(n + 1, stride, lanes)
 
 
 def check_wires(n: int, s: int, c: int) -> None:
@@ -103,7 +107,7 @@ def check_wires(n: int, s: int, c: int) -> None:
     n carry wires, and no index high on both."""
     if n < 1:
         raise ValueError(f"width must be positive, got {n}")
-    low, wires = wire_masks(n)
+    _, low, wires = wire_masks(n)
     if s & wires != s or c & low != c:
         raise ValueError("wire widths must be n+1 sum bits and n carry bits")
     if s & low != s:
@@ -113,10 +117,10 @@ def check_wires(n: int, s: int, c: int) -> None:
         raise ValueError("sum and carry wires overlap; not a half-add output")
 
 
-def check_fire_words(n: int, carries: int, ends: int, lanes: int = 1) -> None:
-    """The fire set's shape, on every lane: n carry wires, n+1 end wires, and
-    as many ends as carries."""
-    low, wires = wire_masks(n, lanes)
+def check_fire_words(n: int, carries: int, ends: int, layout: tuple[int, int, int]) -> None:
+    """The fire set's shape, on every lane of `layout`, its `wire_masks`: n
+    carry wires, n+1 end wires, and as many ends as carries."""
+    _, low, wires = layout
     if carries & low != carries:
         raise ValueError(f"carry word does not fit width {n}")
     if ends & wires != ends:
@@ -224,12 +228,13 @@ def apply_firings_sequentially(s: int, firings, order: list[int] | None = None) 
     return s
 
 
-def absorb(s: int, c: int, n: int, lanes: int = 1) -> tuple[int, int]:
-    """Tick 2 on every lane: fire the gate network and complement all
-    segments at once. Returns the resolved wires and the end word."""
+def absorb(s: int, c: int, n: int, layout: tuple[int, int, int]) -> tuple[int, int]:
+    """Tick 2 on every lane of `layout`, its `wire_masks`: fire the gate
+    network and complement all segments at once. Returns the resolved wires
+    and the end word."""
     weight = c << 1
     ends = find_firings(s, weight)
-    check_fire_words(n, c, ends, lanes)
+    check_fire_words(n, c, ends, layout)
     total = complement_segments(s, c, ends)
     if total != s + weight:
         raise ModelIntegrityError("carry absorption changed the running total")
@@ -238,7 +243,7 @@ def absorb(s: int, c: int, n: int, lanes: int = 1) -> tuple[int, int]:
 
 def resolve(state: HalfAddState) -> ResolveResult:
     """Tick 2 of one half-added state."""
-    total, _ = absorb(state.s, state.c, state.n)
+    total, _ = absorb(state.s, state.c, state.n, wire_masks(state.n))
     return ResolveResult(BitVector(state.n + 1, total), FLASH_ADD_TICKS)
 
 
@@ -248,9 +253,11 @@ def flash_lanes(a: int, b: int, n: int, lanes: int = 1) -> tuple[int, int, int]:
     its wire n), the carry word and the end word, all in the same lanes.
     Operands that pass `check_operands` give wires that pass `check_wires`:
     a ^ b and a & b fit n wires and are never high on the same index."""
-    check_operands(a, b, n, lane_stride(n), lanes)
+    layout = wire_masks(n, lanes)
+    stride, fit, _ = layout
+    check_operands(a, b, n, fit, stride, lanes)
     s, c = a ^ b, a & b  # tick 1: all sum and carry wires in parallel
-    total, ends = absorb(s, c, n, lanes)
+    total, ends = absorb(s, c, n, layout)
     return total, c, ends
 
 
@@ -289,10 +296,13 @@ def block_parity_masks(width: int, block_width: int, lanes: int = 1) -> tuple[in
     return even * ones, (((1 << width) - 1) ^ even) * ones
 
 
-def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> tuple[int, int]:
-    """Ticks 1-2 of the pair-leaf network on `width`-bit words: add x and y
-    inside every block, returning the resolved sum wires and the carry word,
-    each block's carry out at the bit just above its top, its weight.
+def pair_leaf_blocks(
+    x: int, y: int, pair_tops: int, parities: tuple[int, int]
+) -> tuple[int, int]:
+    """Ticks 1-2 of the pair-leaf network: add x and y inside every block,
+    returning the resolved sum wires and the carry word, each block's carry
+    out at the bit just above its top, its weight. `pair_tops` is the top
+    bit of every 2-bit pair of the words, `block_tops(width, 2)`.
 
     `parities` is the wires of the even and of the odd blocks, each block an
     even number of wires from an even wire, no two of one parity adjacent:
@@ -307,7 +317,7 @@ def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> t
     out.
     """
     # tick 1: pair-leaf initialization, the 16-entry lookups as one blockwise add
-    s_val, carried_weight = blockwise_add(x, y, block_tops(width, 2))
+    s_val, carried_weight = blockwise_add(x, y, pair_tops)
     total = x + y
     if s_val + carried_weight != total:
         raise ModelIntegrityError("pair-leaf initialization lost value")
@@ -328,15 +338,22 @@ def pair_leaf_blocks(x: int, y: int, width: int, parities: tuple[int, int]) -> t
 
 
 @lru_cache
-def double_width_masks(n: int, lanes: int = 1) -> tuple[int, int, int, int, int, tuple[int, int]]:
+def double_width_masks(
+    n: int, lanes: int = 1
+) -> tuple[int, int, int, int, int, int, int, tuple[int, int]]:
     """The double-width adder's layout for N-bit halves in lanes at
-    `lane_stride(2 * n)`: the packed width, then every lane's bit 0, its n
-    low wires, its low padded half block, its n+1 low wires, and the wires
-    of its low and of its high half block, the pair-leaf network's
-    parities. A lane holds both half blocks and the high one's carry out."""
-    bw, stride = n + (n & 1), lane_stride(2 * n)
-    ones, low_half, block, fit = (lane_mask(bits, stride, lanes) for bits in (1, n, bw, n + 1))
-    return stride * lanes, ones, low_half, block, fit, (block, block << bw)
+    `lane_stride(2 * n)`: the stride, every lane's 2N operand bits, the
+    pair tops, then every lane's bit 0, its n low wires, its low padded
+    half block, its n+1 low wires, and the wires of its low and of its high
+    half block, the pair-leaf network's parities. A lane holds both half
+    blocks and the high one's carry out. Below N = 1 the masks hold no bits,
+    so that the kernel's operand check names the width."""
+    bw, stride = max(n + (n & 1), 0), lane_stride(2 * n)
+    operands, ones, low_half, block, fit = (
+        lane_mask(bits, stride, lanes) for bits in (2 * n, 1, n, bw, n + 1)
+    )
+    pair_tops = block_tops(stride * lanes, 2)
+    return stride, operands, pair_tops, ones, low_half, block, fit, (block, block << bw)
 
 
 def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int]:
@@ -351,12 +368,12 @@ def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int
     fires. Returns the 2N+1-bit sums and the cross carries, one on each
     lane's bit 0, both in the operands' lanes.
     """
-    check_operands(x, y, 2 * n, lane_stride(2 * n), lanes)
+    stride, operands, pair_tops, ones, low_half, block, fit, parities = double_width_masks(n, lanes)
+    check_operands(x, y, 2 * n, operands, stride, lanes)
     bw = n + (n & 1)
-    packed, ones, low_half, block, fit, parities = double_width_masks(n, lanes)
     if n & 1:  # move each high half up one wire by adding it to itself
         x, y = x + (x ^ (x & low_half)), y + (y ^ (y & low_half))
-    wires, carry_weight = pair_leaf_blocks(x, y, packed, parities)
+    wires, carry_weight = pair_leaf_blocks(x, y, pair_tops, parities)
     # each half's N+1 sum wires: its block's wires and its carry out on top
     tops = ones << bw
     low = (wires & block) | (carry_weight & tops)
@@ -390,15 +407,19 @@ def is_power_of_four(n: int) -> bool:
 
 
 @lru_cache
-def blocked_shape(width: int, lanes: int = 1) -> tuple[int, int]:
-    """The packed width and the block width, 2 * sqrt(N) bits, of the blocked
-    adder on 2N-bit operands; a failed check caches nothing."""
+def blocked_shape(width: int, lanes: int = 1) -> tuple[int, int, int, int, tuple[int, int]]:
+    """The blocked adder's layout on `lanes` lanes of 2N-bit operands: the
+    stride, the block width, 2 * sqrt(N) bits, every lane's operand bits,
+    the pair tops and the blocks' `block_parity_masks`; a failed check
+    caches nothing."""
     if width % 2:
         raise ValueError(f"operand width must be even, got {width}")
     half = width // 2
     if not is_power_of_four(half):
         raise ValueError(f"half-width {half} must be a power of four")
-    return lane_stride(width) * lanes, width // isqrt(half)
+    stride, bw = lane_stride(width), width // isqrt(half)
+    fit, pair_tops = lane_mask(width, stride, lanes), block_tops(stride * lanes, 2)
+    return stride, bw, fit, pair_tops, block_parity_masks(width, bw, lanes)
 
 
 def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]:
@@ -413,9 +434,9 @@ def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]
     block carries' word, block k's carry at bit (k+1) * block width of its
     lane.
     """
-    packed, bw = blocked_shape(width, lanes)
-    check_operands(a, b, width, lane_stride(width), lanes)
-    wires, carry_weight = pair_leaf_blocks(a, b, packed, block_parity_masks(width, bw, lanes))
+    stride, _, fit, pair_tops, parities = blocked_shape(width, lanes)
+    check_operands(a, b, width, fit, stride, lanes)
+    wires, carry_weight = pair_leaf_blocks(a, b, pair_tops, parities)
 
     # tick 3: the network across blocks, the firing search on the block
     # carries' weight word as it comes (its bit 0 is in the first block, so

@@ -55,7 +55,7 @@ PUBLISHED_ROW_COUNT = 64
 MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowSet:
     """An unordered-sum collection of rows of `lanes` lanes of `width` bits
     each, packed at `lane_stride(width)`; zero rows count. The running sum
@@ -84,7 +84,7 @@ class RowSet:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageRecord:
     """Bookkeeping for one consolidation stage."""
 
@@ -113,7 +113,7 @@ class StageRecord:
                 raise ValueError("a quantizer stage takes two ticks")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleReport:
     stages: tuple[StageRecord, ...]
     row_trajectory: tuple[int, ...]
@@ -158,7 +158,7 @@ def quantizer_record(rows_in: int, rows_out: int, left_out: int, width: int) -> 
     return StageRecord(StageKind.QUANTIZER, rows_in, rows_out, left_out, QUANTIZER_TICKS, width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiplyResult:
     product: BitVector  # width 2N
     ticks: int
@@ -183,7 +183,8 @@ def partial_product_lanes(a: int, b: int, n: int, lanes: int = 1) -> RowSet:
     Column p then holds exactly the convolution bits a_j * b_{p-j}. Keeping
     zero rows keeps the row count and the schedule shape data-independent.
     """
-    check_operands(a, b, n, lane_stride(2 * n), lanes)
+    stride = lane_stride(2 * n)
+    check_operands(a, b, n, lane_mask(n, stride, lanes), stride, lanes)
     # b in n bits makes t = b & m each lane's b_i and (b << n) & m its t << n,
     # so their difference is ones at bits i to i + n - 1 where b_i is set
     bn = b << n

@@ -64,8 +64,8 @@ def flipped_step_sum(monkeypatch):
     sums with the lowest bit flipped."""
     original = cascade.cascade_step
 
-    def flipped(sums, carry_word, width, level, lanes=1):
-        sums, carry_word = original(sums, carry_word, width, level, lanes)
+    def flipped(sums, carry_word, width, level, masks):
+        sums, carry_word = original(sums, carry_word, width, level, masks)
         return (sums ^ 1 if level == 2 else sums), carry_word
 
     monkeypatch.setattr(cascade, "cascade_step", flipped)

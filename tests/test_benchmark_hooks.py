@@ -107,28 +107,116 @@ def test_the_cli_entry_points_are_their_home_modules_functions():
 # A change that caches a new mask re-pins these counts and says why. The
 # random draw holds no slot masks at widths of whole 32-bit words, and the
 # multiplier's row masks are built at the batch's exact lane count, whose
-# lane mask the final add's masks already hold.
+# lane mask the final add's masks already hold. The cascade's layouts hold
+# its level masks, one layout per width and lane count.
 CACHED_MASKS = {
     "bitvec.lane_mask": 31,
     "bitvec.block_tops": 6,
     "cascade.level_masks": 27,
+    "cascade.cascade_layout": 5,
     "flash.double_width_masks": 6,
     "multiplier.bit_masks": 2,
 }
 
 
-def test_one_sweep_of_every_workload_caches_the_pinned_masks(harness, capsys):
-    _, workloads = harness
-    modules = (bitvec, cascade, flash, multiplier, costs, cli)
-    for module in modules:
-        for value in vars(module).values():
-            getattr(value, "cache_clear", lambda: None)()
+# The total bit length of the distinct masks those caches hold after the
+# same sweep, the ints wider than a 64-bit word, each counted once however
+# many caches refer to it. A layout that hands a kernel the masks another
+# cache holds adds nothing here.
+CACHED_MASK_BITS = 5_965_659
+
+CACHED_MODULES = (bitvec, cascade, flash, multiplier, costs, cli)
+
+
+def cached_functions(modules):
+    """Every cached function that `modules` define or import, once each."""
+    return list({id(value): value for module in modules for value in vars(module).values()
+                 if hasattr(value, "cache_info")}.values())
+
+
+def clear_caches():
+    for function in cached_functions(CACHED_MODULES):
+        function.cache_clear()
+
+
+def sweep_every_workload(workloads, capsys):
+    """One verify sweep and one op of every workload."""
     for workload in workloads.WORKLOADS.values():
         for argv in workload.verify_argvs(1):
             assert cli.main(argv) == 0
         op = workloads.make_op(arithsim, workload)
         assert op(*next(workloads.operand_stream(workload, 1)))[0] == workload.sim_ticks
     capsys.readouterr()
+
+
+def test_one_sweep_of_every_workload_caches_the_pinned_masks(harness, capsys):
+    _, workloads = harness
+    clear_caches()
+    sweep_every_workload(workloads, capsys)
     caches = {f"{module.__name__.split('.')[-1]}.{name}": getattr(module, name)
-              for module in modules for name in vars(module)}
+              for module in CACHED_MODULES for name in vars(module)}
     assert {name: caches[name].cache_info().currsize for name in CACHED_MASKS} == CACHED_MASKS
+
+
+def ints_in(value):
+    """The ints of a cached value: itself, or those of a tuple, nested."""
+    if isinstance(value, int):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from ints_in(item)
+
+
+def test_one_sweep_of_every_workload_caches_the_pinned_mask_bits(harness, capsys, monkeypatch):
+    # every value a cache holds was returned by its function when it was
+    # cached, so a spy on each function's results from cold caches sees them
+    # all, as long as no cache has evicted one
+    _, workloads = harness
+    clear_caches()
+    returned = {}
+
+    def spy(function):
+        def spied(*args, **kwargs):
+            value = function(*args, **kwargs)
+            returned.update((id(item), item) for item in ints_in(value))
+            return value
+
+        return spied
+
+    for module in CACHED_MODULES:
+        for name, value in list(vars(module).items()):
+            if hasattr(value, "cache_info"):
+                monkeypatch.setattr(module, name, spy(value))
+    sweep_every_workload(workloads, capsys)
+    monkeypatch.undo()
+    for function in cached_functions(CACHED_MODULES):
+        info = function.cache_info()
+        assert info.maxsize is None or info.currsize < info.maxsize, function
+    bit_lengths = (item.bit_length() for item in returned.values())
+    assert sum(bits for bits in bit_lengths if bits > 64) == CACHED_MASK_BITS
+
+
+ADDER_KERNELS = {  # each kernel and the width it takes for operands of a width
+    "cascade_lanes": (cascade.cascade_lanes, lambda width: width),
+    "flash_lanes": (flash.flash_lanes, lambda width: width),
+    "double_width_lanes": (flash.double_width_lanes, lambda width: width // 2),
+    "blocked_lanes": (flash.blocked_lanes, lambda width: width),
+}
+
+
+def cache_lookups():
+    """The hits and misses so far of every cached function of the kernels'
+    modules."""
+    return sum(info.hits + info.misses for info in (
+        function.cache_info() for function in cached_functions((bitvec, cascade, flash))))
+
+
+@pytest.mark.parametrize("width", [8, 128])
+@pytest.mark.parametrize("name", ADDER_KERNELS)
+def test_an_adder_kernel_call_makes_one_cached_lookup(name, width):
+    kernel, kernel_width = ADDER_KERNELS[name]
+    a, b = (1 << width) - 1, 1 << width - 1
+    kernel(a, b, kernel_width(width))  # warm every cache the call reads
+    before = cache_lookups()
+    kernel(a, b, kernel_width(width))
+    assert cache_lookups() - before == 1

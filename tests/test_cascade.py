@@ -17,6 +17,7 @@ from arithsim.cascade import (
     CascadeState,
     CascadeTrace,
     cascade_add,
+    cascade_layout,
     cascade_step,
     increment_unit,
     leaf_init,
@@ -106,15 +107,19 @@ def test_increment_unit_adds_exactly_inc(width_log, high_carry, inc, data):
 
 
 def test_cascade_step_merges_blocks():
-    sums, carry_word = cascade_step(*leaf_init(BitVector(4, 11), BitVector(4, 6)), 4, 1)
+    sums, carry_word = cascade_step(
+        *leaf_init(BitVector(4, 11), BitVector(4, 6)), 4, 1, cascade_layout(4)[2]
+    )
     assert sums == 0b0001
     assert block_carries(carry_word, 4, 4) == (1,)
     with pytest.raises(ValueError):
-        cascade_step(sums, carry_word, 4, 2)  # already at level k
+        cascade_step(sums, carry_word, 4, 2, cascade_layout(4)[2])  # already at level k
 
 
 def test_cascade_step_all_ones():
-    sums, carry_word = cascade_step(*leaf_init(BitVector(4, 15), BitVector(4, 15)), 4, 1)
+    sums, carry_word = cascade_step(
+        *leaf_init(BitVector(4, 15), BitVector(4, 15)), 4, 1, cascade_layout(4)[2]
+    )
     assert sums == 0b1110
     assert block_carries(carry_word, 4, 4) == (1,)
 
@@ -142,7 +147,7 @@ def test_state_validation_checks_shapes():
     with pytest.raises(ValueError):
         CascadeState(k=2, level=1, sums=v, carry_word=2 << 4, a=v, b=v)
     with pytest.raises(ValueError, match="value 16 does not fit in 4 bits"):
-        CascadeState._check_block_sums(2, 1, 16, 0, 0, 0)
+        CascadeState._check_block_sums(2, 1, 16, 0, 0, 0, cascade_layout(4)[2])
     with pytest.raises(ValueError, match="sums must be 4 bits wide, got 8"):
         CascadeState(k=2, level=1, sums=BitVector(8, 0), carry_word=0, a=v, b=v)
     with pytest.raises(ValueError, match="trace needs at least the leaf state"):
@@ -290,11 +295,11 @@ def _step_by_increment_units(sums_word, carry_word, width, level):
 
 
 def _assert_steps_match_increment_units(a, b):
-    width = a.width
+    width, masks = a.width, cascade_layout(a.width)[2]
     sums, carry_word = leaf_init(a, b)
     for level in range(1, width.bit_length() - 1):
         want = _step_by_increment_units(sums, carry_word, width, level)
-        sums, carry_word = cascade_step(sums, carry_word, width, level)
+        sums, carry_word = cascade_step(sums, carry_word, width, level, masks)
         assert (sums, block_carries(carry_word, width, 1 << level + 1)) == want
 
 
@@ -335,7 +340,8 @@ def test_block_sum_check_accepts_exactly_the_balanced_states():
             views = dict(k=2, level=level, sums=BitVector(4, s), a=BitVector(4, a), b=BitVector(4, b))
             for carry_word in range(1 << 5):
                 got = _outcome(
-                    CascadeState._check_block_sums, 2, level, s, carry_word, a ^ b, a & b
+                    CascadeState._check_block_sums, 2, level, s, carry_word, a ^ b, a & b,
+                    cascade_layout(4)[2],
                 )
                 assert _outcome(CascadeState, carry_word=carry_word, **views) == got
                 carries = placed.get(carry_word)

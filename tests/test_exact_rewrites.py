@@ -10,17 +10,33 @@ Hacker's Delight, section 2-1) on the words their callers hand over. The
 tests here pin each to the form it replaced, written out below, down to the
 rows and to the block that a broken balance names, and pin what a word
 outside that contract now does.
+
+The four adder kernels now take all their masks from one cached layout per
+call; their parent forms, which looked each mask up where it was used, are
+written out below too, and every kernel and one-pair entry point must give
+the same words and results.
 """
 
+import dataclasses
+import itertools
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from arithsim import cascade, cli, flash, multiplier
-from arithsim.bitvec import ModelIntegrityError, blockwise_add, lane_mask, lane_stride, misfit
-from arithsim.cascade import CascadeState, level_masks
+from arithsim.bitvec import (
+    BitVector,
+    ModelIntegrityError,
+    block_tops,
+    blockwise_add,
+    lane_mask,
+    lane_stride,
+    misfit,
+)
+from arithsim.cascade import CascadeState, cascade_layout, level_masks
 from arithsim.multiplier import MULTIPLIER_WIDTHS
 
 WIDTHS = (8, 128)  # the narrow and the wide adder strides, 16 and 136 bits
@@ -96,8 +112,9 @@ def test_the_block_sum_check_names_the_two_shift_forms_block(width, data):
         elif fault == "carries":
             carry_word ^= 1 << data.draw(st.sampled_from(
                 [bit for bit in range(lanes * stride) if slots >> bit & 1]), label="bit")
-    args = (k, level, sums, carry_word, a ^ b, a & b, lanes)
-    assert outcome(CascadeState._check_block_sums, *args) == outcome(two_shift_check, *args)
+    args, masks = (k, level, sums, carry_word, a ^ b, a & b), cascade_layout(width, lanes)[2]
+    assert outcome(CascadeState._check_block_sums, *args, masks, lanes) == outcome(
+        two_shift_check, *args, lanes)
 
 
 def old_cascade_step(sums, carry_word, width, level, lanes=1):
@@ -129,15 +146,16 @@ def test_the_cascade_step_returns_the_old_words_inside_the_slots(width, data):
     else:
         a, b = (data.draw(st.integers(0, fit), label="operand") & fit for _ in "ab")
         sums, carry_word = cascade.cascade_lanes(a, b, width, lanes)[level - 1]
-    args = (sums, carry_word, width, level, lanes)
-    assert outcome(cascade.cascade_step, *args) == outcome(old_cascade_step, *args)
+    args, masks = (sums, carry_word, width, level), cascade_layout(width, lanes)[2]
+    assert outcome(cascade.cascade_step, *args, masks) == outcome(old_cascade_step, *args, lanes)
 
 
 def test_the_cascade_step_returns_the_old_words_for_every_width_4_word():
     for sums in range(1 << 4):
         for carry_word in (0, 0b100, 0b10000, 0b10100):  # the level-1 slots
             args = (sums, carry_word, 4, 1)
-            assert outcome(cascade.cascade_step, *args) == outcome(old_cascade_step, *args)
+            assert outcome(cascade.cascade_step, *args, cascade_layout(4)[2]) == outcome(
+                old_cascade_step, *args)
 
 
 def test_a_stray_carry_bit_now_counts_as_an_even_carry():
@@ -146,9 +164,9 @@ def test_a_stray_carry_bit_now_counts_as_an_even_carry():
     # adds it into its block pair's sums. No checked level holds such a word:
     # the level check refuses it before any step runs.
     assert old_cascade_step(0, 0b10, 8, 1) == (0, 0b10)
-    assert cascade.cascade_step(0, 0b10, 8, 1) == (0b10, 0)
+    assert cascade.cascade_step(0, 0b10, 8, 1, cascade_layout(8)[2]) == (0b10, 0)
     with pytest.raises(ValueError, match=r"^level 1 carries must sit at bits \(i\+1\)\*2$"):
-        CascadeState._check_block_sums(3, 1, 0, 0b10, 0, 0)
+        CascadeState._check_block_sums(3, 1, 0, 0b10, 0, 0, cascade_layout(8)[2])
 
 
 @pytest.mark.parametrize("width", [8, 32, 128])
@@ -158,11 +176,9 @@ def test_the_block_carry_weight_is_the_old_firing_searchs_input(width, data):
     # the first block of the lowest lane, so handing it to the firing search
     # as it comes is the old search on the block tops, carry_weight >> 1
     lanes = data.draw(st.integers(min_value=1, max_value=64), label="lanes")
-    packed, bw = flash.blocked_shape(width, lanes)
-    fit = lane_mask(width, lane_stride(width), lanes)
+    _, _, fit, tops, parities = flash.blocked_shape(width, lanes)
     x, y = (data.draw(st.integers(0, fit), label="operand") & fit for _ in "xy")
-    parities = flash.block_parity_masks(width, bw, lanes)
-    wires, carry_weight = flash.pair_leaf_blocks(x, y, packed, parities)
+    wires, carry_weight = flash.pair_leaf_blocks(x, y, tops, parities)
     block_tops = carry_weight >> 1
     old_search = (t := wires + (block_tops << 1)) ^ (t & wires)
     assert carry_weight & 1 == 0
@@ -183,3 +199,262 @@ def test_a_carry_weight_on_bit_0_is_now_a_model_break(monkeypatch):
     message = "^a fired segment is not a run of 1 wires up to a 0 wire$"
     with pytest.raises(ModelIntegrityError, match=message):
         flash.blocked_lanes(0, 0, 8)
+
+
+# The four adder kernels as they read before each took its masks from one
+# cached layout, every tick and check looking up its own, written out in one
+# piece each. The new kernels must return the same words and raise the same
+# errors, and every one-pair entry point the same result.
+
+
+def parent_check_operands(a, b, bits, stride, lanes=1):
+    if bits < 1:
+        raise ValueError(f"width must be positive, got {bits}")
+    fit, either = lane_mask(bits, stride, lanes), a | b
+    if either & fit != either:
+        value = a if a & fit != a else b
+        raise ValueError(f"value {misfit(value, fit, stride, lanes)} does not fit in {bits} bits")
+
+
+def parent_check_block_sums(k, level, sums, carry_word, half, both, lanes=1):
+    if not 1 <= level <= k:
+        raise ValueError(f"level {level} outside 1..{k}")
+    width = 1 << k
+    fit, bottoms, slots = level_masks(width, level, lanes)
+    if sums & fit != sums:
+        raise ValueError(f"value {misfit(sums, fit, lane_stride(width), lanes)}"
+                         f" does not fit in {width} bits")
+    if carry_word & slots != carry_word:
+        raise ValueError(f"level {level} carries must sit at bits (i+1)*{1 << level}")
+    carry_in = sums ^ half
+    into_bottoms = carry_in & bottoms
+    above = (carry_in ^ into_bottoms ^ carry_word) >> 1
+    broken = into_bottoms | (both | half & carry_in) ^ above
+    if broken:
+        block = ((broken & -broken).bit_length() - 1) % lane_stride(width) >> level
+        raise ModelIntegrityError(f"block-sum balance broken at level {level}, block {block}")
+
+
+def parent_cascade_step(sums, carry_word, width, level, lanes=1):
+    w = 1 << level
+    if w >= width:
+        raise ValueError(f"cascade already complete at level {width.bit_length() - 1}")
+    _, pairs, odd_slots = level_masks(width, level + 1, lanes)
+    odd_carries = carry_word & odd_slots
+    sums, overflow = blockwise_add(sums, carry_word ^ odd_carries, pairs << (2 * w - 1))
+    if overflow & odd_carries:
+        raise ModelIntegrityError("saturated word cannot hold a high carry")
+    return sums, overflow | odd_carries
+
+
+def parent_cascade_lanes(a, b, width, lanes=1):
+    if width < 2 or width & (width - 1):
+        raise ValueError(f"width must be a power of two >= 2, got {width}")
+    parent_check_operands(a, b, width, lane_stride(width), lanes)
+    k = width.bit_length() - 1
+    half, both = a ^ b, a & b
+    sums, carry_word = blockwise_add(a, b, block_tops(lane_stride(width) * lanes, 2))
+    parent_check_block_sums(k, 1, sums, carry_word, half, both, lanes)
+    levels = [(sums, carry_word)]
+    for level in range(1, k):
+        sums, carry_word = parent_cascade_step(sums, carry_word, width, level, lanes)
+        parent_check_block_sums(k, level + 1, sums, carry_word, half, both, lanes)
+        levels.append((sums, carry_word))
+    return levels
+
+
+def parent_flash_lanes(a, b, n, lanes=1):
+    stride = lane_stride(n)
+    parent_check_operands(a, b, n, stride, lanes)
+    s, c = a ^ b, a & b
+    weight = c << 1
+    ends = flash.find_firings(s, weight)
+    low, wires = lane_mask(n, stride, lanes), lane_mask(n + 1, stride, lanes)
+    if c & low != c:
+        raise ValueError(f"carry word does not fit width {n}")
+    if ends & wires != ends:
+        raise ValueError(f"end word does not fit {n + 1} wires")
+    if c.bit_count() != ends.bit_count():
+        raise ValueError("firings need one end per carry")
+    total = flash.complement_segments(s, c, ends)
+    if total != s + weight:
+        raise ModelIntegrityError("carry absorption changed the running total")
+    return total, c, ends
+
+
+def parent_pair_leaf_blocks(x, y, width, parities):
+    s_val, carried_weight = blockwise_add(x, y, block_tops(width, 2))
+    total = x + y
+    if s_val + carried_weight != total:
+        raise ModelIntegrityError("pair-leaf initialization lost value")
+    carries = carried_weight >> 1
+    resolved = carry_weight = 0
+    for mask in parities:
+        s, c = s_val & mask, carries & mask
+        blocks = flash.complement_segments(s, c, flash.find_firings(s, c << 1))
+        inside = blocks & mask
+        resolved |= inside
+        carry_weight |= blocks ^ inside
+    if resolved + carry_weight != total:
+        raise ModelIntegrityError("in-block resolution lost value")
+    return resolved, carry_weight
+
+
+def parent_double_width_lanes(x, y, n, lanes=1):
+    stride = lane_stride(2 * n)
+    parent_check_operands(x, y, 2 * n, stride, lanes)
+    bw = n + (n & 1)
+    ones, low_half, block, fit = (lane_mask(bits, stride, lanes) for bits in (1, n, bw, n + 1))
+    if n & 1:
+        x, y = x + (x ^ (x & low_half)), y + (y ^ (y & low_half))
+    wires, carry_weight = parent_pair_leaf_blocks(x, y, stride * lanes, (block, block << bw))
+    tops = ones << bw
+    low = (wires & block) | (carry_weight & tops)
+    high = ((wires >> bw) & block) | ((carry_weight >> bw) & tops)
+    both = low | high
+    if both & fit != both:
+        raise ModelIntegrityError("a half's sum does not fit its n+1 wires")
+    cross = (low >> n) & ones
+    mask = high ^ (high + cross)
+    if mask & fit != mask:
+        raise ModelIntegrityError("cross-carry increment escaped the high half")
+    return ((high ^ mask) << n) | (low & low_half), cross
+
+
+def parent_blocked_lanes(a, b, width, lanes=1):
+    if width % 2:
+        raise ValueError(f"operand width must be even, got {width}")
+    if not flash.is_power_of_four(width // 2):
+        raise ValueError(f"half-width {width // 2} must be a power of four")
+    stride, bw = lane_stride(width), width // isqrt(width // 2)
+    parent_check_operands(a, b, width, stride, lanes)
+    parities = flash.block_parity_masks(width, bw, lanes)
+    wires, carry_weight = parent_pair_leaf_blocks(a, b, stride * lanes, parities)
+    block_carries = carry_weight >> 1
+    total = flash.complement_segments(wires, block_carries, flash.find_firings(wires, carry_weight))
+    if total != a + b:
+        raise ModelIntegrityError("cross-block resolution lost value")
+    return total, carry_weight
+
+
+# (kernel, its parent form, whether it takes a width, and the operand width
+# of a kernel width)
+KERNELS = {
+    "cascade": (cascade.cascade_lanes, parent_cascade_lanes,
+                lambda w: w >= 2 and w & (w - 1) == 0, lambda w: w),
+    "flash": (flash.flash_lanes, parent_flash_lanes, lambda w: w >= 1, lambda w: w),
+    "flash_double": (flash.double_width_lanes, parent_double_width_lanes,
+                     lambda w: w >= 1, lambda n: 2 * n),
+    "blocked_double": (flash.blocked_lanes, parent_blocked_lanes,
+                       lambda w: w % 2 == 0 and flash.is_power_of_four(w // 2), lambda w: w),
+}
+
+
+def test_every_kernel_returns_the_parents_words_on_every_pair_up_to_width_8():
+    for name, (kernel, parent, takes, bits) in KERNELS.items():
+        for width in filter(takes, range(1, 9)):
+            if bits(width) > 8:
+                continue
+            for a, b in itertools.product(range(1 << bits(width)), repeat=2):
+                assert kernel(a, b, width) == parent(a, b, width), (name, width, a, b)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_every_kernel_returns_the_parents_words_on_random_pairs_up_to_width_128(name, rng):
+    kernel, parent, takes, bits = KERNELS[name]
+    for width in filter(takes, range(9, 129)):
+        if not 16 <= bits(width) <= 128:
+            continue
+        for _ in range(20):
+            a, b = rng.getrandbits(bits(width)), rng.getrandbits(bits(width))
+            assert kernel(a, b, width) == parent(a, b, width), (width, a, b)
+
+
+@pytest.mark.parametrize("lanes, width", [(334, 128), (333, 128), (481, 128), (4096, 8)])
+@pytest.mark.parametrize("name", KERNELS)
+def test_every_kernel_returns_the_parents_words_at_verifys_lane_counts(name, lanes, width, rng):
+    # the 136-bit stride's full batch and the balanced batches of 1000
+    # trials, and the 16-bit stride's full batch
+    kernel, parent, _, bits = KERNELS[name]
+    if name == "flash_double":
+        width //= 2
+    stride = lane_stride(bits(width))
+    assert stride == {128: 136, 8: 16}[bits(width)]
+    assert lanes in (334, 333) or lanes == cli.verify_lanes(stride)
+    fit = lane_mask(bits(width), stride, lanes)
+    words = [(fit, fit), (0, fit)] + [
+        (rng.getrandbits(stride * lanes) & fit, rng.getrandbits(stride * lanes) & fit)
+        for _ in range(3)
+    ]
+    for a, b in words:
+        assert kernel(a, b, width, lanes) == parent(a, b, width, lanes)
+
+
+def parent_results(width, a, b):
+    """Every one-pair entry point's result on two `width`-bit operands, as
+    the parent kernels give it, by entry point."""
+    A, B, results = BitVector(width, a), BitVector(width, b), {}
+    if width >= 2 and width & (width - 1) == 0:
+        levels = parent_cascade_lanes(a, b, width)
+        trace = cascade.CascadeTrace(A, B, tuple(levels), ticks=len(levels))
+        sums, carry_word = levels[-1]
+        results["cascade_add"] = cascade.CascadeResult(
+            BitVector(width, sums), carry_word >> width, trace)
+        results["leaf_init"] = levels[0]
+    total = BitVector(width + 1, parent_flash_lanes(a, b, width)[0])
+    results["flash_add"] = results["resolve"] = flash.ResolveResult(total, flash.FLASH_ADD_TICKS)
+    if width % 2 == 0:
+        total = BitVector(width + 1, parent_double_width_lanes(a, b, width // 2)[0])
+        results["double_width_add"] = flash.ResolveResult(total, flash.DOUBLE_WIDTH_TICKS)
+    if width % 2 == 0 and flash.is_power_of_four(width // 2):
+        total = BitVector(width + 1, parent_blocked_lanes(a, b, width)[0])
+        results["blocked_add"] = flash.ResolveResult(total, flash.BLOCKED_TICKS)
+    if width in MULTIPLIER_WIDTHS:
+        for schedule in multiplier.Schedule:
+            rows, report = multiplier.consolidate(
+                multiplier.partial_product_lanes(a, b, width), schedule)
+            product = BitVector(2 * width, parent_double_width_lanes(*rows.rows, width)[0])
+            results[f"multiply {schedule.value}"] = multiplier.MultiplyResult(
+                product, multiplier.multiply_ticks(report), report)
+    return results
+
+
+def entry_results(width, a, b):
+    """The same entry points' results from the package."""
+    A, B, results = BitVector(width, a), BitVector(width, b), {}
+    if width >= 2 and width & (width - 1) == 0:
+        results["cascade_add"] = cascade.cascade_add(A, B)
+        results["leaf_init"] = cascade.leaf_init(A, B)
+    results["flash_add"] = flash.flash_add(A, B)
+    results["resolve"] = flash.resolve(flash.half_add(A, B))
+    if width % 2 == 0:
+        half, low = width // 2, (1 << width // 2) - 1
+        halves = (BitVector(half, a & low), BitVector(half, a >> half),
+                  BitVector(half, b & low), BitVector(half, b >> half))
+        results["double_width_add"] = flash.double_width_add(*halves)
+    if width % 2 == 0 and flash.is_power_of_four(width // 2):
+        results["blocked_add"] = flash.blocked_add(A, B)
+    if width in MULTIPLIER_WIDTHS:
+        for schedule in multiplier.Schedule:
+            results[f"multiply {schedule.value}"] = multiplier.multiply(A, B, schedule)
+    return results
+
+
+def fields(result):
+    """A result's type and its fields, nested records included, one by one."""
+    if dataclasses.is_dataclass(result):
+        return type(result), {f.name: fields(getattr(result, f.name))
+                              for f in dataclasses.fields(result)}
+    return result
+
+
+@pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 64, 128])
+def test_every_entry_point_returns_the_parents_result_field_for_field(width, rng):
+    pairs = (itertools.product(range(1 << width), repeat=2) if width <= 4 else
+             [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(100)])
+    for a, b in pairs:
+        want = parent_results(width, a, b)
+        got = entry_results(width, a, b)
+        assert list(got) == list(want)
+        for name in want:
+            assert fields(got[name]) == fields(want[name]), (name, a, b)

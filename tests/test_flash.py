@@ -445,7 +445,7 @@ def test_pair_leaf_blocks_match_the_per_block_loop(rng):
         for a in range(256):
             for b in range(256):
                 parities = block_parity_masks(8, block_width)
-                assert pair_leaf_blocks(a, b, 8, parities) == per_block_network(
+                assert pair_leaf_blocks(a, b, block_tops(8, 2), parities) == per_block_network(
                     a, b, 8, block_width
                 )
     # the blocked adder's blocks and the double-width adder's halves
@@ -454,14 +454,14 @@ def test_pair_leaf_blocks_match_the_per_block_loop(rng):
             a, b = rng.getrandbits(width), rng.getrandbits(width)
             for block_width in block_widths:
                 parities = block_parity_masks(width, block_width)
-                assert pair_leaf_blocks(a, b, width, parities) == per_block_network(
+                assert pair_leaf_blocks(a, b, block_tops(width, 2), parities) == per_block_network(
                     a, b, width, block_width
                 )
     # the parity masks refuse odd blocks and blocks that do not divide the word
     with pytest.raises(ValueError):
-        pair_leaf_blocks(0, 0, 8, block_parity_masks(8, 3))
+        pair_leaf_blocks(0, 0, block_tops(8, 2), block_parity_masks(8, 3))
     with pytest.raises(ValueError):
-        pair_leaf_blocks(0, 0, 12, block_parity_masks(12, 8))
+        pair_leaf_blocks(0, 0, block_tops(12, 2), block_parity_masks(12, 8))
 
 
 def test_block_parity_masks_are_every_other_block():

@@ -186,7 +186,7 @@ def test_a_range_message_names_the_first_lane_that_fails(bad):
     for stride, check in (
         (lane_stride(128), lambda word: cascade.cascade_lanes(word, 0, 128, 256)),
         (lane_stride(128), lambda word: cascade.CascadeState._check_block_sums(
-            7, 1, word, 0, 0, 0, 256)),
+            7, 1, word, 0, 0, 0, cascade.cascade_layout(128, 256)[2], 256)),
         (lane_stride(128), lambda word: multiplier.RowSet(128, (0, word), 256)),
     ):
         word = pack_lanes([full] * 256, stride) | 1 << bad * stride + 128
@@ -319,10 +319,10 @@ def test_a_fault_in_one_cascade_lane_fails_its_batch(capsys, monkeypatch):
     target = cascade.blockwise_add(*pairs[200], block_tops(width, 2))[0]
     original = cascade.cascade_step
 
-    def flips_one_lane(sums, carry_word, width, level, lanes):
-        out, carries = original(sums, carry_word, width, level, lanes)
+    def flips_one_lane(sums, carry_word, width, level, masks):
+        out, carries = original(sums, carry_word, width, level, masks)
         if level == 1:
-            for j in range(lanes):
+            for j in range(masks[0][0].bit_length() // stride + 1):  # every lane
                 if lane(sums, j, stride) == target:
                     out ^= 1 << j * stride
         return out, carries

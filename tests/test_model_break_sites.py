@@ -1,19 +1,20 @@
-"""Model-break checks around the AND network's words, each reached by one
-injected fault.
+"""Model-break checks around the AND network's words and the multiplier's
+rows, each reached by one injected fault.
 
 No correct input reaches these checks, so each test replaces one module
-global of `flash` (the segment complement, the blockwise add or the
-pair-leaf network) with a faulty copy, or calls the cascade step on a
-crafted level, and asserts the exact `ModelIntegrityError` message.
+global of `flash` (the segment complement, the blockwise add, the pair-leaf
+network or the double-width adder) with a faulty copy, calls the cascade
+step on a crafted level, or hands the 3:2 counter a row whose XOR is off by
+one, and asserts the exact `ModelIntegrityError` message.
 """
 
 import re
 
 import pytest
 
-from arithsim import flash
+from arithsim import flash, multiplier
 from arithsim.bitvec import ModelIntegrityError
-from arithsim.cascade import cascade_step
+from arithsim.cascade import cascade_layout, cascade_step
 
 
 def raises(message):
@@ -74,4 +75,25 @@ def test_the_cascade_step_refuses_a_saturated_block_with_a_high_carry():
     # width 4, level 1: the odd block 0b11 holds its own carry (bit 4) and
     # takes the even block's (bit 2), so it overflows onto a set carry
     with raises("saturated word cannot hold a high carry"):
-        cascade_step(0b1100, 0b10100, 4, 1)
+        cascade_step(0b1100, 0b10100, 4, 1, cascade_layout(4)[2])
+
+
+class OffByOneXor(int):
+    """A row whose XOR with another row comes out one too high."""
+
+    def __xor__(self, other):
+        return (int(self) ^ other) + 1
+
+
+def test_the_3_2_counter_refuses_a_sum_row_that_loses_value():
+    # 0 ^ 0 reads 1, so the sum row is 1 while the three rows add to 0
+    with raises("3:2 consolidation lost value"):
+        multiplier.csa_3_2(OffByOneXor(0), 0, 0, 8)
+
+
+def test_multiply_refuses_a_product_above_its_2n_bits(monkeypatch):
+    n = 4
+    faulty(monkeypatch, "double_width_lanes",
+           lambda f, *args: (f(*args)[0] | 1 << 2 * n, f(*args)[1]))
+    with raises("product escaped its 2N-bit width"):
+        multiplier.multiply_lanes(3, 5, n, multiplier.Schedule.A)

@@ -114,7 +114,7 @@ def shown(word, fit, stride, lanes):
 
 
 def old_check_wires(n, s, c):
-    low, wires = flash.wire_masks(n)
+    _, low, wires = flash.wire_masks(n)
     if s & ~wires or c & ~low:
         raise ValueError("wire widths must be n+1 sum bits and n carry bits")
     if s & ~low:
@@ -124,7 +124,7 @@ def old_check_wires(n, s, c):
 
 
 def old_check_fire_words(n, carries, ends, lanes):
-    low, wires = flash.wire_masks(n, lanes)
+    _, low, wires = flash.wire_masks(n, lanes)
     if carries & ~low:
         raise ValueError(f"carry word does not fit width {n}")
     if ends & ~wires:
@@ -210,7 +210,8 @@ def test_check_fire_words_raises_as_the_old_form(n, data):
     stride, lanes, (a, b) = lanes_and_words(data, n)
     c = a & b
     carries, ends = strays(data, [c, flash.find_firings(a ^ b, c << 1)], stride, lanes, n)
-    assert outcome(flash.check_fire_words, n, carries, ends, lanes) == outcome(
+    layout = flash.wire_masks(n, lanes)
+    assert outcome(flash.check_fire_words, n, carries, ends, layout) == outcome(
         old_check_fire_words, n, carries, ends, lanes
     )
 
@@ -226,7 +227,8 @@ def test_check_block_sums_raises_as_the_old_form(width, data):
     sums, carry_word, a, b = strays(data, [sums, carry_word, a, b], stride, lanes, width)
     # the check takes the operands as a ^ b and a & b
     assert outcome(
-        CascadeState._check_block_sums, k, level, sums, carry_word, a ^ b, a & b, lanes
+        CascadeState._check_block_sums, k, level, sums, carry_word, a ^ b, a & b,
+        cascade.cascade_layout(width, lanes)[2], lanes,
     ) == outcome(old_check_block_sums, k, level, sums, carry_word, a, b, lanes)
 
 

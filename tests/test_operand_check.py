@@ -88,6 +88,15 @@ def test_a_kernel_rejects_width_zero(kernel):
         kernel(0, 0, 0)
 
 
+def test_a_kernel_rejects_a_negative_width_before_its_layout_is_built():
+    # the layout lookup comes first and takes any width, so the width rule
+    # still names the width; the double-width adder's operands are 2N bits
+    for kernel, bits in ((flash.flash_lanes, -3), (flash.double_width_lanes, -6),
+                         (multiplier.partial_product_lanes, -3)):
+        with pytest.raises(ValueError, match=f"^width must be positive, got {bits}$"):
+            kernel(0, 0, -3)
+
+
 PER_PAIR = {
     "leaf_init": cascade.leaf_init,
     "cascade_add": cascade.cascade_add,
