@@ -33,31 +33,75 @@ for a 128-bit AND or add; timeit, best of 7, the same host). `cascade_layout`,
 every mask it needs, the operands' fit included, and the kernel passes them
 down to its ticks and checks. A layout holds the very ints that the mask
 functions below cache, so it costs no memory of its own.
+
+Every record is a `Record` whose own `__init__` sets each field with `_set`,
+then calls its `__post_init__` check if it has one. A `@dataclass` costs
+0.6-0.7 ms per import to generate and compile two fields' methods, a plain
+class 8 us (timeit, best of 7, the same host), so `flash.ResolveResult` is
+the one dataclass left.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
 _HEX = re.compile("[0-9a-fA-F]+")
 # `struct` formats of little-endian unsigned words, by size in bytes
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_set = object.__setattr__  # how a record's own __init__ sets its fields
 
 
 class ModelIntegrityError(RuntimeError):
     """A circuit-model invariant that should be unreachable was violated."""
 
 
-@dataclass(frozen=True, slots=True)
-class BitVector:
+class Record:
+    """An immutable record. Its fields, `__match_args__`, are its `__slots__`
+    in `__init__`'s order less those named with a leading underscore, which
+    hold derived values; equality, hash, repr, copy and pickle go by them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        text = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({text})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # rebuilt through __init__, checks included
+        return type(self), self._values()
+
+
+class BitVector(Record):
     """A nonnegative integer pinned to an explicit bit width."""
 
-    width: int
-    value: int
+    __slots__ = ("width", "value")
+
+    def __init__(self, width: int, value: int) -> None:
+        _set(self, "width", width)
+        _set(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.width < 1:

@@ -30,12 +30,13 @@ level's masks. `cascade_add` is its K = 1 call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitvec import (
     BitVector,
     ModelIntegrityError,
+    Record,
+    _set,
     block_bottoms,
     block_carries,
     block_tops,
@@ -85,8 +86,7 @@ def special_and_gates(k: int) -> int:
     return sum(step_gate_count(k, level) for level in range(1, k))
 
 
-@dataclass(frozen=True)
-class CascadeState:
+class CascadeState(Record):
     """A view of the sums and saved carries after some level of the cascade.
 
     Level l partitions the width into blocks of 2**l bits with one saved
@@ -96,12 +96,18 @@ class CascadeState:
     when it is built.
     """
 
-    k: int
-    level: int
-    sums: BitVector
-    carry_word: int
-    a: BitVector
-    b: BitVector
+    __slots__ = ("k", "level", "sums", "carry_word", "a", "b")
+
+    def __init__(
+        self, k: int, level: int, sums: BitVector, carry_word: int, a: BitVector, b: BitVector
+    ) -> None:
+        _set(self, "k", k)
+        _set(self, "level", level)
+        _set(self, "sums", sums)
+        _set(self, "carry_word", carry_word)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         width = 1 << self.k
@@ -151,15 +157,20 @@ class CascadeState:
             raise ModelIntegrityError(f"block-sum balance broken at level {level}, block {block}")
 
 
-@dataclass(frozen=True, slots=True)
-class CascadeTrace:
+class CascadeTrace(Record):
     """All intermediate levels of one addition, kept for inspection: the
     operands and each level's (sums, carry word), level 1 first."""
 
-    a: BitVector
-    b: BitVector
-    levels: tuple[tuple[int, int], ...]
-    ticks: int
+    __slots__ = ("a", "b", "levels", "ticks")
+
+    def __init__(
+        self, a: BitVector, b: BitVector, levels: tuple[tuple[int, int], ...], ticks: int
+    ) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "levels", levels)
+        _set(self, "ticks", ticks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -178,11 +189,13 @@ def level_records(levels, width: int) -> list[dict[str, object]]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class CascadeResult:
-    sum: BitVector
-    carry: int
-    trace: CascadeTrace
+class CascadeResult(Record):
+    __slots__ = ("sum", "carry", "trace")
+
+    def __init__(self, sum: BitVector, carry: int, trace: CascadeTrace) -> None:
+        _set(self, "sum", sum)
+        _set(self, "carry", carry)
+        _set(self, "trace", trace)
 
 
 def leaf_init(a: BitVector, b: BitVector) -> tuple[int, int]:

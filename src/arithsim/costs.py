@@ -14,14 +14,13 @@ this package actually runs, and that `mul` and `verify` report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
-from .bitvec import BitVector, ModelIntegrityError, lane_stride, oracle_add, oracle_mul
-from .bitvec import block_carries, pack_lanes, unpack_narrow_lanes
+from .bitvec import BitVector, ModelIntegrityError, Record, _set, lane_stride, oracle_add
+from .bitvec import block_carries, oracle_mul, pack_lanes, unpack_narrow_lanes
 from . import cascade, flash, multiplier
 from .multiplier import RowSet, Schedule
 
@@ -188,13 +187,17 @@ def check_width(design: Design, width: int) -> Circuit:
     return circuit
 
 
-@dataclass(frozen=True)
-class CostReport:
-    design: Design
-    width: int
-    special_and_gates: int
-    memory_entries: int
-    ticks: int
+class CostReport(Record):
+    __slots__ = ("design", "width", "special_and_gates", "memory_entries", "ticks")
+
+    def __init__(
+        self, design: Design, width: int, special_and_gates: int, memory_entries: int, ticks: int
+    ) -> None:
+        _set(self, "design", design)
+        _set(self, "width", width)
+        _set(self, "special_and_gates", special_and_gates)
+        _set(self, "memory_entries", memory_entries)
+        _set(self, "ticks", ticks)
 
 
 def cascade_gates(k: int) -> int:

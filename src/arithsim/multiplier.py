@@ -29,13 +29,12 @@ products stay at it. `multiply` is its K = 1 call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import or_
 
-from .bitvec import BitVector, ModelIntegrityError, check_operands, lane_mask, lane_stride
-from .bitvec import misfit, operand_width
+from .bitvec import BitVector, ModelIntegrityError, Record, _set, check_operands, lane_mask
+from .bitvec import lane_stride, misfit, operand_width
 from . import flash
 
 
@@ -55,20 +54,22 @@ PUBLISHED_ROW_COUNT = 64
 MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 
 
-@dataclass(frozen=True, slots=True)
-class RowSet:
+class RowSet(Record):
     """An unordered-sum collection of rows of `lanes` lanes of `width` bits
     each, packed at `lane_stride(width)`; zero rows count. The running sum
     is summed once, here, so a stage's check re-sums only its own output."""
 
-    width: int
-    rows: tuple[int, ...]
-    lanes: int = 1
-    _total: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("width", "rows", "lanes", "_total")
+
+    def __init__(self, width: int, rows: tuple[int, ...], lanes: int = 1) -> None:
+        _set(self, "width", width)
+        _set(self, "rows", rows)
+        _set(self, "lanes", lanes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         rows, fit = self.rows, row_layout(self.width, self.lanes)[0]
-        object.__setattr__(self, "_total", sum(rows))
+        _set(self, "_total", sum(rows))
         bits = reduce(or_, rows, 0)  # negative if any row is
         if bits & fit == bits:
             return
@@ -84,16 +85,22 @@ class RowSet:
         return len(self.rows)
 
 
-@dataclass(frozen=True, slots=True)
-class StageRecord:
+class StageRecord(Record):
     """Bookkeeping for one consolidation stage."""
 
-    kind: StageKind
-    rows_in: int
-    rows_out: int
-    left_out: int
-    ticks: int
-    circuits_used: int
+    __slots__ = ("kind", "rows_in", "rows_out", "left_out", "ticks", "circuits_used")
+
+    def __init__(
+        self, kind: StageKind, rows_in: int, rows_out: int, left_out: int, ticks: int,
+        circuits_used: int,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "rows_in", rows_in)
+        _set(self, "rows_out", rows_out)
+        _set(self, "left_out", left_out)
+        _set(self, "ticks", ticks)
+        _set(self, "circuits_used", circuits_used)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind is StageKind.CSA_3_2:
@@ -113,11 +120,16 @@ class StageRecord:
                 raise ValueError("a quantizer stage takes two ticks")
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduleReport:
-    stages: tuple[StageRecord, ...]
-    row_trajectory: tuple[int, ...]
-    total_ticks: int
+class ScheduleReport(Record):
+    __slots__ = ("stages", "row_trajectory", "total_ticks")
+
+    def __init__(
+        self, stages: tuple[StageRecord, ...], row_trajectory: tuple[int, ...], total_ticks: int
+    ) -> None:
+        _set(self, "stages", stages)
+        _set(self, "row_trajectory", row_trajectory)
+        _set(self, "total_ticks", total_ticks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.row_trajectory) != len(self.stages) + 1:
@@ -158,11 +170,13 @@ def quantizer_record(rows_in: int, rows_out: int, left_out: int, width: int) -> 
     return StageRecord(StageKind.QUANTIZER, rows_in, rows_out, left_out, QUANTIZER_TICKS, width)
 
 
-@dataclass(frozen=True, slots=True)
-class MultiplyResult:
-    product: BitVector  # width 2N
-    ticks: int
-    report: ScheduleReport
+class MultiplyResult(Record):
+    __slots__ = ("product", "ticks", "report")
+
+    def __init__(self, product: BitVector, ticks: int, report: ScheduleReport) -> None:
+        _set(self, "product", product)  # width 2N
+        _set(self, "ticks", ticks)
+        _set(self, "report", report)
 
 
 @lru_cache(maxsize=4)

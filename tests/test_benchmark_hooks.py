@@ -75,6 +75,36 @@ def test_every_traced_attribute_is_defined_on_its_owner():
     assert missing == []
 
 
+def test_each_traced_check_hook_runs_once_per_record_built(monkeypatch):
+    # the tracer wraps `__post_init__` on the class, so every record's own
+    # __init__ must look it up there and call it once: that is what
+    # `bitvec.BitVector.constructions` and `checks.self_share` count
+    v, stage = bitvec.BitVector(4, 6), multiplier.csa_record(3, 2)
+    builders = {
+        bitvec.BitVector: lambda: bitvec.BitVector(4, 6),
+        cascade.CascadeState: lambda: cascade.CascadeState(2, 1, v, 0, v, bitvec.BitVector(4, 0)),
+        flash.HalfAddState: lambda: flash.HalfAddState(4, 6, 1),
+        flash.FireSet: lambda: flash.FireSet(4, 1, 8),
+        multiplier.RowSet: lambda: multiplier.RowSet(8, (1, 2)),
+        multiplier.StageRecord: lambda: multiplier.StageRecord(stage.kind, 3, 2, 0, 1, 1),
+        multiplier.ScheduleReport: lambda: multiplier.ScheduleReport((stage,), (3, 2), 1),
+    }
+    owners = [owner for owner, attr, *_ in load_tracing().layer_targets(arithsim)
+              if attr == "__post_init__"]
+    assert set(owners) == set(builders)
+    for owner in owners:
+        calls, check = [], vars(owner)["__post_init__"]
+
+        def counted(self):
+            calls.append(type(self))
+            check(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, "__post_init__", counted)
+            builders[owner]()
+        assert calls == [owner]
+
+
 def test_main_runs_the_cmd_verify_installed_at_call_time(capsys):
     # verify sweeps in batches: the 256 pairs of the width-4 sweep fit one
     # word, so one lane-kernel call, and no per-pair entry point, since the

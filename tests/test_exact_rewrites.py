@@ -30,6 +30,7 @@ from arithsim import cascade, cli, flash, multiplier
 from arithsim.bitvec import (
     BitVector,
     ModelIntegrityError,
+    Record,
     block_tops,
     blockwise_add,
     lane_mask,
@@ -441,11 +442,29 @@ def entry_results(width, a, b):
 
 
 def fields(result):
-    """A result's type and its fields, nested records included, one by one."""
-    if dataclasses.is_dataclass(result):
-        return type(result), {f.name: fields(getattr(result, f.name))
-                              for f in dataclasses.fields(result)}
-    return result
+    """A result's type and its fields, nested records and tuples included,
+    one by one: the package's `Record`s, and the one dataclass."""
+    if isinstance(result, Record):
+        names = result.__match_args__
+    elif dataclasses.is_dataclass(result):
+        names = [field.name for field in dataclasses.fields(result)]
+    elif isinstance(result, tuple):
+        return tuple(map(fields, result))
+    else:
+        return result
+    return type(result), {name: fields(getattr(result, name)) for name in names}
+
+
+def test_fields_walks_every_record_down_to_its_ints():
+    a, b = BitVector(4, 9), BitVector(4, 7)
+    vector = (BitVector, {"width": 4, "value": 9})
+    trace = fields(cascade.cascade_add(a, b))[1]["trace"]
+    assert trace[0] is cascade.CascadeTrace and trace[1]["a"] == vector
+    assert fields(flash.flash_add(a, b)) == (
+        flash.ResolveResult, {"sum": (BitVector, {"width": 5, "value": 16}), "ticks": 2})
+    report = fields(multiplier.multiply(a, b, multiplier.Schedule.A))[1]["report"]
+    stage = report[1]["stages"][0]
+    assert stage[0] is multiplier.StageRecord and stage[1]["rows_in"] == 4
 
 
 @pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 64, 128])
