@@ -23,8 +23,13 @@ For the same reason a kernel uses a mask it already holds instead of
 shifting one: on a lane word a shift or an add costs several ANDs or XORs
 (on 45-65 kbit words, 2.6-3.8 us against 0.48-0.65 us; timeit, best of 9,
 a 2-core Xeon on Python 3.11). So the cascade step takes the odd blocks'
-carries under the next level's cached slot mask, and the AND network reads
-its segments one wire down.
+carries under the next level's cached slot mask, the AND network reads its
+segments one wire down, the pair-leaf network takes each parity's carry
+weights under the parity's mask one wire up, and the double-width adder
+reads its low half's carry out under a mask of that wire, both held by the
+adders' layouts. A popcount costs more still (about 4 us on a 65,536-bit
+word, the same host), so the flash adder counts its carries and ends only
+where its segment check has failed.
 
 A kernel call also makes only one cached layout lookup, since a lookup
 costs about two word ops on a one-pair word (0.10-0.14 us against 0.05 us
@@ -32,7 +37,8 @@ for a 128-bit AND or add; timeit, best of 7, the same host). `cascade_layout`,
 `wire_masks`, `double_width_masks` or `blocked_shape` hands the kernel
 every mask it needs, the operands' fit included, and the kernel passes them
 down to its ticks and checks. A layout holds the very ints that the mask
-functions below cache, so it costs no memory of its own.
+functions below cache, so it costs no memory of its own, except the
+three-tick adders' masks one wire up and the double-width carry-out wire.
 
 Every record is a `Record` whose own `__init__` sets each field with `_set`,
 then calls its `__post_init__` check if it has one. A `@dataclass` costs

@@ -177,21 +177,24 @@ def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     most `verify_lanes(stride)`: (packed a, packed b, pair count).
 
     An exhaustive batch is a run of consecutive pair indices a * 2**width +
-    b: the start's a in every lane plus the cached `_index_steps`. It must
-    hold whole runs of b, as at the 16-bit stride of every exhaustive sweep
-    (4096 pairs, or the whole sweep), and raises ValueError otherwise. A
-    random sweep runs in the fewest batches that fit, their sizes differing
-    by at most one (500 multiplier pairs at N = 64 as 250 + 250, not
-    481 + 19); a batch is one draw of the values that a pair-by-pair sweep
-    draws, a then b for each pair."""
+    b: the cached `_index_steps` for the first, and each next batch's a word
+    the last one's plus one step, its count of a values in every lane. It
+    must hold whole runs of b, as at the 16-bit stride of every exhaustive
+    sweep (4096 pairs, or the whole sweep), and raises ValueError otherwise.
+    A random sweep runs in the fewest batches that fit, their sizes
+    differing by at most one (500 multiplier pairs at N = 64 as 250 + 250,
+    not 481 + 19); a batch is one draw of the values that a pair-by-pair
+    sweep draws, a then b for each pair."""
     width, lanes = args.width, verify_lanes(stride)
     if exhaustive:
         run, size = 1 << width, min(lanes, 1 << 2 * width)
         if size % run:
             raise ValueError(f"a batch of {size} pairs holds no whole number of {run}-pair runs")
-        ones, (a_steps, b_steps) = lane_mask(1, stride, size), _index_steps(width, size, stride)
-        for start in range(0, 1 << 2 * width, size):
-            yield (start >> width) * ones + a_steps, b_steps, size
+        a_word, b_steps = _index_steps(width, size, stride)
+        step = (size >> width) * lane_mask(1, stride, size)
+        for _ in range((1 << 2 * width) // size):
+            yield a_word, b_steps, size
+            a_word += step
         return
     rng = random.Random(args.seed)
     batches = -(-args.trials // lanes)

@@ -129,11 +129,21 @@ def check_wires(n: int, s: int, c: int) -> None:
 def check_fire_words(n: int, carries: int, ends: int, layout: tuple[int, int, int]) -> None:
     """The fire set's shape, on every lane of `layout`, its `wire_masks`: n
     carry wires, n+1 end wires, and as many ends as carries."""
+    check_fire_fit(n, carries, ends, layout)
+    check_fire_count(carries, ends)
+
+
+def check_fire_fit(n: int, carries: int, ends: int, layout: tuple[int, int, int]) -> None:
+    """The carry and end words' fits, `check_fire_words`' first two checks."""
     _, low, wires = layout
     if carries & low != carries:
         raise ValueError(f"carry word does not fit width {n}")
     if ends & wires != ends:
         raise ValueError(f"end word does not fit {n + 1} wires")
+
+
+def check_fire_count(carries: int, ends: int) -> None:
+    """`check_fire_words`' last check: one end per carry."""
     if carries.bit_count() != ends.bit_count():
         raise ValueError("firings need one end per carry")
 
@@ -240,11 +250,29 @@ def apply_firings_sequentially(s: int, firings, order: list[int] | None = None) 
 def absorb(s: int, c: int, n: int, layout: tuple[int, int, int]) -> tuple[int, int]:
     """Tick 2 on every lane of `layout`, its `wire_masks`: fire the gate
     network and complement all segments at once. Returns the resolved wires
-    and the end word."""
+    and the end word.
+
+    The fire words pass `check_fire_words` in a cheaper order, with the
+    same result or exception: the fits first, then the segments, and the
+    count, two popcounts of the lane word, only where the segments fail,
+    so that a count mismatch still raises its ValueError. A passing
+    `complement_segments` implies equal counts. There, half = ends - carries
+    is not negative, ends = half + carries, and the bits of `half` that are
+    not interior are the carries, so every run of 1 bits of `half` starts at
+    a carry (its bottom bit has no run bit below it, so is not interior).
+    A run holding k carries, the lowest at its bottom, sums with them to k
+    bits: the run plus its bottom carry is one bit just above the run's top,
+    where no run lies, and the other k - 1 carries stay in place. Runs are
+    apart, so ends holds one bit per carry.
+    """
     weight = c << 1
     ends = find_firings(s, weight)
-    check_fire_words(n, c, ends, layout)
-    total = complement_segments(s, c, ends)
+    check_fire_fit(n, c, ends, layout)
+    try:
+        total = complement_segments(s, c, ends)
+    except ModelIntegrityError:
+        check_fire_count(c, ends)
+        raise
     if total != s + weight:
         raise ModelIntegrityError("carry absorption changed the running total")
     return total, ends
@@ -306,7 +334,7 @@ def block_parity_masks(width: int, block_width: int, lanes: int = 1) -> tuple[in
 
 
 def pair_leaf_blocks(
-    x: int, y: int, pair_tops: int, parities: tuple[int, int]
+    x: int, y: int, pair_tops: int, parities: tuple[tuple[int, int], tuple[int, int]]
 ) -> tuple[int, int]:
     """Ticks 1-2 of the pair-leaf network: add x and y inside every block,
     returning the resolved sum wires and the carry word, each block's carry
@@ -314,9 +342,10 @@ def pair_leaf_blocks(
     bit of every 2-bit pair of the words, `block_tops(width, 2)`.
 
     `parities` is the wires of the even and of the odd blocks, each block an
-    even number of wires from an even wire, no two of one parity adjacent:
-    `block_parity_masks` for equal blocks in every lane, or the
-    double-width adder's two halves in every lane.
+    even number of wires from an even wire, no two of one parity adjacent,
+    each beside the same mask one wire up (`weighted`): `block_parity_masks`
+    for equal blocks in every lane, or the double-width adder's two halves
+    in every lane.
 
     Tick 1 pair-adds all bit couples through the 16-entry lookup units. Tick 2
     runs the carry-absorbing AND network on the pair sums, each pair's carry
@@ -332,12 +361,13 @@ def pair_leaf_blocks(
         raise ModelIntegrityError("pair-leaf initialization lost value")
 
     # tick 2: the network inside every block; pair p's carry, of weight
-    # 2**(2p+2), stands on wire 2p+1
+    # 2**(2p+2), stands on wire 2p+1. Bit 0 of the carried weight is 0, so
+    # its bits under a parity one wire up are that parity's carries' weight.
     carries = carried_weight >> 1
     resolved = carry_weight = 0
-    for mask in parities:
+    for mask, up in parities:
         s, c = s_val & mask, carries & mask
-        blocks = complement_segments(s, c, find_firings(s, c << 1))
+        blocks = complement_segments(s, c, find_firings(s, carried_weight & up))
         inside = blocks & mask
         resolved |= inside
         carry_weight |= blocks ^ inside
@@ -346,23 +376,31 @@ def pair_leaf_blocks(
     return resolved, carry_weight
 
 
+def weighted(masks: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Each mask beside itself one wire up, as `pair_leaf_blocks` takes its
+    parities."""
+    return tuple((mask, mask << 1) for mask in masks)
+
+
 @lru_cache
 def double_width_masks(
     n: int, lanes: int = 1
-) -> tuple[int, int, int, int, int, int, int, tuple[int, int]]:
+) -> tuple[int, int, int, int, int, int, int, int, tuple]:
     """The double-width adder's layout for N-bit halves in lanes at
     `lane_stride(2 * n)`: the stride, every lane's 2N operand bits, the
     pair tops, then every lane's bit 0, its n low wires, its low padded
-    half block, its n+1 low wires, and the wires of its low and of its high
-    half block, the pair-leaf network's parities. A lane holds both half
-    blocks and the high one's carry out. Below N = 1 the masks hold no bits,
-    so that the kernel's operand check names the width."""
+    half block, the wire just above that block (its carry out), its n+1 low
+    wires, and the wires of its low and of its high half block, `weighted`,
+    the pair-leaf network's parities. A lane holds both half blocks and the
+    high one's carry out. Below N = 1 the masks hold no bits, so that the
+    kernel's operand check names the width."""
     bw, stride = max(n + (n & 1), 0), lane_stride(2 * n)
     operands, ones, low_half, block, fit = (
         lane_mask(bits, stride, lanes) for bits in (2 * n, 1, n, bw, n + 1)
     )
     pair_tops = block_tops(stride * lanes, 2)
-    return stride, operands, pair_tops, ones, low_half, block, fit, (block, block << bw)
+    parities = weighted((block, block << bw))
+    return stride, operands, pair_tops, ones, low_half, block, ones << bw, fit, parities
 
 
 def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int]:
@@ -377,14 +415,15 @@ def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int
     fires. Returns the 2N+1-bit sums and the cross carries, one on each
     lane's bit 0, both in the operands' lanes.
     """
-    stride, operands, pair_tops, ones, low_half, block, fit, parities = double_width_masks(n, lanes)
+    stride, operands, pair_tops, ones, low_half, block, tops, fit, parities = (
+        double_width_masks(n, lanes)
+    )
     check_operands(x, y, 2 * n, operands, stride, lanes)
     bw = n + (n & 1)
     if n & 1:  # move each high half up one wire by adding it to itself
         x, y = x + (x ^ (x & low_half)), y + (y ^ (y & low_half))
     wires, carry_weight = pair_leaf_blocks(x, y, pair_tops, parities)
     # each half's N+1 sum wires: its block's wires and its carry out on top
-    tops = ones << bw
     low = (wires & block) | (carry_weight & tops)
     high = ((wires >> bw) & block) | ((carry_weight >> bw) & tops)
     both = low | high
@@ -416,11 +455,11 @@ def is_power_of_four(n: int) -> bool:
 
 
 @lru_cache
-def blocked_shape(width: int, lanes: int = 1) -> tuple[int, int, int, int, tuple[int, int]]:
+def blocked_shape(width: int, lanes: int = 1) -> tuple[int, int, int, int, tuple]:
     """The blocked adder's layout on `lanes` lanes of 2N-bit operands: the
     stride, the block width, 2 * sqrt(N) bits, every lane's operand bits,
-    the pair tops and the blocks' `block_parity_masks`; a failed check
-    caches nothing."""
+    the pair tops and the blocks' `block_parity_masks`, `weighted`; a
+    failed check caches nothing."""
     if width % 2:
         raise ValueError(f"operand width must be even, got {width}")
     half = width // 2
@@ -428,7 +467,7 @@ def blocked_shape(width: int, lanes: int = 1) -> tuple[int, int, int, int, tuple
         raise ValueError(f"half-width {half} must be a power of four")
     stride, bw = lane_stride(width), width // isqrt(half)
     fit, pair_tops = lane_mask(width, stride, lanes), block_tops(stride * lanes, 2)
-    return stride, bw, fit, pair_tops, block_parity_masks(width, bw, lanes)
+    return stride, bw, fit, pair_tops, weighted(block_parity_masks(width, bw, lanes))
 
 
 def blocked_lanes(a: int, b: int, width: int, lanes: int = 1) -> tuple[int, int]:

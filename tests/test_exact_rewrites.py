@@ -15,6 +15,13 @@ The four adder kernels now take all their masks from one cached layout per
 call; their parent forms, which looked each mask up where it was used, are
 written out below too, and every kernel and one-pair entry point must give
 the same words and results.
+
+The flash adder's tick 2 now counts its carries and ends only where the
+segment check fails, the pair-leaf network takes each parity's carry
+weights under the parity's mask one wire up, and the double-width adder
+takes its carry-out wire from its layout. The parent forms pin these too:
+tick 2 on every small fire-word triple, and the pair-leaf network and the
+double-width tail at every half width up to 12.
 """
 
 import dataclasses
@@ -264,12 +271,10 @@ def parent_cascade_lanes(a, b, width, lanes=1):
     return levels
 
 
-def parent_flash_lanes(a, b, n, lanes=1):
+def parent_absorb(s, c, ends, n, lanes=1):
+    """Tick 2 on a given end word, its checks in the parent's order: both
+    fits, the count, then the segments."""
     stride = lane_stride(n)
-    parent_check_operands(a, b, n, stride, lanes)
-    s, c = a ^ b, a & b
-    weight = c << 1
-    ends = flash.find_firings(s, weight)
     low, wires = lane_mask(n, stride, lanes), lane_mask(n + 1, stride, lanes)
     if c & low != c:
         raise ValueError(f"carry word does not fit width {n}")
@@ -278,8 +283,16 @@ def parent_flash_lanes(a, b, n, lanes=1):
     if c.bit_count() != ends.bit_count():
         raise ValueError("firings need one end per carry")
     total = flash.complement_segments(s, c, ends)
-    if total != s + weight:
+    if total != s + (c << 1):
         raise ModelIntegrityError("carry absorption changed the running total")
+    return total, ends
+
+
+def parent_flash_lanes(a, b, n, lanes=1):
+    stride = lane_stride(n)
+    parent_check_operands(a, b, n, stride, lanes)
+    s, c = a ^ b, a & b
+    total, ends = parent_absorb(s, c, flash.find_firings(s, c << 1), n, lanes)
     return total, c, ends
 
 
@@ -371,17 +384,19 @@ def test_every_kernel_returns_the_parents_words_on_random_pairs_up_to_width_128(
             assert kernel(a, b, width) == parent(a, b, width), (width, a, b)
 
 
-@pytest.mark.parametrize("lanes, width", [(334, 128), (333, 128), (481, 128), (4096, 8)])
+@pytest.mark.parametrize(
+    "lanes, width", [(334, 128), (333, 128), (481, 128), (250, 128), (4096, 8)])
 @pytest.mark.parametrize("name", KERNELS)
 def test_every_kernel_returns_the_parents_words_at_verifys_lane_counts(name, lanes, width, rng):
-    # the 136-bit stride's full batch and the balanced batches of 1000
-    # trials, and the 16-bit stride's full batch
+    # the 136-bit stride's full batch, the balanced batches of 1000 trials
+    # and the multiplier's of 500 (its final add, at N = 64), and the 16-bit
+    # stride's full batch
     kernel, parent, _, bits = KERNELS[name]
     if name == "flash_double":
         width //= 2
     stride = lane_stride(bits(width))
     assert stride == {128: 136, 8: 16}[bits(width)]
-    assert lanes in (334, 333) or lanes == cli.verify_lanes(stride)
+    assert lanes in (334, 333, 250) or lanes == cli.verify_lanes(stride)
     fit = lane_mask(bits(width), stride, lanes)
     words = [(fit, fit), (0, fit)] + [
         (rng.getrandbits(stride * lanes) & fit, rng.getrandbits(stride * lanes) & fit)
@@ -389,6 +404,81 @@ def test_every_kernel_returns_the_parents_words_at_verifys_lane_counts(name, lan
     ]
     for a, b in words:
         assert kernel(a, b, width, lanes) == parent(a, b, width, lanes)
+
+
+def fire_word_triples(n, lanes):
+    """Every (s, c, ends) word triple on n+1 sum wires, n carry wires and
+    n+1 end wires, c and ends each with one bit above its fit. At 3 lanes
+    the triple sits in lane 1, between a one-segment fire set in lane 0 and,
+    in lane 2, either the same fire set or it with its end dropped, whose
+    count another lane's extra end can make up."""
+    stride = lane_stride(n)
+    s0, c0, e0 = (1 << n) - 2, 1, 1 << n  # (2**n - 1) + 1: one segment up to wire n
+    for s, c, ends in itertools.product(range(1 << n + 1), range(1 << n + 1), range(1 << n + 2)):
+        if lanes == 1:
+            yield s, c, ends
+            continue
+        for e2 in (e0, 0):
+            yield tuple(word0 | word << stride | word2 << 2 * stride for word0, word, word2 in
+                        ((s0, s, s0), (c0, c, c0), (e0, ends, e2)))
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_absorb_checks_every_fire_word_triple_as_the_parents_order(lanes, monkeypatch):
+    # absorb counts the carries and ends only where the segment check
+    # fails; handing it each end word in place of the firing search's
+    # reaches every check, and each gives the parent's result or error
+    ends_word = None
+    monkeypatch.setattr(flash, "find_firings", lambda s, weight: ends_word)
+    for n in range(1, 5):
+        layout, seen = flash.wire_masks(n, lanes), set()
+        for s, c, ends_word in fire_word_triples(n, lanes):
+            want = outcome(parent_absorb, s, c, ends_word, n, lanes)
+            assert outcome(flash.absorb, s, c, n, layout) == want, (n, s, c, ends_word)
+            seen.add(want[1] if want[0] != "returns" else want[0])
+        assert seen == {
+            "returns",
+            f"carry word does not fit width {n}",
+            f"end word does not fit {n + 1} wires",
+            "firings need one end per carry",
+            "a fired segment is not a run of 1 wires up to a 0 wire",
+            "fired segments do not start just above their carries",
+        }, n  # segments that pass keep the total; only a fault reaches that check
+
+
+def parity_forms(n, lanes):
+    """The pair-leaf parities of the double-width adder's halves and, where
+    the width splits into blocks, of the blocked adder's, as the parent and
+    as the layouts hand them over."""
+    stride = lane_stride(2 * n)
+    bw = n + (n & 1)
+    block = lane_mask(bw, stride, lanes)
+    forms = [((block, block << bw), flash.double_width_masks(n, lanes)[-1])]
+    if flash.is_power_of_four(n):
+        shape = flash.blocked_shape(2 * n, lanes)
+        forms.append((flash.block_parity_masks(2 * n, shape[1], lanes), shape[-1]))
+    return stride, forms
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 250])
+def test_the_pair_leaf_weights_and_the_double_width_tail_are_the_parents(lanes, rng):
+    # each parity's weight word is carried_weight & (parity << 1), exact for
+    # any words since the carried weight's bit 0 is 0; the double-width tail
+    # takes ones << bw from its layout. Every n from 1 to 12, odd and even
+    # halves, on the operands' lanes and on any bits of the packed word,
+    # which mostly break a check
+    for n in range(1, 13):
+        stride, forms = parity_forms(n, lanes)
+        fit, tops = lane_mask(2 * n, stride, lanes), block_tops(stride * lanes, 2)
+        for _ in range(40):
+            x, y = rng.getrandbits(stride * lanes), rng.getrandbits(stride * lanes)
+            for words in ((x, y), (x & fit, y & fit)):
+                for parent_parities, parities in forms:
+                    assert outcome(flash.pair_leaf_blocks, *words, tops, parities) == outcome(
+                        parent_pair_leaf_blocks, *words, stride * lanes, parent_parities)
+                assert outcome(flash.double_width_lanes, *words, n, lanes) == outcome(
+                    parent_double_width_lanes, *words, n, lanes)
+            assert outcome(flash.double_width_lanes, *words, n, lanes)[0] == "returns"
 
 
 def parent_results(width, a, b):

@@ -36,6 +36,7 @@ from arithsim.flash import (
     resolve,
     sc_and,
     segment_mask,
+    weighted,
 )
 
 
@@ -444,7 +445,7 @@ def test_pair_leaf_blocks_match_the_per_block_loop(rng):
     for block_width in (2, 4, 8):
         for a in range(256):
             for b in range(256):
-                parities = block_parity_masks(8, block_width)
+                parities = weighted(block_parity_masks(8, block_width))
                 assert pair_leaf_blocks(a, b, block_tops(8, 2), parities) == per_block_network(
                     a, b, 8, block_width
                 )
@@ -453,7 +454,7 @@ def test_pair_leaf_blocks_match_the_per_block_loop(rng):
         for _ in range(2_000):
             a, b = rng.getrandbits(width), rng.getrandbits(width)
             for block_width in block_widths:
-                parities = block_parity_masks(width, block_width)
+                parities = weighted(block_parity_masks(width, block_width))
                 assert pair_leaf_blocks(a, b, block_tops(width, 2), parities) == per_block_network(
                     a, b, width, block_width
                 )
