@@ -157,17 +157,18 @@ def oracle_mul(a: int, b: int) -> int:
     return a * b
 
 
-def increment_mask(value: int, i: int = 0) -> int:
-    """The bits to complement in a nonnegative integer to add 2**i to it.
+def increment_mask(value: int, step: int) -> int:
+    """The one-tick increment: the bits to complement in a nonnegative word
+    to add `step` to it, `step` holding one bit 2**i in each lane it adds to.
 
-    The trailing-ones detector finds the lowest 0 bit j >= i; complementing
-    bits i..j is the one-tick increment, so value ^ increment_mask(value, i)
-    == value + 2**i (Warren, Hacker's Delight, section 2-1).
+    In such a lane the trailing-ones detector finds the lowest 0 bit j >= i,
+    and complementing bits i..j adds 2**i, so value ^ increment_mask(value,
+    step) == value + step wherever no lane's run passes its top (Warren,
+    Hacker's Delight, section 2-1).
     """
     if value < 0:
         raise ValueError("value must be nonnegative")
-    m = value >> i
-    return (m ^ (m + 1)) << i
+    return value ^ (value + step)
 
 
 @lru_cache

@@ -49,14 +49,6 @@ from .bitvec import (
     operand_width,
 )
 
-# 16-entry lookup programmed with two-bit addition: the table index packs the
-# operand bit pairs, the entry holds (two sum bits, carry). This stands in for
-# the programmable logic array that computes all leaf sums in one tick.
-PAIR_ADD_TABLE: tuple[tuple[int, int], ...] = tuple(
-    (((index & 3) + (index >> 2)) & 3, ((index & 3) + (index >> 2)) >> 2)
-    for index in range(16)
-)
-
 
 @lru_cache
 def level_masks(width: int, level: int, lanes: int = 1) -> tuple[int, int, int]:
@@ -223,7 +215,7 @@ def increment_unit(word: BitVector, high_carry: int, inc: int) -> tuple[BitVecto
     if not inc:
         return word, high_carry
     full = word.value | (high_carry << w)
-    full ^= increment_mask(full)  # the run stops at or below bit w by the saturation bound
+    full ^= increment_mask(full, 1)  # the run stops at or below bit w by the saturation bound
     return BitVector(w, full & ((1 << w) - 1)), full >> w
 
 

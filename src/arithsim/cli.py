@@ -182,9 +182,9 @@ def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     must hold whole runs of b, as at the 16-bit stride of every exhaustive
     sweep (4096 pairs, or the whole sweep), and raises ValueError otherwise.
     A random sweep runs in the fewest batches that fit, their sizes
-    differing by at most one (500 multiplier pairs at N = 64 as 250 + 250,
-    not 481 + 19); a batch is one draw of the values that a pair-by-pair
-    sweep draws, a then b for each pair."""
+    differing by at most one, the largest first (500 multiplier pairs at
+    N = 64 as 250 + 250, not 481 + 19); a batch is one draw of the values
+    that a pair-by-pair sweep draws, a then b for each pair."""
     width, lanes = args.width, verify_lanes(stride)
     if exhaustive:
         run, size = 1 << width, min(lanes, 1 << 2 * width)
@@ -211,9 +211,10 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     underscores to keep the record one line of key=value fields.
 
     Pairs run in batches through the design's lane kernel, each lane checked
-    against the oracle. A batch with any mismatch or error is run again pair
-    by pair through the same kernel at K = 1, so counts and counterexamples
-    are those of a pair-by-pair sweep.
+    against the oracle, all at the first batch's lane count, so a sweep has
+    one layout. A batch with any mismatch or error is run again pair by pair
+    through the same kernel at K = 1, so counts and counterexamples are
+    those of a pair-by-pair sweep.
     """
     width, circuit = args.width, _circuit(args)
     stride = circuit.stride(width)
@@ -233,10 +234,11 @@ def cmd_verify(args: argparse.Namespace, structured: bool) -> int:
     passed = 0
     failed = 0
     counterexample = None
-    run, expect = circuit.lanes, circuit.oracle
+    run, expect, lanes = circuit.lanes, circuit.oracle, 0
     for packed_a, packed_b, size in _verify_batches(args, exhaustive, stride):
+        lanes = lanes or size
         try:
-            if run(packed_a, packed_b, width, size)[0] == expect(packed_a, packed_b, width, size):
+            if run(packed_a, packed_b, width, lanes)[0] == expect(packed_a, packed_b, width, lanes):
                 passed += size
                 continue
         except (ModelIntegrityError, ValueError):

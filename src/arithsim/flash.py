@@ -11,14 +11,14 @@ Complementing the wire segment s_{i+1}..s_j adds 2**(i+1), which is the
 carry's weight; fired segments never overlap, so all complements happen
 simultaneously. The full network has N(N+1)/2 gates.
 
-Built on the same trailing-ones trick: a one-tick add of 2**i into a vector
-and two three-tick adders. Both start with the pair-leaf network inside
-blocks (`pair_leaf_blocks`): the 16-entry pair-add lookups, then the AND
-network on the pair sums, confined to each block. The double-width adder
-runs it with its two halves as the two blocks and then folds in one
-cross-carry increment; the blocked adder runs it on square-root-sized blocks
-and then absorbs the block carries across the whole word, instead of
-doubling block sizes level by level.
+Two three-tick adders are built on it. Both start with the pair-leaf
+network inside blocks (`pair_leaf_blocks`): the 16-entry pair-add lookups,
+then the AND network on the pair sums, confined to each block. The
+double-width adder runs it with its two halves as the two blocks and then
+folds in one cross-carry increment, `bitvec.increment_mask`; the blocked
+adder runs it on square-root-sized blocks and then absorbs the block
+carries across the whole word, instead of doubling block sizes level by
+level.
 
 Each adder is one lane kernel (`flash_lanes`, `double_width_lanes`,
 `blocked_lanes`): its ticks run on a word of K operand pairs packed at
@@ -97,7 +97,7 @@ class FireSet(Record):
 
 # the one dataclass, since the benchmark's self-test calls `dataclasses.replace` on it
 @dataclass(frozen=True, slots=True)
-class ResolveResult:  # the flash, double-width and blocked adds' and the increment's result
+class ResolveResult:  # the flash, double-width and blocked adds' result
     sum: BitVector  # the added width, plus the carry out on top
     ticks: int
 
@@ -164,24 +164,6 @@ def half_add(a: BitVector, b: BitVector) -> HalfAddState:
     return HalfAddState(n=operand_width(a, b), s=a.value ^ b.value, c=a.value & b.value)
 
 
-def sc_and(state: HalfAddState, i: int, j: int) -> int:
-    """Evaluate the single gate AND(i, j) on the unresolved wires."""
-    n = state.n
-    if not 0 <= i < j <= n:
-        raise ValueError(f"gate indices need 0 <= i < j <= {n}, got ({i}, {j})")
-    if (state.s >> j) & 1:
-        return 0
-    between = ((1 << (j - i - 1)) - 1) << (i + 1)  # s_{i+1} .. s_{j-1}
-    if state.s & between != between:
-        return 0
-    return (state.c >> i) & 1
-
-
-def segment_mask(i: int, j: int) -> int:
-    """Bit mask of the complement segment s_{i+1}..s_j for firing (i, j)."""
-    return ((1 << (j - i)) - 1) << (i + 1)
-
-
 def find_firings(s: int, weight: int) -> int:
     """The carry-absorbing AND network's firing search, as an end word.
 
@@ -231,20 +213,6 @@ def complement_segments(s: int, carries: int, ends: int) -> int:
 def fire_set(state: HalfAddState) -> FireSet:
     """Evaluate all N(N+1)/2 gates on the original wires."""
     return FireSet(width=state.n, carries=state.c, ends=find_firings(state.s, state.c << 1))
-
-
-def apply_firings_sequentially(s: int, firings, order: list[int] | None = None) -> int:
-    """Complement the fired segments of the sum wires `s` one at a time,
-    optionally permuted.
-
-    Disjointness makes the order irrelevant; tests lean on that.
-    """
-    pairs = list(firings)
-    if order is not None:
-        pairs = [pairs[t] for t in order]
-    for i, j in pairs:
-        s ^= segment_mask(i, j)
-    return s
 
 
 def absorb(s: int, c: int, n: int, layout: tuple[int, int, int]) -> tuple[int, int]:
@@ -302,20 +270,6 @@ def flash_add(a: BitVector, b: BitVector) -> ResolveResult:
     """Two-tick N-bit addition; the result's top bit is the carry out."""
     n = operand_width(a, b)
     return ResolveResult(BitVector(n + 1, flash_lanes(a.value, b.value, n)[0]), FLASH_ADD_TICKS)
-
-
-def increment_by_pow2(x: BitVector, i: int) -> ResolveResult:
-    """Add 2**i to an N-bit vector in one tick; result is N+1 bits wide.
-
-    The trailing-ones detector finds the lowest j >= i with bit j clear
-    (position N counts as a cleared overflow bit) and the circuit complements
-    positions i..j simultaneously.
-    """
-    n = x.width
-    if not 0 <= i < n:
-        raise ValueError(f"increment index {i} out of range for width {n}")
-    result = x.value ^ increment_mask(x.value, i)  # bit n is implicitly 0
-    return ResolveResult(sum=BitVector(n + 1, result), ticks=1)
 
 
 @lru_cache
@@ -430,7 +384,7 @@ def double_width_lanes(x: int, y: int, n: int, lanes: int = 1) -> tuple[int, int
     if both & fit != both:
         raise ModelIntegrityError("a half's sum does not fit its n+1 wires")
     cross = (low >> n) & ones
-    mask = high ^ (high + cross)  # the one-tick increment, where a cross carry fires
+    mask = increment_mask(high, cross)  # only where a cross carry fires
     if mask & fit != mask:
         raise ModelIntegrityError("cross-carry increment escaped the high half")
     return ((high ^ mask) << n) | (low & low_half), cross

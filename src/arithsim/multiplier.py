@@ -182,8 +182,8 @@ class MultiplyResult(Record):
 @lru_cache(maxsize=4)
 def bit_masks(n: int, lanes: int) -> tuple[int, ...]:
     """For each i < n, every lane's bits i and i + n at `lane_stride(2 * n)`;
-    a few shapes cached, since every batch of a sweep asks for them: its
-    balanced batches take at most two lane counts, plus one pair."""
+    a few shapes cached, since every batch of a sweep asks for them: all
+    run at one lane count, and a failing batch's re-run at one pair."""
     ones = lane_mask(1, lane_stride(2 * n), lanes)
     pair = ones | ones << n
     return tuple(pair << i for i in range(n))
@@ -237,13 +237,6 @@ def csa_stage(rows: RowSet) -> tuple[RowSet, StageRecord]:
     if result.total() != rows.total():
         raise ModelIntegrityError("3:2 stage lost value")
     return result, csa_record(n, len(out))
-
-
-def column_counts(rows: RowSet) -> tuple[int, ...]:
-    """Per-column 1-bit counts, the quantity a quantizer stage digitizes."""
-    return tuple(
-        sum((row >> p) & 1 for row in rows.rows) for p in range(rows.width)
-    )
 
 
 def count_planes(rows: tuple[int, ...]) -> list[int]:

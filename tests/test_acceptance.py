@@ -23,15 +23,12 @@ from arithsim.costs import (
     reference_table,
 )
 from arithsim.flash import (
-    apply_firings_sequentially,
     blocked_add,
     double_width_add,
     fire_set,
     flash_add,
     half_add,
-    increment_by_pow2,
     resolve,
-    segment_mask,
 )
 from arithsim.multiplier import (
     RowSet,
@@ -40,6 +37,7 @@ from arithsim.multiplier import (
     multiply,
     partial_products,
 )
+from reference import apply_firings_sequentially, increment_by_pow2, segment_mask
 
 EXHAUSTIVE_BUDGET_SECONDS = 5.0
 

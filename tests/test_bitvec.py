@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from arithsim.bitvec import (
     BitVector,
     increment_mask,
+    lane_stride,
     oracle_add,
     oracle_mul,
+    pack_lanes,
 )
 
 
@@ -99,14 +101,14 @@ def test_oracle_random_sweep(rng):
 
 
 def test_increment_mask_examples():
-    assert increment_mask(0) == 0b1
-    assert increment_mask(0b1) == 0b11
-    assert increment_mask(0b1011) == 0b111
-    assert increment_mask(0b111) == 0b1111
-    assert increment_mask(0b1011, 2) == 0b100
-    assert increment_mask(0b1101, 2) == 0b11100
-    with pytest.raises(ValueError):
-        increment_mask(-1)
+    assert increment_mask(0, 1) == 0b1
+    assert increment_mask(0b1, 1) == 0b11
+    assert increment_mask(0b1011, 1) == 0b111
+    assert increment_mask(0b111, 1) == 0b1111
+    assert increment_mask(0b1011, 0b100) == 0b100
+    assert increment_mask(0b1101, 0b100) == 0b11100
+    with pytest.raises(ValueError, match="value must be nonnegative"):
+        increment_mask(-1, 1)
 
 
 @given(
@@ -114,4 +116,27 @@ def test_increment_mask_examples():
     st.integers(min_value=0, max_value=90),
 )
 def test_increment_mask_defining_property(value, i):
-    assert value ^ increment_mask(value, i) == value + 2**i
+    assert value ^ increment_mask(value, 1 << i) == value + 2**i
+
+
+def test_increment_mask_is_the_shifted_increment_exhaustively():
+    # the increment by index: the trailing-ones run of value >> i, moved
+    # back up to bit i
+    for value in range(1 << 10):
+        for i in range(10):
+            assert increment_mask(value, 1 << i) == ((value >> i) ^ ((value >> i) + 1)) << i
+
+
+@pytest.mark.parametrize("width", [8, 128])
+@pytest.mark.parametrize("lanes", [1, 3, 4096])
+def test_increment_mask_on_a_lane_word_is_each_lanes_increment(lanes, width, rng):
+    # one step bit, or none, per lane; each lane's run stops at or below its
+    # padding, so the word's mask is the lanes' masks side by side
+    stride = lane_stride(width)
+    values = [rng.getrandbits(width) for _ in range(lanes)]
+    values[0] = (1 << width) - 1  # a run up to the lane's carry-out wire
+    steps = [rng.choice([0, 1 << rng.randrange(width)]) for _ in range(lanes)]
+    steps[0] = 1
+    want = [increment_mask(v, step) for v, step in zip(values, steps)]
+    got = increment_mask(pack_lanes(values, stride), pack_lanes(steps, stride))
+    assert got == pack_lanes(want, stride)

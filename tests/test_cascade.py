@@ -13,7 +13,6 @@ from arithsim.bitvec import (
     oracle_add,
 )
 from arithsim.cascade import (
-    PAIR_ADD_TABLE,
     CascadeState,
     CascadeTrace,
     cascade_add,
@@ -26,6 +25,7 @@ from arithsim.cascade import (
     step_gate_count,
 )
 from arithsim.costs import cascade_gates
+from reference import PAIR_ADD_TABLE
 
 
 def test_pair_add_table_is_two_bit_addition():

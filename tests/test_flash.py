@@ -17,7 +17,6 @@ from arithsim.costs import flash_gates
 from arithsim.flash import (
     FireSet,
     HalfAddState,
-    apply_firings_sequentially,
     block_parity_masks,
     blocked_add,
     blocked_lanes,
@@ -31,13 +30,11 @@ from arithsim.flash import (
     flash_add,
     flash_lanes,
     half_add,
-    increment_by_pow2,
     pair_leaf_blocks,
     resolve,
-    sc_and,
-    segment_mask,
     weighted,
 )
+from reference import apply_firings_sequentially, increment_by_pow2, sc_and, segment_mask
 
 
 def test_half_add_5_plus_3():
@@ -177,7 +174,7 @@ def test_complement_check_accepts_exactly_the_fired_ends():
     for s in range(1 << 5):
         for carries in range(1 << 4):
             firings = [
-                (i, increment_mask(s, i + 1).bit_length() - 1)
+                (i, increment_mask(s, 1 << (i + 1)).bit_length() - 1)
                 for i in range(4)
                 if carries >> i & 1
             ]

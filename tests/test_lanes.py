@@ -440,9 +440,43 @@ def test_a_random_sweep_is_the_pair_by_pair_loop_in_full_batches(
     sizes = [size for *_, size in batches]
     assert len(sizes) == -(-trials // lanes)
     assert max(sizes) - min(sizes) <= 1
+    assert sizes[0] == max(sizes)  # `verify` runs every batch at the first's lane count
     assert batch_pairs(batches, stride) == [
         (loop.getrandbits(width), loop.getrandbits(width)) for _ in range(trials)
     ]
+
+
+def test_every_batch_of_a_random_sweep_runs_at_the_first_batchs_lane_count(
+    capsys, monkeypatch
+):
+    # add-wide-random's sweep: 1000 pairs in batches of 334, 333 and 333,
+    # every one run in the 334-lane layout, the short batches' top lane
+    # empty; a fault on the last pair fails the last batch, which re-runs its
+    # own 333 pairs one at a time
+    width, stride, calls = 128, lane_stride(128), []
+    batches = sweep_batches(width, stride, 1000, 1)
+    assert [size for *_, size in batches] == [334, 333, 333]
+    last_a, last_b, size = batches[-1]
+    pairs = batch_pairs(batches, stride)
+    original = flash.flash_lanes
+
+    def flips_the_last_pair(a, b, n, lanes=1):
+        calls.append(lanes)
+        total, *words = original(a, b, n, lanes)
+        if (a, b) in ((last_a, last_b), pairs[-1]):
+            total ^= 1
+        return total, *words
+
+    def run(a, b):
+        return flips_the_last_pair(a, b, width)[0]
+
+    want = pair_by_pair(run, pairs)
+    assert "passed=999 failed=1 counterexample=a=" in want
+    calls.clear()
+    monkeypatch.setattr(flash, "flash_lanes", flips_the_last_pair)
+    argv = ["verify", "--design", "flash", "--width", "128", "--trials", "1000", "--seed", "1"]
+    assert verify_record(capsys, argv) == (1, want)
+    assert calls == [334] * 3 + [1] * size
 
 
 def test_a_fault_on_one_pair_fails_its_multi_a_batch(capsys, monkeypatch):

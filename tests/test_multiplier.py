@@ -10,7 +10,6 @@ from arithsim.multiplier import (
     ScheduleReport,
     StageKind,
     StageRecord,
-    column_counts,
     consolidate,
     csa_3_2,
     csa_stage,
@@ -18,6 +17,7 @@ from arithsim.multiplier import (
     partial_products,
     quantize_columns,
 )
+from reference import column_counts
 
 
 def rows_of(width, *values):
