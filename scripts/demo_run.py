@@ -23,7 +23,7 @@ def show_cascade(a: BitVector, b: BitVector) -> None:
     for record in level_records(levels, width):
         carries = ",".join(str(c) for c in record["carries"])
         print(f"  level {record['level']}: sums={record['sums']} carries=[{carries}]")
-    print(f"  sum={total} carry={carry} ticks={ticks} gates={adder.gates(width)}")
+    print(f"  sum={total} carry={carry} ticks={ticks} gates={adder.cost(width)[0]}")
 
 
 def show_flash(a: BitVector, b: BitVector) -> None:
@@ -32,7 +32,7 @@ def show_flash(a: BitVector, b: BitVector) -> None:
     print(f"flash {a} + {b}")
     print(f"  tick 1: s={a.value ^ b.value:0{n + 1}b} c={c:0{n}b}")
     fired = " ".join(f"({i},{j})" for i, j in fire_pairs(c, ends)) or "none"
-    print(f"  tick 2: firings {fired} over {adder.gates(n)} gates")
+    print(f"  tick 2: firings {fired} over {adder.cost(n)[0]} gates")
     print(f"  sum={total} ticks={ticks}")
 
 

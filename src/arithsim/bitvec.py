@@ -7,10 +7,9 @@ be shared freely between threads.
 
 Lane kernels run K circuits side by side in one word (SWAR; Lamport, CACM
 1975), every kernel at the one stride `lane_stride`. Values enter and leave
-a lane word as bytes: `pack_lanes`, `unpack_lanes` and `unpack_narrow_lanes`
-here, and `verify`'s random draw, which copies each value's bytes from the
-draw straight to its lane. Every kernel takes its operands through one
-check, `check_operands`, and every one-pair call its widths through
+a lane word as bytes, through `pack_lanes`, `unpack_lanes` and
+`unpack_narrow_lanes`. Every kernel takes its operands through one check,
+`check_operands`, and every one-pair call its widths through
 `operand_width`.
 
 Lane masks are nonnegative, and no kernel builds a mask's complement: x & ~m
@@ -22,14 +21,9 @@ two's complement, several times the cost of the op itself.
 For the same reason a kernel uses a mask it already holds instead of
 shifting one: on a lane word a shift or an add costs several ANDs or XORs
 (on 45-65 kbit words, 2.6-3.8 us against 0.48-0.65 us; timeit, best of 9,
-a 2-core Xeon on Python 3.11). So the cascade step takes the odd blocks'
-carries under the next level's cached slot mask, the AND network reads its
-segments one wire down, the pair-leaf network takes each parity's carry
-weights under the parity's mask one wire up, and the double-width adder
-reads its low half's carry out under a mask of that wire, both held by the
-adders' layouts. A popcount costs more still (about 4 us on a 65,536-bit
-word, the same host), so the flash adder counts its carries and ends only
-where its segment check has failed.
+a 2-core Xeon on Python 3.11), and a popcount more still (about 4 us on a
+65,536-bit word, the same host). Each kernel's docstring says which masks
+it holds, and where it counts.
 
 A kernel call also makes only one cached layout lookup, since a lookup
 costs about two word ops on a one-pair word (0.10-0.14 us against 0.05 us
@@ -37,8 +31,7 @@ for a 128-bit AND or add; timeit, best of 7, the same host). `cascade_layout`,
 `wire_masks`, `double_width_masks` or `blocked_shape` hands the kernel
 every mask it needs, the operands' fit included, and the kernel passes them
 down to its ticks and checks. A layout holds the very ints that the mask
-functions below cache, so it costs no memory of its own, except the
-three-tick adders' masks one wire up and the double-width carry-out wire.
+functions below cache, and only a few masks of its own.
 
 Every record is a `Record` whose own `__init__` sets each field with `_set`,
 then calls its `__post_init__` check if it has one. A `@dataclass` costs

@@ -10,16 +10,8 @@ from the ARITHSIM_FORMAT environment variable when set.
 
 Every command reads its design's `costs.DESIGNS` entry through the width
 rule `costs.check_width`. `add` and `mul` run its lane kernel at K = 1;
-`verify` packs pairs at its stride and runs them in batches through its lane
-kernel against its oracle, at most as many lanes as fit a word of
-VERIFY_WORD_BITS bits, and a failing batch's pairs one at a time through the
-same kernel. An exhaustive batch is a run of consecutive pair indices
-a * 2**width + b, so at width 8 it spans 16 values of a. A random sweep runs
-in the fewest batches that fit, of sizes differing by at most one; each is
-one `getrandbits` draw, read into bytes once and parted into packed a and b
-words, holding the values of a pair-by-pair loop in the same order. The
-argument parser is built on the first call and kept for the process, so a
-short call pays for its pairs, not for argparse.
+`verify` runs pairs in batches through it against its oracle, as
+`cmd_verify` and `_verify_batches` describe.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
 """
@@ -57,6 +49,7 @@ VERIFY_WORD_BITS = 1 << 16
 
 
 ADDER_DESIGNS = tuple(d.value for d, circuit in DESIGNS.items() if circuit.schedule == "-")
+SCHEDULES = tuple(s.value for s in Schedule)
 
 
 def _pairs(fields: dict) -> str:
@@ -174,22 +167,24 @@ def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tup
 
 def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     """The (a, b) value pairs in order, packed at `stride`, in batches of at
-    most `verify_lanes(stride)`: (packed a, packed b, pair count).
+    most `verify_lanes(stride)` pairs, or one run of b where a run holds
+    more: (packed a, packed b, pair count).
 
     An exhaustive batch is a run of consecutive pair indices a * 2**width +
-    b: the cached `_index_steps` for the first, and each next batch's a word
-    the last one's plus one step, its count of a values in every lane. It
-    must hold whole runs of b, as at the 16-bit stride of every exhaustive
-    sweep (4096 pairs, or the whole sweep), and raises ValueError otherwise.
+    b, as many as the largest power of two that fits, but at least one run
+    of b and at most the whole sweep, so it holds whole runs and divides the
+    sweep: 4096 pairs, or the whole sweep, at the 16-bit stride of every
+    exhaustive sweep the CLI runs. The first batch is the cached
+    `_index_steps`, and each next batch's a word the last one's plus one
+    step, its count of a values in every lane.
     A random sweep runs in the fewest batches that fit, their sizes
     differing by at most one, the largest first (500 multiplier pairs at
     N = 64 as 250 + 250, not 481 + 19); a batch is one draw of the values
     that a pair-by-pair sweep draws, a then b for each pair."""
     width, lanes = args.width, verify_lanes(stride)
     if exhaustive:
-        run, size = 1 << width, min(lanes, 1 << 2 * width)
-        if size % run:
-            raise ValueError(f"a batch of {size} pairs holds no whole number of {run}-pair runs")
+        run = 1 << width
+        size = min(1 << 2 * width, max(run, 1 << lanes.bit_length() - 1))
         a_word, b_steps = _index_steps(width, size, stride)
         step = (size >> width) * lane_mask(1, stride, size)
         for _ in range((1 << 2 * width) // size):
@@ -272,14 +267,8 @@ def cmd_cost(args: argparse.Namespace, structured: bool) -> int:
         for name, value in reference_table():
             _emit(structured, "cost", dict(name=name, value=value), f"{name:34s} {value}")
         return 0
-    report = cost_report(Design(args.design), args.width)
-    fields = dict(
-        design=report.design.value,
-        width=report.width,
-        gates=report.special_and_gates,
-        entries=report.memory_entries,
-        ticks=report.ticks,
-    )
+    gates, entries, ticks = cost_report(Design(args.design), args.width)
+    fields = dict(design=args.design, width=args.width, gates=gates, entries=entries, ticks=ticks)
     _emit(structured, "cost", fields, _aligned(fields, 7))
     return 0
 
@@ -335,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mul = sub.add_parser("mul", parents=[common], help="multiply two hex operands")
     mul.set_defaults(design="mult")
-    mul.add_argument("--schedule", choices=("A", "B"), default="B")
+    mul.add_argument("--schedule", choices=SCHEDULES, default="B")
     mul.add_argument("--width", type=int, required=True)
     mul.add_argument("a_hex")
     mul.add_argument("b_hex")
@@ -343,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common], help="sweep a design against the oracle")
     verify.add_argument("--design", choices=ADDER_DESIGNS + ("mult",), required=True)
     verify.add_argument("--width", type=int, required=True)
-    verify.add_argument("--schedule", choices=("A", "B"), default="B")
+    verify.add_argument("--schedule", choices=SCHEDULES, default="B")
     verify.add_argument("--trials", type=int, default=10000)
     verify.add_argument("--seed", type=int, default=0)
 
@@ -353,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--table", action="store_true", help="print the reference number table")
 
     schedule = sub.add_parser("schedule", parents=[common], help="show a consolidation schedule")
-    schedule.add_argument("--schedule", choices=("A", "B"), required=True)
+    schedule.add_argument("--schedule", choices=SCHEDULES, required=True)
     schedule.add_argument("--rows", type=int, default=PUBLISHED_ROW_COUNT)
     return parser
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
-from .bitvec import BitVector, ModelIntegrityError, Record, _set, lane_stride, oracle_add
+from .bitvec import BitVector, ModelIntegrityError, lane_stride, oracle_add
 from .bitvec import block_carries, oracle_mul, pack_lanes, unpack_narrow_lanes
 from . import cascade, flash, multiplier
 from .multiplier import RowSet, Schedule
@@ -61,9 +61,7 @@ class Circuit(NamedTuple):
     `exhaustive` and naming `schedule` in its header. An adder's `add` is
     its one-pair call, showing an N+1-bit sum, or with `carry_apart` an
     N-bit sum and the carry; `--trace` prints one `label` record, or
-    `template` line, per field dict of `trace(words, width)`; `gates(width)`
-    is the gate tally that `--trace` and the scripts show, where the adder
-    has one.
+    `template` line, per field dict of `trace(words, width)`.
     """
 
     needs: str
@@ -77,7 +75,6 @@ class Circuit(NamedTuple):
     label: str = ""
     template: str = ""
     trace: Callable[[tuple, int], Iterable[dict]] | None = None
-    gates: Callable[[int], int] | None = None
     carry_apart: bool = False
 
     def add(self, a: int, b: int, width: int) -> tuple[BitVector, int, int, tuple]:
@@ -136,7 +133,6 @@ DESIGNS = {
         trace=lambda levels, w: (
             dict(rec, carries=_joined(rec["carries"])) for rec in cascade.level_records(levels, w)
         ),
-        gates=lambda w: cascade.special_and_gates(w.bit_length() - 1),
         carry_apart=True,
     ),
     Design.FLASH: Circuit(
@@ -148,9 +144,8 @@ DESIGNS = {
         template="firings: [{pairs}] gates={gates}",
         trace=lambda words, n: [dict(
             pairs=_joined(f"{i}:{j}" for i, j in flash.fire_pairs(*words[1:])),
-            gates=flash_gates(n),
+            gates=DESIGNS[Design.FLASH].cost(n)[0],
         )],
-        gates=lambda n: flash_gates(n),
     ),
     Design.FLASH_DOUBLE: Circuit(
         needs="an even width >= 2",
@@ -185,19 +180,6 @@ def check_width(design: Design, width: int) -> Circuit:
     if not circuit.accepts(width):
         raise ValueError(f"{design.value} needs {circuit.needs}, got {width}")
     return circuit
-
-
-class CostReport(Record):
-    __slots__ = ("design", "width", "special_and_gates", "memory_entries", "ticks")
-
-    def __init__(
-        self, design: Design, width: int, special_and_gates: int, memory_entries: int, ticks: int
-    ) -> None:
-        _set(self, "design", design)
-        _set(self, "width", width)
-        _set(self, "special_and_gates", special_and_gates)
-        _set(self, "memory_entries", memory_entries)
-        _set(self, "ticks", ticks)
 
 
 def cascade_gates(k: int) -> int:
@@ -319,9 +301,10 @@ def multiplier_banks(schedule: Schedule) -> tuple[int, int]:
     return circuits, 0
 
 
-def cost_report(design: Design, width: int) -> CostReport:
-    """One design's budget at one operand width."""
-    return CostReport(design, width, *check_width(design, width).cost(width))
+def cost_report(design: Design, width: int) -> tuple[int, int, int]:
+    """One design's budget at one operand width, under its width rule:
+    `Circuit.cost`'s (special AND gates, memory entries, ticks)."""
+    return check_width(design, width).cost(width)
 
 
 def reference_table() -> tuple[tuple[str, int], ...]:
@@ -331,9 +314,9 @@ def reference_table() -> tuple[tuple[str, int], ...]:
     if ticks_a % ticks_b:
         raise ModelIntegrityError(f"tick ratio {ticks_a}/{ticks_b} is not integral")
     return (
-        ("cascade_gates_width_128", cost_report(Design.CASCADE, 128).special_and_gates),
-        ("double_width_gates_width_128", cost_report(Design.FLASH_DOUBLE, 128).special_and_gates),
-        ("blocked_gates_width_128", cost_report(Design.BLOCKED_DOUBLE, 128).special_and_gates),
+        ("cascade_gates_width_128", cost_report(Design.CASCADE, 128)[0]),
+        ("double_width_gates_width_128", cost_report(Design.FLASH_DOUBLE, 128)[0]),
+        ("blocked_gates_width_128", cost_report(Design.BLOCKED_DOUBLE, 128)[0]),
         ("schedule_a_csa_circuits", circuits_a),
         ("schedule_b_quantizer_entries", ENTRIES_PER_QUANTIZER * quantizers_b),
         ("schedule_a_exclusive_entries", ENTRIES_PER_CSA * (circuits_a - circuits_b)),

@@ -23,6 +23,11 @@ ADDER_RECORD_DIGEST = "755640e415637bc67b8756493035b53911b06f01a0e2f8113f758be31
 # stage record, cost and error message unchanged.
 MULTIPLIER_RECORD_DIGEST = "6f99572feb2a7470a2eb0634b5b9c7f17652326f1e1e6bb8bc62bac08e8d9ad6"
 
+# `_cost_record_digest()` of the CLI while `cost` still read the budget
+# through a `CostReport` record; every gate, entry and tick count and every
+# width error must stay as it was.
+COST_RECORD_DIGEST = "bbf2b13c6f12802bb2f8b07ab4e2fa670f5cbb171f900d0e157be6418b5dd8b6"
+
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
@@ -178,6 +183,12 @@ def _multiplier_record_digest() -> str:
     argvs += [["cost", "--table"]]
     argvs += [["cost", "--design", f"mult_schedule_{s}", "--width", str(width)]
               for s, width in itertools.product("ab", (32, 64))]
+    return _cli_digest(argvs)
+
+
+def _cli_digest(argvs) -> str:
+    """sha256 over the exit code, stdout and stderr of each argv in both
+    formats."""
     digest = hashlib.sha256()
     for argv, output_format in itertools.product(argvs, ("text", "structured")):
         argv = argv + ["--format", output_format]
@@ -190,6 +201,19 @@ def _multiplier_record_digest() -> str:
 
 def test_multiplier_records_are_byte_identical_to_the_pinned_digest():
     assert _multiplier_record_digest() == MULTIPLIER_RECORD_DIGEST
+
+
+def _cost_record_digest() -> str:
+    """`_cli_digest` of `cost --table` and of `cost` for every design at
+    widths 2, 4, 8, 64 and 128, those its rules reject included."""
+    argvs = [["cost", "--table"]]
+    argvs += [["cost", "--design", d.value, "--width", str(width)]
+              for d, width in itertools.product(Design, (2, 4, 8, 64, 128))]
+    return _cli_digest(argvs)
+
+
+def test_cost_records_are_byte_identical_to_the_pinned_digest():
+    assert _cost_record_digest() == COST_RECORD_DIGEST
 
 
 def test_verify_counts_a_failed_state_validation_as_a_failed_pair(capsys, extra_end):

@@ -116,22 +116,12 @@ def test_tick_ratio_check_fires(monkeypatch):
 
 
 def test_cost_report_dispatch():
-    cascade = cost_report(Design.CASCADE, 128)
-    assert (cascade.special_and_gates, cascade.ticks) == (447, 7)
-    flash_rep = cost_report(Design.FLASH, 64)
-    assert (flash_rep.special_and_gates, flash_rep.ticks) == (2080, 2)
-    double = cost_report(Design.FLASH_DOUBLE, 128)
-    assert (double.special_and_gates, double.ticks) == (2144, 3)
-    blocked = cost_report(Design.BLOCKED_DOUBLE, 128)
-    assert (blocked.special_and_gates, blocked.ticks) == (1000, 3)
-    mult_a = cost_report(Design.MULT_SCHEDULE_A, 64)
-    assert (mult_a.memory_entries, mult_a.ticks) == (10248, 24)
-    mult_b = cost_report(Design.MULT_SCHEDULE_B, 64)
-    assert (mult_b.memory_entries, mult_b.ticks) == (9216, 8)
-    for report in (cascade, flash_rep, double, blocked, mult_a, mult_b):
-        assert report.special_and_gates >= 0
-        assert report.memory_entries >= 0
-        assert report.ticks >= 0
+    assert cost_report(Design.CASCADE, 128) == (447, 0, 7)
+    assert cost_report(Design.FLASH, 64) == (2080, 0, 2)
+    assert cost_report(Design.FLASH_DOUBLE, 128) == (2144, 0, 3)
+    assert cost_report(Design.BLOCKED_DOUBLE, 128) == (1000, 0, 3)
+    assert cost_report(Design.MULT_SCHEDULE_A, 64) == (0, 10248, 24)
+    assert cost_report(Design.MULT_SCHEDULE_B, 64) == (0, 9216, 8)
 
 
 def test_cost_report_rejects_bad_widths():

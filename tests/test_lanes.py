@@ -415,13 +415,21 @@ def test_an_exhaustive_sweep_holds_every_pair_once_in_a_major_order(width, strid
     assert batch_pairs(batches, stride) == list(itertools.product(range(1 << width), repeat=2))
 
 
-def test_an_exhaustive_batch_of_part_runs_raises():
-    # at width 10 and its own 24-bit stride a batch of 2730 pairs would end
-    # inside a run of 1024 values of b, and the sweep would skip and repeat
-    # pairs
-    assert cli.verify_lanes(lane_stride(10)) == 2730
-    with pytest.raises(ValueError, match="no whole number of 1024-pair runs"):
-        sweep_batches(10, lane_stride(10))
+@pytest.mark.parametrize("width", [9, 10])
+def test_an_exhaustive_sweep_at_a_wider_stride_holds_whole_runs(width):
+    # at the 24-bit stride 2730 lanes fit a word; a batch takes the 2048 of
+    # them that hold whole runs of b and divide the sweep, which then visits
+    # every pair once, in a-major order, pair by pair
+    stride = lane_stride(width)
+    assert (stride, cli.verify_lanes(stride)) == (24, 2730)
+    pairs = itertools.product(range(1 << width), repeat=2)
+    count = 0
+    for a, b, size in sweep_batches(width, stride):
+        assert size == 2048 and size * stride <= cli.VERIFY_WORD_BITS
+        got = zip(unpack_lanes(a, stride, size), unpack_lanes(b, stride, size))
+        assert list(got) == list(itertools.islice(pairs, size))
+        count += size
+    assert count == 1 << 2 * width and next(pairs, None) is None
 
 
 @given(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from arithsim import cascade, costs, flash, multiplier
+from arithsim import cascade, flash, multiplier
 from arithsim.bitvec import BitVector, Record
 from arithsim.multiplier import StageKind
 
@@ -88,15 +88,6 @@ CASES = {
         f"MultiplyResult(product=BitVector(width=8, value=63), ticks=5, report={REPORT!r})",
         (BitVector(8, 63), 5, REPORT),
         multiplier.MultiplyResult(BitVector(8, 63), 6, REPORT),
-    ),
-    "CostReport": (
-        costs.CostReport(
-            design=costs.Design.FLASH, width=8, special_and_gates=36, memory_entries=0, ticks=2,
-        ),
-        "CostReport(design=<Design.FLASH: 'flash'>, width=8, special_and_gates=36, "
-        "memory_entries=0, ticks=2)",
-        (costs.Design.FLASH, 8, 36, 0, 2),
-        costs.CostReport(costs.Design.FLASH, 16, 136, 0, 2),
     ),
 }
 

@@ -1,20 +1,26 @@
-"""Smoke tests: both scripts and README's library example run end to end
-against the package source."""
+"""Smoke tests: both scripts and README's library and command-line examples
+run end to end against the package source."""
 
+import contextlib
+import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from arithsim import cli
 from arithsim.cli import ADDER_DESIGNS
 
 ROOT = Path(__file__).resolve().parent.parent
 
 WIDTH_128_ROWS = """\
-cascade            128     447     447     7    20/20
-flash              128    8256    8256     2    20/20
-flash_double       128    2144       -     3    20/20
-blocked_double     128    1000       -     3    20/20
+cascade            128     447     7    20/20
+flash              128    8256     2    20/20
+flash_double       128    2144     3    20/20
+blocked_double     128    1000     3    20/20
 """
 
 DEMO_RUN_OUTPUT = """\
@@ -80,7 +86,7 @@ def test_latency_area_tradeoff_runs():
     assert result.returncode == 0, result.stderr
     assert WIDTH_128_ROWS in result.stdout
     assert result.stdout.endswith(HEADLINE_BLOCK)
-    assert "flash               12      78      78     2    20/20\n" in result.stdout
+    assert "flash               12      78     2    20/20\n" in result.stdout
     # one row per adder entry at a width every adder takes; a blank line ends the table
     rows = [row.split() for row in result.stdout.split("\n\n")[0].splitlines()[1:]]
     assert [row[0] for row in rows if row[1] == "128"] == list(ADDER_DESIGNS)
@@ -106,3 +112,35 @@ def test_readme_library_example_runs():
             exec(code, namespace)
     assert want == [2**64, 2, 56088, 8]
     assert got == want
+
+
+def readme_commands():
+    """README's `$ arithsim ...` lines, each with the output shown below it:
+    the lines up to the next command or the block's end."""
+    examples, lines = [], (ROOT / "README.md").read_text().splitlines()
+    for index, line in enumerate(lines):
+        if line.startswith("$ arithsim "):
+            end = index + 1
+            while not lines[end].startswith(("$ ", "```")):
+                end += 1
+            examples.append(pytest.param(line[len("$ arithsim "):], lines[index + 1:end],
+                                         id=line[len("$ arithsim "):]))
+    return examples
+
+
+def test_readme_shows_each_command_and_no_unrun_example():
+    # an `arithsim` line without its prompt would be an example no test runs
+    lines = (ROOT / "README.md").read_text().splitlines()
+    assert not [line for line in lines if line.lstrip().startswith("arithsim ")]
+    commands = {example.values[0].split()[0] for example in readme_commands()}
+    assert commands == {"add", "mul", "verify", "cost", "schedule"}
+
+
+@pytest.mark.parametrize("command, shown", readme_commands())
+def test_readme_command_line_example_prints_what_it_shows(monkeypatch, command, shown):
+    monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.main(shlex.split(command))
+    assert out.getvalue().splitlines() == shown
+    assert code == (2 if shown[0].startswith("error: ") else 0)
