@@ -126,45 +126,6 @@ def _index_steps(width: int, size: int, stride: int) -> tuple[int, int]:
     return int.from_bytes(steps, "little"), int.from_bytes(counts * (size // run), "little")
 
 
-@lru_cache
-def _draw_layout(width: int, count: int) -> tuple[int, int, int, int]:
-    """Where `count` `width`-bit values sit in one getrandbits draw of their
-    whole 32-bit words: the slot of whole words each value fills, the low
-    bits dropped from its last word, and masks of its low whole words and
-    of its last word's kept bits, brought down by that drop (0 where none)."""
-    slot, drop = -(-width // 32) * 32, -width % 32
-    if not drop:
-        return slot, 0, 0, 0
-    low = lane_mask(slot - 32, slot, count)
-    return slot, drop, low, lane_mask(width, slot, count) ^ low
-
-
-def _random_pairs(rng: random.Random, width: int, size: int, stride: int) -> tuple[int, int]:
-    """`size` pairs drawn a then b, as a pair-by-pair `getrandbits(width)`
-    loop draws them, packed at `stride`.
-
-    The Mersenne Twister fills `getrandbits(k)` with 32-bit words, least
-    significant first, and keeps the top k % 32 bits of a partial last
-    word. One draw of all the loop's words therefore holds its values in
-    order, one per slot of whole words, and leaves the generator where the
-    loop would. Where the width is whole 32-bit words, each value fills
-    its slot; otherwise cached masks bring each value's last word down by
-    the dropped bits. The draw is read into bytes once, and each value's
-    bytes are copied from its slot, a's the low and b's the high half of a
-    pair's, to its lane of the a or the b word."""
-    slot, drop, low, kept = _draw_layout(width, 2 * size)
-    draw = rng.getrandbits(2 * slot * size)
-    if drop:
-        draw = draw & low | draw >> drop & kept
-    pair, lane = slot // 4, stride // 8  # a pair's bytes in the draw, a lane's in a word
-    data = draw.to_bytes(pair * size, "little")
-    a, b = bytearray(lane * size), bytearray(lane * size)
-    for j in range(-(-width // 8)):
-        a[j::lane] = data[j::pair]
-        b[j::lane] = data[pair // 2 + j :: pair]
-    return int.from_bytes(a, "little"), int.from_bytes(b, "little")
-
-
 def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     """The (a, b) value pairs in order, packed at `stride`, in batches of at
     most `verify_lanes(stride)` pairs, or one run of b where a run holds
@@ -179,8 +140,9 @@ def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     step, its count of a values in every lane.
     A random sweep runs in the fewest batches that fit, their sizes
     differing by at most one, the largest first (500 multiplier pairs at
-    N = 64 as 250 + 250, not 481 + 19); a batch is one draw of the values
-    that a pair-by-pair sweep draws, a then b for each pair."""
+    N = 64 as 250 + 250, not 481 + 19). A batch is one `getrandbits(stride
+    * size)` draw for a, then one for b, each masked to every lane's low
+    `width` bits by the operand fit at the first batch's lane count."""
     width, lanes = args.width, verify_lanes(stride)
     if exhaustive:
         run = 1 << width
@@ -194,9 +156,11 @@ def _verify_batches(args: argparse.Namespace, exhaustive: bool, stride: int):
     rng = random.Random(args.seed)
     batches = -(-args.trials // lanes)
     base, extra = divmod(args.trials, batches)
+    fit = lane_mask(width, stride, base + (extra > 0))
     for index in range(batches):
         size = base + (index < extra)
-        yield *_random_pairs(rng, width, size, stride), size
+        a = rng.getrandbits(stride * size) & fit
+        yield a, rng.getrandbits(stride * size) & fit, size
 
 
 def cmd_verify(args: argparse.Namespace, structured: bool) -> int:

@@ -98,6 +98,12 @@ def _levels(levels: list) -> tuple:
     return sum(levels[-1]), len(levels), levels
 
 
+def _blocked_cost(width: int) -> tuple[int, int, int]:
+    if width < 8:  # at width 2 the closed form's N/2 term is not whole
+        raise ValueError(f"cost needs a half of at least 4, got width {width}")
+    return blocked_gates(width // 2), 0, flash.BLOCKED_TICKS
+
+
 def _multiplier(schedule: Schedule) -> Circuit:
     """The multiplier under one consolidation schedule."""
 
@@ -160,7 +166,7 @@ DESIGNS = {
     Design.BLOCKED_DOUBLE: Circuit(
         needs="an even width whose half is a power-of-four",
         accepts=lambda w: not w % 2 and flash.is_power_of_four(w // 2),
-        cost=lambda w: (blocked_gates(w // 2), 0, flash.BLOCKED_TICKS),
+        cost=_blocked_cost,
         lanes=lambda a, b, w, k: _ticked(flash.blocked_lanes(a, b, w, k), flash.BLOCKED_TICKS),
         label="block_carries",
         template="block carries: [{bits}]",

@@ -138,9 +138,10 @@ def test_the_cli_entry_points_are_their_home_modules_functions():
 # batch of a sweep runs at its first batch's lane count, so each layout is
 # cached once per sweep, not again for the shorter batches of a random one
 # (add-wide-random's 334, 333 and 333 pairs all run at 334 lanes). The
-# random draw holds no slot masks at widths of whole 32-bit words, and the
-# multiplier's row masks are built at the batches' lane count, whose lane
-# mask the final add's masks already hold. The cascade's layouts hold
+# random draw's one mask is the operand fit at that lane count, which the
+# kernels' layouts already hold, and the multiplier's row masks are built
+# at the batches' lane count, whose lane mask the final add's masks
+# already hold. The cascade's layouts hold
 # its level masks, one layout per width and lane count. The double-width
 # and blocked layouts hold masks of their own, each saving a shift per call:
 # both pair-leaf parities one wire up, where their carries' weights sit,

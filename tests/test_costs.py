@@ -91,6 +91,14 @@ def test_multiplier_cost_is_width_64_only(design):
         cost_report(design, 32)
 
 
+def test_blocked_cost_names_the_width_it_was_given():
+    # width 2 passes the width rule; the closed form needs a half of at
+    # least 4, and the message names the operand width, not the half
+    with pytest.raises(ValueError, match="^cost needs a half of at least 4, got width 2$"):
+        cost_report(Design.BLOCKED_DOUBLE, 2)
+    assert cost_report(Design.BLOCKED_DOUBLE, 8) == (blocked_gates(4), 0, 3)
+
+
 # Each model-break check of `costs` fires when one of its inputs is patched.
 # The staggered-row identity in `multiplier_banks` compares two constant
 # expressions, so no injected fault reaches it.

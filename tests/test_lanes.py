@@ -9,6 +9,8 @@ import argparse
 import itertools
 import operator
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -19,6 +21,7 @@ from arithsim.bitvec import (
     BitVector,
     ModelIntegrityError,
     block_tops,
+    lane_mask,
     lane_stride,
     pack_lanes,
     unpack_lanes,
@@ -223,31 +226,51 @@ def test_all_ones_operands_in_every_lane_multiply_exactly(n, schedule):
     assert products == pack_lanes([top * top] * count, stride)
 
 
+def drawn_pairs(width, stride, sizes, seed):
+    """The pairs of a random sweep by its definition: for each batch, a's
+    and then b's `getrandbits(stride * size)` draw from one
+    `random.Random(seed)`, lane j of each being its bits j * stride to
+    j * stride + width - 1."""
+    rng, pairs = random.Random(seed), []
+    for size in sizes:
+        a, b = rng.getrandbits(stride * size), rng.getrandbits(stride * size)
+        pairs += [(a >> j * stride & (1 << width) - 1, b >> j * stride & (1 << width) - 1)
+                  for j in range(size)]
+    return pairs
+
+
 @given(
     width=st.integers(min_value=9, max_value=160),
     seed=st.integers(),
     multiplier_rows=st.booleans(),
     size=st.integers(min_value=1, max_value=cli.verify_lanes(lane_stride(9))),
 )
-# widths of whole 32-bit words, whose values fill their draw slots unmasked
-@example(width=32, seed=1, multiplier_rows=False, size=1638)
-@example(width=64, seed=2, multiplier_rows=True, size=250)
-@example(width=96, seed=3, multiplier_rows=False, size=1)
+# the benchmark's batch shapes: 128-bit adders, 64-bit multiplier rows
 @example(width=128, seed=4, multiplier_rows=False, size=334)
+@example(width=64, seed=2, multiplier_rows=True, size=250)
+@example(width=9, seed=3, multiplier_rows=False, size=1)
 @example(width=160, seed=5, multiplier_rows=True, size=199)
-def test_a_random_batch_is_one_draw_of_the_pair_by_pair_loop(width, seed, multiplier_rows, size):
+def test_a_random_batch_is_two_masked_lane_word_draws(width, seed, multiplier_rows, size):
     # at the stride of `width`-bit values and at that of the 2N-bit rows
     # that the multiplier packs its operands in; a size past the stride's
-    # full batch wraps round to 1
+    # full batch wraps round to 1, and a sweep of `size` trials is one batch
     stride = lane_stride(2 * width if multiplier_rows else width)
     size = (size - 1) % cli.verify_lanes(stride) + 1
-    loop, feed = random.Random(seed), random.Random(seed)
-    values = [loop.getrandbits(width) for _ in range(2 * size)]
-    a, b = cli._random_pairs(feed, width, size, stride)
-    assert (a, b) == (pack_lanes(values[0::2], stride), pack_lanes(values[1::2], stride))
-    assert unpack_lanes(a, stride, size) == values[0::2]
-    assert unpack_lanes(b, stride, size) == values[1::2]
-    assert feed.getrandbits(64) == loop.getrandbits(64)
+    made = []
+
+    def recorded(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    with mock.patch.object(cli, "random", SimpleNamespace(Random=recorded)):
+        [(a, b, got)] = sweep_batches(width, stride, size, seed)
+    rng = random.Random(seed)
+    draw_a, draw_b = rng.getrandbits(stride * size), rng.getrandbits(stride * size)
+    fit = lane_mask(width, stride, size)
+    assert (a, b, got) == (draw_a & fit, draw_b & fit, size)
+    assert batch_pairs([(a, b, size)], stride) == drawn_pairs(width, stride, [size], seed)
+    # the generator ends where the two draws leave it
+    assert [r.getstate() for r in made] == [rng.getstate()]
 
 
 def adder(design, width):
@@ -314,8 +337,8 @@ def test_a_fault_in_one_cascade_lane_fails_its_batch(capsys, monkeypatch):
     # the level-1 tick flips the lowest sum bit of the one lane holding the
     # 200th seeded pair of a 128-bit random sweep
     width, stride, trials, seed = 128, lane_stride(128), 300, 5
-    rng = random.Random(seed)
-    pairs = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(trials)]
+    batches = sweep_batches(width, stride, trials, seed)
+    pairs = batch_pairs(batches, stride)
     target = cascade.blockwise_add(*pairs[200], block_tops(width, 2))[0]
     original = cascade.cascade_step
 
@@ -328,8 +351,7 @@ def test_a_fault_in_one_cascade_lane_fails_its_batch(capsys, monkeypatch):
         return out, carries
 
     monkeypatch.setattr(cascade, "cascade_step", flips_one_lane)
-    a, b, size, start = batch_holding(sweep_batches(width, stride, trials, seed), 200)
-    assert batch_pairs([(a, b, size)], stride) == pairs[start : start + size]
+    a, b, size, _ = batch_holding(batches, 200)
     with pytest.raises(ModelIntegrityError, match="balance broken at level 2, block 0$"):
         cascade.cascade_lanes(a, b, width, size)
 
@@ -342,14 +364,16 @@ def test_a_fault_in_one_cascade_lane_fails_its_batch(capsys, monkeypatch):
 
 def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
     # the 3:2 counter flips the lowest sum bit of the one lane holding the
-    # first three partial rows of the 200th seeded pair of a 64-bit sweep
-    n, trials, seed = 64, 300, 5
-    rng = random.Random(seed)
-    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
-    first_rows = [multiplier.partial_product_lanes(a, b, n).rows[:3] for a, b in pairs]
-    target = first_rows[200]
-    assert first_rows.count(target) == 1
-    stride, original = lane_stride(2 * n), multiplier.csa_3_2
+    # first stage's second triple, partial rows 3 to 5, of the 200th seeded
+    # pair of a 64-bit sweep: that pair's b ends in four zero bits, so its
+    # rows 0 to 2 are zero, as in 34 other lanes
+    n, stride, trials, seed = 64, lane_stride(128), 300, 5
+    batches = sweep_batches(n, stride, trials, seed)
+    pairs = batch_pairs(batches, stride)
+    triples = [multiplier.partial_product_lanes(a, b, n).rows[3:6] for a, b in pairs]
+    target = triples[200]
+    assert triples.count(target) == 1
+    original = multiplier.csa_3_2
 
     def flips_one_lane(r1, r2, r3, width):
         sum_row, carry_row = original(r1, r2, r3, width)
@@ -359,8 +383,7 @@ def test_a_fault_in_one_multiplier_lane_fails_its_batch(capsys, monkeypatch):
         return sum_row, carry_row
 
     monkeypatch.setattr(multiplier, "csa_3_2", flips_one_lane)
-    a, b, size, start = batch_holding(sweep_batches(n, stride, trials, seed), 200)
-    assert batch_pairs([(a, b, size)], stride) == pairs[start : start + size]
+    a, b, size, start = batch_holding(batches, 200)
     assert 0 < 200 - start < size - 1
     with pytest.raises(ModelIntegrityError, match="3:2 stage lost value"):
         multiplier.multiply_lanes(a, b, n, Schedule.A, size)
@@ -438,20 +461,18 @@ def test_an_exhaustive_sweep_at_a_wider_stride_holds_whole_runs(width):
     seed=st.integers(),
     multiplier_rows=st.booleans(),
 )
-def test_a_random_sweep_is_the_pair_by_pair_loop_in_full_batches(
+def test_a_random_sweep_is_its_lane_word_draws_in_full_batches(
     width, trials, seed, multiplier_rows
 ):
     stride = lane_stride(2 * width if multiplier_rows else width)
     batches = sweep_batches(width, stride, trials, seed)
-    loop, lanes = random.Random(seed), cli.verify_lanes(stride)
+    lanes = cli.verify_lanes(stride)
     # the fewest batches that fit, their sizes differing by at most one
     sizes = [size for *_, size in batches]
     assert len(sizes) == -(-trials // lanes)
     assert max(sizes) - min(sizes) <= 1
     assert sizes[0] == max(sizes)  # `verify` runs every batch at the first's lane count
-    assert batch_pairs(batches, stride) == [
-        (loop.getrandbits(width), loop.getrandbits(width)) for _ in range(trials)
-    ]
+    assert batch_pairs(batches, stride) == drawn_pairs(width, stride, sizes, seed)
 
 
 def test_every_batch_of_a_random_sweep_runs_at_the_first_batchs_lane_count(

@@ -3,10 +3,12 @@ design, both sweep modes, odd and wide widths, several seeds, trial counts
 that fill no whole batch, both formats, and every fault fixture.
 
 Each digest is the sha256 of every argv, its exit code and its stdout, in
-order. They were taken while `verify` still checked one pair per call, so a
-change in how it sweeps must leave every count, counterexample and byte as
-they were. The feed corpus's digest was taken while random sweeps still drew
-one `getrandbits` value at a time.
+order. The corpus and feed-corpus digests were taken while `verify` still
+checked one pair per call, so a change in how it sweeps must leave every
+count, counterexample and byte as they were. The fault digests were taken
+once random batches became two masked lane-word draws (`cli._verify_batches`),
+which moved only their random argvs' first counterexamples: every exit code
+and every passed/failed count is as it was before.
 """
 
 import contextlib
@@ -22,13 +24,13 @@ CORPUS_DIGEST = "4091a47f9d4f73bbf1b1cc3456510962aa9cdff476fdf3ba3f1f7cdc09f08fc
 FEED_CORPUS_DIGEST = "77b1acd966aaf2e7cc8e0e2210a1e9208500bddaf22e56822218d58df13e443d"
 
 FAULT_DIGESTS = {
-    "shortened_segment": "834027b01f0030eaf50c536dd5fe313a83efd11f6e1cc03584a747da2db45fc4",
-    "extra_end": "94655a1b033addb0c6ef6ef3a118f03a6dd2afaf8faed04fed3d384490b103e9",
-    "flipped_leaf_sum": "5558beeffe35ecab6a2e6baf274f6212067cd0e9c2f44f65a0435f539460e344",
-    "flipped_step_sum": "211a15ff8de41b60b99b67bee35531ac6a7eb8715c2f4ecce1908dc837659fe2",
-    "flipped_csa_carry": "14f4d69123fc448d10b236c2031956330e5e2b062e3b180f85c6180e4a5523d2",
-    "extra_zero_row": "8273609863ee812e3825f1dd78be90ade0de96020743809c63c87dd15051d414",
-    "flipped_plane_bit": "6b0aeaec79a86c6196f4d045e0a7182760aeb2ee633ed1e4a4ae62a85e560671",
+    "shortened_segment": "878f486ba3cd2940aa79dad6c7239f2df1b630528b349c548c92baca74daefd9",
+    "extra_end": "7f754e0fc615188e9e86ad196a0a8dbee6b49a0d34ef73db2eb3024bf5597ded",
+    "flipped_leaf_sum": "b9de95b2c9584f836b2299cd36b48e14926c6501f3c03737087b991db00cba1c",
+    "flipped_step_sum": "6bee6a6e45d5185e2b1efe21a8d72706e966c84e126f027894d26f0263f5ca68",
+    "flipped_csa_carry": "a845bb8be6370109b89917f3138b79bba9a5fdcfa2ed3161c5ceb1b6ed85d1ae",
+    "extra_zero_row": "504ebb628f2a0b233ed3411d61f5bfab47133046c55ade8af2d55c10ea6dcc7b",
+    "flipped_plane_bit": "264a447e3f536bb8a4f044a11c6223f92a490e6652313ac072cefd0416c8a298",
 }
 
 
@@ -87,8 +89,8 @@ def corpus_argvs():
 
 
 def feed_corpus_argvs():
-    """Random sweeps whose draws fill no whole 32-bit word, or whose lanes sit
-    at another stride than the draw's slots of whole words, at trial counts
+    """Random sweeps at widths that are not whole bytes or whose lanes hold
+    padding beyond the width (the multiplier's 2N-bit rows), at trial counts
     around one batch: flash at widths 31, 33 and 100, the multiplier at 8,
     16 and 32 under both schedules."""
     argvs = []
