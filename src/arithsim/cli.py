@@ -13,6 +13,10 @@ rule `costs.check_width`. `add` and `mul` run its lane kernel at K = 1;
 `verify` runs pairs in batches through it against its oracle, as
 `cmd_verify` and `_verify_batches` describe.
 
+`main` parses an argv once: one whose first word names a subcommand by that
+subcommand's parser, and any other argv (none, help, an unknown command or
+a leading option) by the top-level parser.
+
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
 """
 
@@ -265,7 +269,9 @@ def cmd_schedule(args: argparse.Namespace, structured: bool) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process:
     parsing leaves no state in it, and building it costs more than a small
-    `verify`."""
+    `verify`. `commands` maps each subcommand to its parser (the
+    `add_subparsers` action's `choices`); the top-level parser parses only
+    argvs that name none."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -308,13 +314,24 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = sub.add_parser("schedule", parents=[common], help="show a consolidation schedule")
     schedule.add_argument("--schedule", choices=SCHEDULES, required=True)
     schedule.add_argument("--rows", type=int, default=PUBLISHED_ROW_COUNT)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # what the top-level parser's subcommand action does, without
+            # first scanning the whole argv itself
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)
     output_format = args.format or os.environ.get(FORMAT_ENV_VAR) or "text"

@@ -191,7 +191,7 @@ def test_every_adder_design_has_one_table_entry_and_cli_choice():
     assert schedules.pop("mult_schedule_a") == "A" and schedules.pop("mult_schedule_b") == "B"
     assert set(schedules.values()) == {"-"}  # the four adders
     adders = [costs.Design(d) for d in schedules]
-    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    commands = cli.build_parser().commands
     choices = {
         name: next(a.choices for a in commands[name]._actions if a.dest == "design")
         for name in ("add", "verify")

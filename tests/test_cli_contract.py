@@ -164,12 +164,11 @@ def test_adder_records_are_byte_identical_to_the_pinned_digest():
     assert _adder_record_digest() == ADDER_RECORD_DIGEST
 
 
-def _multiplier_record_digest() -> str:
-    """sha256 over the exit code, stdout and stderr of the multiplier's CLI
-    commands: `mul` on every width-4 pair and 25 seeded pairs at each of the
-    widths 8, 16, 32 and 64; `schedule --rows 0..66`; `cost --table`; and
-    `cost` of both multiplier designs at widths 32 and 64. Each runs under
-    both schedules (where it takes one) and in both formats."""
+def multiplier_record_argvs():
+    """The multiplier's CLI commands: `mul` on every width-4 pair and 25
+    seeded pairs at each of the widths 8, 16, 32 and 64; `schedule --rows
+    0..66`; `cost --table`; and `cost` of both multiplier designs at widths
+    32 and 64. Each runs under both schedules (where it takes one)."""
     rng = random.Random(0x3A2C)
     argvs = []
     for width in (4, 8, 16, 32, 64):
@@ -184,15 +183,25 @@ def _multiplier_record_digest() -> str:
     argvs += [["cost", "--table"]]
     argvs += [["cost", "--design", f"mult_schedule_{s}", "--width", str(width)]
               for s, width in itertools.product("ab", (32, 64))]
-    return _cli_digest(argvs)
+    return argvs
+
+
+def _multiplier_record_digest() -> str:
+    """sha256 over the exit code, stdout and stderr of the multiplier's
+    record argvs in both formats."""
+    return _cli_digest(multiplier_record_argvs())
+
+
+def in_both_formats(argvs):
+    return [argv + ["--format", output_format]
+            for argv, output_format in itertools.product(argvs, ("text", "structured"))]
 
 
 def _cli_digest(argvs) -> str:
     """sha256 over the exit code, stdout and stderr of each argv in both
     formats."""
     digest = hashlib.sha256()
-    for argv, output_format in itertools.product(argvs, ("text", "structured")):
-        argv = argv + ["--format", output_format]
+    for argv in in_both_formats(argvs):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -204,13 +213,15 @@ def test_multiplier_records_are_byte_identical_to_the_pinned_digest():
     assert _multiplier_record_digest() == MULTIPLIER_RECORD_DIGEST
 
 
+def cost_record_argvs():
+    """`cost --table` and `cost` for every design at widths 2, 4, 8, 64 and
+    128, those its rules reject included."""
+    return [["cost", "--table"]] + [["cost", "--design", d.value, "--width", str(width)]
+                                    for d, width in itertools.product(Design, (2, 4, 8, 64, 128))]
+
+
 def _cost_record_digest() -> str:
-    """`_cli_digest` of `cost --table` and of `cost` for every design at
-    widths 2, 4, 8, 64 and 128, those its rules reject included."""
-    argvs = [["cost", "--table"]]
-    argvs += [["cost", "--design", d.value, "--width", str(width)]
-              for d, width in itertools.product(Design, (2, 4, 8, 64, 128))]
-    return _cli_digest(argvs)
+    return _cli_digest(cost_record_argvs())
 
 
 def test_cost_records_are_byte_identical_to_the_pinned_digest():

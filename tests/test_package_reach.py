@@ -10,7 +10,6 @@ to it, since perfbench's tracer names the attributes it wraps. The CLI's
 each subcommand of `build_parser`.
 """
 
-import argparse
 import ast
 from pathlib import Path
 
@@ -87,9 +86,7 @@ def unreached(root, handlers=()):
 
 
 def subcommands():
-    parser = cli.build_parser()
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return set(action.choices)
+    return set(cli.build_parser().commands)
 
 
 def test_main_dispatches_one_cmd_handler_per_subcommand():
