@@ -116,11 +116,6 @@ class BitVector(Record):
             raise ValueError(f"malformed hex string: {text!r}")
         return cls(width, int(text, 16))
 
-    def bit(self, index: int) -> int:
-        if not 0 <= index < self.width:
-            raise ValueError(f"bit index {index} out of range for width {self.width}")
-        return (self.value >> index) & 1
-
     def to_hex(self) -> str:
         """Lowercase hex, zero-padded to the width's nibble count, no prefix."""
         return format(self.value, "0{}x".format((self.width + 3) // 4))

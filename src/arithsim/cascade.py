@@ -50,7 +50,6 @@ from .bitvec import (
 )
 
 
-@lru_cache
 def level_masks(width: int, level: int, lanes: int = 1) -> tuple[int, int, int]:
     """A level's masks on `lanes` lanes of `width`-bit values: the value
     bits, the block bottoms and the saved carries' bits, block i's at
@@ -64,9 +63,7 @@ def level_masks(width: int, level: int, lanes: int = 1) -> tuple[int, int, int]:
 def cascade_layout(width: int, lanes: int = 1) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
     """Everything `cascade_lanes` masks with, on `lanes` lanes of
     `width`-bit values: the stride, the leaf lookups' 2-bit block tops, and
-    `level_masks` of every level, level 1 first. These are the ints that
-    `block_tops` and `level_masks` cache, so the layout holds no mask of its
-    own."""
+    `level_masks` of every level, level 1 first."""
     stride = lane_stride(width)
     levels = tuple(level_masks(width, level, lanes) for level in range(1, width.bit_length()))
     return stride, block_tops(stride * lanes, 2), levels
@@ -151,24 +148,26 @@ class CascadeState(Record):
 
 class CascadeTrace(Record):
     """All intermediate levels of one addition, kept for inspection: the
-    operands and each level's (sums, carry word), level 1 first."""
+    operands and each level's (sums, carry word), level 1 first, one tick
+    each."""
 
-    __slots__ = ("a", "b", "levels", "ticks")
+    __slots__ = ("a", "b", "levels")
 
-    def __init__(
-        self, a: BitVector, b: BitVector, levels: tuple[tuple[int, int], ...], ticks: int
-    ) -> None:
+    def __init__(self, a: BitVector, b: BitVector, levels: tuple[tuple[int, int], ...]) -> None:
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "levels", levels)
-        _set(self, "ticks", ticks)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("trace needs at least the leaf state")
-        if self.ticks != self.a.width.bit_length() - 1 or len(self.levels) != self.ticks:
+        if len(self.levels) != self.a.width.bit_length() - 1:
             raise ValueError("trace must cover all k levels at one tick each")
+
+    @property
+    def ticks(self) -> int:
+        return len(self.levels)
 
 
 def level_records(levels, width: int) -> list[dict[str, object]]:
@@ -276,6 +275,6 @@ def cascade_add(a: BitVector, b: BitVector) -> CascadeResult:
     """Add two 2**k-bit vectors in k ticks; see `cascade_lanes`."""
     width = operand_width(a, b)
     levels = cascade_lanes(a.value, b.value, width)
-    trace = CascadeTrace(a, b, tuple(levels), ticks=len(levels))
+    trace = CascadeTrace(a, b, tuple(levels))
     sums, carry_word = levels[-1]
     return CascadeResult(sum=BitVector(width, sums), carry=carry_word >> width, trace=trace)

@@ -272,13 +272,11 @@ def flash_add(a: BitVector, b: BitVector) -> ResolveResult:
     return ResolveResult(BitVector(n + 1, flash_lanes(a.value, b.value, n)[0]), FLASH_ADD_TICKS)
 
 
-@lru_cache
 def block_parity_masks(width: int, block_width: int, lanes: int = 1) -> tuple[int, int]:
     """The wires of the even and of the odd `block_width`-bit blocks of
-    every lane of `width`-bit values, for `pair_leaf_blocks`; cached, since
-    each adder asks for the same few. In a lane the even blocks are the low
-    halves of 2 * `block_width`-bit spans, one more span than whole pairs
-    when the block count is odd. A failed check caches nothing."""
+    every lane of `width`-bit values, for `pair_leaf_blocks`. In a lane the
+    even blocks are the low halves of 2 * `block_width`-bit spans, one more
+    span than whole pairs when the block count is odd."""
     if block_width % 2 or width % block_width:
         raise ValueError(f"{width} bits do not split into even {block_width}-bit blocks")
     pair = 2 * block_width

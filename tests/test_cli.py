@@ -183,7 +183,7 @@ def test_verify_all_adder_designs_small(capsys):
         assert "result: 65536/65536 pass" in out
 
 
-def test_every_adder_design_has_one_table_entry_and_cli_choice():
+def test_every_adder_design_has_one_table_entry_and_cli_choice(capsys):
     # every `Design` member, multiplier schedules included, has one entry
     assert list(costs.DESIGNS) == list(costs.Design)
     assert cli.DESIGNS is costs.DESIGNS
@@ -191,13 +191,23 @@ def test_every_adder_design_has_one_table_entry_and_cli_choice():
     assert schedules.pop("mult_schedule_a") == "A" and schedules.pop("mult_schedule_b") == "B"
     assert set(schedules.values()) == {"-"}  # the four adders
     adders = [costs.Design(d) for d in schedules]
-    commands = cli.build_parser().commands
-    choices = {
-        name: next(a.choices for a in commands[name]._actions if a.dest == "design")
-        for name in ("add", "verify")
-    }
-    assert choices == {"add": cli.ADDER_DESIGNS, "verify": cli.ADDER_DESIGNS + ("mult",)}
     assert cli.ADDER_DESIGNS == tuple(d.value for d in adders)
+    # add and verify parse --design <name> exactly for their own designs and
+    # exit 2 for any other name; the order of the choices is pinned by the
+    # help text in tests/test_cli_parse.py's edge digest
+    commands = cli.build_parser().commands
+    argvs = {"add": ["--width", "8", "1", "2"], "verify": ["--width", "8"]}
+    takes = {"add": cli.ADDER_DESIGNS, "verify": cli.ADDER_DESIGNS + ("mult",)}
+    for command, rest in argvs.items():
+        for name in [d.value for d in costs.Design] + ["mult", "junk"]:
+            argv = ["--design", name, *rest]
+            if name in takes[command]:
+                assert commands[command].parse_args(argv).design == name
+            else:
+                with pytest.raises(SystemExit) as exit_info:
+                    commands[command].parse_args(argv)
+                assert exit_info.value.code == 2, (command, name)
+                assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 def design_comparisons(function):

@@ -487,7 +487,7 @@ def parent_results(width, a, b):
     A, B, results = BitVector(width, a), BitVector(width, b), {}
     if width >= 2 and width & (width - 1) == 0:
         levels = parent_cascade_lanes(a, b, width)
-        trace = cascade.CascadeTrace(A, B, tuple(levels), ticks=len(levels))
+        trace = cascade.CascadeTrace(A, B, tuple(levels))
         sums, carry_word = levels[-1]
         results["cascade_add"] = cascade.CascadeResult(
             BitVector(width, sums), carry_word >> width, trace)
@@ -505,8 +505,7 @@ def parent_results(width, a, b):
             rows, report = multiplier.consolidate(
                 multiplier.partial_product_lanes(a, b, width), schedule)
             product = BitVector(2 * width, parent_double_width_lanes(*rows.rows, width)[0])
-            results[f"multiply {schedule.value}"] = multiplier.MultiplyResult(
-                product, multiplier.multiply_ticks(report), report)
+            results[f"multiply {schedule.value}"] = multiplier.MultiplyResult(product, report)
     return results
 
 
@@ -533,9 +532,11 @@ def entry_results(width, a, b):
 
 def fields(result):
     """A result's type and its fields, nested records and tuples included,
-    one by one: the package's `Record`s, and the one dataclass."""
+    one by one: the package's `Record`s, with the counts their properties
+    derive, and the one dataclass."""
     if isinstance(result, Record):
-        names = result.__match_args__
+        derived = [name for name, value in vars(type(result)).items() if isinstance(value, property)]
+        names = [*result.__match_args__, *derived]
     elif dataclasses.is_dataclass(result):
         names = [field.name for field in dataclasses.fields(result)]
     elif isinstance(result, tuple):
@@ -550,11 +551,15 @@ def test_fields_walks_every_record_down_to_its_ints():
     vector = (BitVector, {"width": 4, "value": 9})
     trace = fields(cascade.cascade_add(a, b))[1]["trace"]
     assert trace[0] is cascade.CascadeTrace and trace[1]["a"] == vector
+    assert trace[1]["ticks"] == 2
     assert fields(flash.flash_add(a, b)) == (
         flash.ResolveResult, {"sum": (BitVector, {"width": 5, "value": 16}), "ticks": 2})
-    report = fields(multiplier.multiply(a, b, multiplier.Schedule.A))[1]["report"]
+    product = fields(multiplier.multiply(a, b, multiplier.Schedule.A))[1]
+    report = product["report"]
     stage = report[1]["stages"][0]
     assert stage[0] is multiplier.StageRecord and stage[1]["rows_in"] == 4
+    assert stage[1]["ticks"] == 1 and report[1]["row_trajectory"] == (4, 3, 2)
+    assert report[1]["total_ticks"] == 2 and product["ticks"] == 5
 
 
 @pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 64, 128])

@@ -1,6 +1,6 @@
 """Model-break checks around the AND network's words and the multiplier's
-rows, each reached by one injected fault, and the table of every
-model-break site in the package.
+rows, each reached by one injected fault, and the tables of every
+model-break site and every `ValueError` site in the package.
 
 No correct input reaches these checks, so each test replaces one module
 global of `flash` (the segment complement, the blockwise add, the pair-leaf
@@ -10,9 +10,11 @@ one, and asserts the exact `ModelIntegrityError` message.
 
 `REACHED_BY` names, for every `raise ModelIntegrityError` in the package,
 a test that reaches it with one injected fault or crafted input;
-`NO_FAULT_REACHES` gives the reason for the sites that none can reach. A
-site is keyed by module, enclosing function and message, so a new site
-without an entry fails the suite.
+`NO_FAULT_REACHES` gives the reason for the sites that none can reach. 
+`VALUE_ERROR_REACHED_BY` names, for every `raise ValueError` in the
+package, a test that makes it raise; every one is reached, so no site needs
+a reason. A site is keyed by module, enclosing function and message, so a
+new site without an entry fails the suite.
 """
 
 import ast
@@ -164,6 +166,129 @@ NO_FAULT_REACHES = {
 }
 
 
+BITVEC, CASCADE, CLI, CONTRACT, COSTS, FLASH, LANES, MULTIPLIER, OPERANDS = (
+    f"tests/test_{name}.py::" for name in (
+        "bitvec", "cascade", "cli", "cli_contract", "costs", "flash", "lanes", "multiplier",
+        "operand_check"))
+
+VALUE_ERROR_REACHED_BY = {
+    ("bitvec", "__post_init__", "width must be a positive integer, got {self.width}"):
+        BITVEC + "test_width_must_hold_value",
+    ("bitvec", "__post_init__", "value {shown(self.value)} does not fit in {self.width} bits"):
+        BITVEC + "test_width_must_hold_value",
+    ("bitvec", "from_hex", "malformed hex string: {text}"):
+        BITVEC + "test_from_hex_rejects_garbage",
+    ("bitvec", "oracle_add", "oracle operands must be nonnegative"):
+        BITVEC + "test_oracles_reject_negatives",
+    ("bitvec", "oracle_mul", "oracle operands must be nonnegative"):
+        BITVEC + "test_oracles_reject_negatives",
+    ("bitvec", "increment_mask", "value must be nonnegative"):
+        BITVEC + "test_increment_mask_examples",
+    ("bitvec", "operand_width", "operand widths differ: {a.width} vs {b.width}"):
+        OPERANDS + "test_every_per_pair_call_rejects_differing_widths_alike",
+    ("bitvec", "check_operands", "width must be positive, got {bits}"):
+        OPERANDS + "test_a_kernel_rejects_width_zero",
+    ("bitvec", "check_operands",
+     "value {misfit(value, fit, stride, lanes)} does not fit in {bits} bits"):
+        LANES + "test_a_multiplier_operand_bit_outside_its_lane_names_the_lane",
+    ("cascade", "__post_init__", "{name} must be {width} bits wide, got {vec.width}"):
+        CASCADE + "test_state_validation_checks_shapes",
+    ("cascade", "_check_block_sums", "level {level} outside 1..{k}"):
+        CASCADE + "test_state_validation_checks_shapes",
+    ("cascade", "_check_block_sums",
+     "value {misfit(sums, fit, lane_stride(width), lanes)} does not fit in {width} bits"):
+        CASCADE + "test_state_validation_checks_shapes",
+    ("cascade", "_check_block_sums", "level {level} carries must sit at bits (i+1)*{1 << level}"):
+        CASCADE + "test_state_validation_checks_shapes",
+    ("cascade", "__post_init__", "trace needs at least the leaf state"):
+        CASCADE + "test_state_validation_checks_shapes",
+    ("cascade", "__post_init__", "trace must cover all k levels at one tick each"):
+        CASCADE + "test_state_validation_checks_shapes",
+    ("cascade", "increment_unit", "high_carry must be 0 or 1"):
+        CASCADE + "test_increment_unit_saturation_is_model_breakage",
+    ("cascade", "increment_unit", "inc must be 0 or 1"):
+        CASCADE + "test_increment_unit_saturation_is_model_breakage",
+    ("cascade", "cascade_step", "cascade already complete at level {width.bit_length() - 1}"):
+        CASCADE + "test_cascade_step_merges_blocks",
+    ("cascade", "cascade_lanes", "width must be a power of two >= 2, got {width}"):
+        CASCADE + "test_leaf_init_rejects_bad_widths",
+    ("cli", "cmd_schedule", "row count must be 3..{PUBLISHED_ROW_COUNT}, got {rows}"):
+        CONTRACT + "test_multiplier_records_are_byte_identical_to_the_pinned_digest",
+    ("cli", "main", "cost needs --design and --width, or --table"):
+        CLI + "test_usage_errors_exit_2",
+    ("cli", "main", "width must be positive, got {width}"):
+        CLI + "test_usage_errors_exit_2",
+    ("cli", "main", "trials must be positive, got {trials}"):
+        CLI + "test_usage_errors_exit_2",
+    ("cli", "main", "unknown output format {output_format}"):
+        CLI + "test_unknown_format_env_var_is_a_usage_error",
+    ("costs", "_blocked_cost", "cost needs a half of at least 4, got width {width}"):
+        COSTS + "test_blocked_cost_names_the_width_it_was_given",
+    ("costs", "cost", "hardware estimate is defined for width 64 only, got {width}"):
+        COSTS + "test_multiplier_cost_is_width_64_only",
+    ("costs", "check_width", "{design.value} needs {circuit.needs}, got {width}"):
+        CLI + "test_mul_checks_its_width_before_its_operands",
+    ("costs", "cascade_gates", "stage count must be positive, got {k}"):
+        COSTS + "test_cascade_gates_values",
+    ("costs", "flash_gates", "width must be positive, got {n}"):
+        COSTS + "test_flash_gates_values",
+    ("costs", "double_width_gates", "half-width must be positive, got {n}"):
+        COSTS + "test_double_width_gates",
+    ("costs", "blocked_gate_split", "half-width must be a power of four >= 4, got {n}"):
+        COSTS + "test_blocked_gates_and_split",
+    ("costs", "consolidation_lower_bound",
+     "need from_rows >= to_rows >= 1, got {from_rows}, {to_rows}"):
+        COSTS + "test_consolidation_lower_bound",
+    ("flash", "check_wires", "width must be positive, got {n}"):
+        FLASH + "test_half_add_state_checks_its_wires",
+    ("flash", "check_wires", "wire widths must be n+1 sum bits and n carry bits"):
+        FLASH + "test_half_add_state_checks_its_wires",
+    ("flash", "check_wires", "top sum wire must start at 0"):
+        FLASH + "test_half_add_state_checks_its_wires",
+    ("flash", "check_wires", "sum and carry wires overlap; not a half-add output"):
+        FLASH + "test_half_add_state_checks_its_wires",
+    ("flash", "check_fire_fit", "carry word does not fit width {n}"):
+        FLASH + "test_fireset_type_rejects_overlap",
+    ("flash", "check_fire_fit", "end word does not fit {n + 1} wires"):
+        FLASH + "test_fireset_type_rejects_overlap",
+    ("flash", "check_fire_count", "firings need one end per carry"):
+        FLASH + "test_an_extra_end_trips_the_gate_checks",
+    ("flash", "block_parity_masks",
+     "{width} bits do not split into even {block_width}-bit blocks"):
+        FLASH + "test_pair_leaf_blocks_match_the_per_block_loop",
+    ("flash", "double_width_add", "{name} must be {n} bits wide, got {vec.width}"):
+        FLASH + "test_double_width_add_examples",
+    ("flash", "blocked_shape", "operand width must be even, got {width}"):
+        FLASH + "test_blocked_add_rejects_bad_shapes",
+    ("flash", "blocked_shape", "half-width {half} must be a power of four"):
+        FLASH + "test_blocked_add_rejects_bad_shapes",
+    ("multiplier", "__post_init__", "row {index} = {shown} does not fit in {self.width} bits"):
+        LANES + "test_a_row_overflowing_a_lower_lane_is_caught_in_its_padding",
+    ("multiplier", "__post_init__", "a 3:2 stage leaves rows_in mod 3 rows out"):
+        MULTIPLIER + "test_stage_record_laws_are_enforced",
+    ("multiplier", "__post_init__", "a 3:2 stage keeps rows_in - rows_in//3 rows"):
+        MULTIPLIER + "test_a_warm_record_cache_still_checks_the_row_count",
+    ("multiplier", "__post_init__",
+     "a quantizer stage keeps floor(log2(consumed)) + 1 + left_out rows"):
+        MULTIPLIER + "test_stage_record_laws_are_enforced",
+    ("multiplier", "__post_init__", "stage {index} rows_in is not stage {index - 1}'s rows_out"):
+        MULTIPLIER + "test_schedule_report_must_be_consistent",
+    ("multiplier", "__post_init__", "consolidation must end at two rows"):
+        MULTIPLIER + "test_schedule_report_must_be_consistent",
+    ("multiplier", "csa_3_2", "carry row would overflow the declared width"):
+        MULTIPLIER + "test_csa_3_2_overflow_is_an_error",
+    ("multiplier", "csa_stage", "a 3:2 stage needs at least three rows, got {n}"):
+        MULTIPLIER + "test_csa_stage_row_counts",
+    ("multiplier", "quantize_columns", "cannot consume {consumed} of {n} rows"):
+        MULTIPLIER + "test_quantize_columns_capacity_rules",
+    ("multiplier", "consolidate", "consolidation needs at least three rows, got {len(rows)}"):
+        MULTIPLIER + "test_consolidate_needs_three_rows",
+    ("multiplier", "check_multiplier_width",
+     "multiplier width must be one of {MULTIPLIER_WIDTHS}, got {width}"):
+        MULTIPLIER + "test_multiply_rejects_odd_widths",
+}
+
+
 def message_text(node):
     """A raise's message as written: a string, or an f-string's text with
     each field as `{expression}`."""
@@ -173,9 +298,9 @@ def message_text(node):
                    for part in node.values)
 
 
-def model_break_sites():
+def raise_sites(exception):
     """(module, enclosing function, message) of every `raise
-    ModelIntegrityError(...)` in the package, in source order."""
+    <exception>(...)` in the package, in source order."""
     sites = []
 
     def visit(node, module, function):
@@ -184,7 +309,7 @@ def model_break_sites():
                 visit(child, module, child.name)
                 continue
             if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
-                    and getattr(child.exc.func, "id", None) == "ModelIntegrityError"):
+                    and getattr(child.exc.func, "id", None) == exception):
                 sites.append((module, function, message_text(child.exc.args[0])))
             visit(child, module, function)
 
@@ -194,13 +319,19 @@ def model_break_sites():
 
 
 def test_every_model_break_site_has_an_entry():
-    sites = model_break_sites()
+    sites = raise_sites("ModelIntegrityError")
     assert len(sites) == len(set(sites))
     assert not REACHED_BY.keys() & NO_FAULT_REACHES.keys()
     assert set(sites) == REACHED_BY.keys() | NO_FAULT_REACHES.keys()
 
 
-@pytest.mark.parametrize("node", sorted(set(REACHED_BY.values())))
+def test_every_value_error_site_has_an_entry():
+    sites = raise_sites("ValueError")
+    assert len(sites) == len(set(sites))
+    assert set(sites) == VALUE_ERROR_REACHED_BY.keys()
+
+
+@pytest.mark.parametrize("node", sorted({*REACHED_BY.values(), *VALUE_ERROR_REACHED_BY.values()}))
 def test_every_reaching_test_exists(node):
     path, name = node.split("::")
     tree = ast.parse((Path(__file__).parent.parent / path).read_text())

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arithsim import multiplier
 from arithsim.bitvec import BitVector, ModelIntegrityError, oracle_mul
 from arithsim.multiplier import (
     PUBLISHED_ROW_COUNT,
@@ -12,6 +13,7 @@ from arithsim.multiplier import (
     StageRecord,
     consolidate,
     csa_3_2,
+    csa_record,
     csa_stage,
     multiply,
     partial_products,
@@ -176,46 +178,53 @@ def test_single_column_quantization_is_popcount():
 def test_stage_record_laws_are_enforced():
     with pytest.raises(ValueError):
         StageRecord(
-            kind=StageKind.CSA_3_2, rows_in=7, rows_out=4, left_out=1, ticks=1,
-            circuits_used=2,
+            kind=StageKind.CSA_3_2, rows_in=7, rows_out=4, left_out=1, circuits_used=2,
         )
     with pytest.raises(ValueError):
         StageRecord(
-            kind=StageKind.CSA_3_2, rows_in=7, rows_out=5, left_out=0, ticks=1,
-            circuits_used=2,
-        )
-    with pytest.raises(ValueError, match="a 3:2 stage takes one tick"):
-        StageRecord(
-            kind=StageKind.CSA_3_2, rows_in=7, rows_out=5, left_out=1, ticks=2,
-            circuits_used=2,
+            kind=StageKind.CSA_3_2, rows_in=7, rows_out=5, left_out=0, circuits_used=2,
         )
     with pytest.raises(ValueError):
         StageRecord(
-            kind=StageKind.QUANTIZER, rows_in=8, rows_out=5, left_out=1, ticks=2,
-            circuits_used=16,
-        )
-    with pytest.raises(ValueError):
-        StageRecord(
-            kind=StageKind.QUANTIZER, rows_in=8, rows_out=4, left_out=1, ticks=1,
-            circuits_used=16,
+            kind=StageKind.QUANTIZER, rows_in=8, rows_out=5, left_out=1, circuits_used=16,
         )
 
 
 def test_schedule_report_must_be_consistent():
     _, record = csa_stage(rows_of(8, 1, 2, 3))
-    with pytest.raises(ValueError):
-        ScheduleReport(stages=(record,), row_trajectory=(3, 2, 2), total_ticks=1)
-    with pytest.raises(ValueError):
-        ScheduleReport(stages=(record,), row_trajectory=(4, 2), total_ticks=1)
-    with pytest.raises(ValueError):
-        ScheduleReport(stages=(record,), row_trajectory=(3, 2), total_ticks=2)
-    with pytest.raises(ValueError, match="stage 0 rows_out disagrees with trajectory"):
-        ScheduleReport(stages=(record,), row_trajectory=(3, 5), total_ticks=1)
     six = StageRecord(
-        kind=StageKind.CSA_3_2, rows_in=9, rows_out=6, left_out=0, ticks=1, circuits_used=3,
+        kind=StageKind.CSA_3_2, rows_in=9, rows_out=6, left_out=0, circuits_used=3,
     )
-    with pytest.raises(ValueError, match="consolidation must end at two rows"):
-        ScheduleReport(stages=(six,), row_trajectory=(9, 6), total_ticks=1)
+    with pytest.raises(ValueError, match="^stage 1 rows_in is not stage 0's rows_out$"):
+        ScheduleReport(stages=(six, record))
+    for stages in ((six,), ()):
+        with pytest.raises(ValueError, match="^consolidation must end at two rows$"):
+            ScheduleReport(stages)
+    report = ScheduleReport((csa_record(4, 3), record))
+    assert (report.row_trajectory, report.total_ticks) == ((4, 3, 2), 2)
+
+
+def test_the_derived_trajectory_and_ticks_match_the_live_row_counts(monkeypatch):
+    # every RowSet that a stage function returns, by the stage's ticks: the
+    # trajectory after its first entry is their row counts, in order
+    returned = []
+
+    def spy(stage, ticks):
+        def spied(*args, **kwargs):
+            rows, record = stage(*args, **kwargs)
+            returned.append((len(rows), ticks))
+            return rows, record
+
+        return spied
+
+    monkeypatch.setattr(multiplier, "csa_stage", spy(csa_stage, 1))
+    monkeypatch.setattr(multiplier, "quantize_columns", spy(quantize_columns, 2))
+    for r in range(3, 67):
+        for schedule in Schedule:
+            returned.clear()
+            _, report = consolidate(rows_of(128, *([0] * r)), schedule)
+            assert report.row_trajectory == (r, *[rows for rows, _ in returned]), (r, schedule)
+            assert report.total_ticks == sum(ticks for _, ticks in returned), (r, schedule)
 
 
 def test_schedule_a_from_64_zero_rows():
@@ -287,19 +296,18 @@ def test_a_warm_record_cache_still_checks_the_row_count(request):
 
 def fresh_report(r, schedule, width):
     """The report of `schedule` from r rows, from freshly built records."""
-    stages, trajectory = [], [r]
+    stages = []
     while r > 2:
         if schedule is Schedule.A or r == 3:
-            stage = StageRecord(StageKind.CSA_3_2, r, r - r // 3, r % 3, 1, r // 3)
+            stage = StageRecord(StageKind.CSA_3_2, r, r - r // 3, r % 3, r // 3)
         else:
             left = int(r & (r - 1) == 0)
             stage = StageRecord(
-                StageKind.QUANTIZER, r, (r - left).bit_length() + left, left, 2, width
+                StageKind.QUANTIZER, r, (r - left).bit_length() + left, left, width
             )
         stages.append(stage)
         r = stage.rows_out
-        trajectory.append(r)
-    return ScheduleReport(tuple(stages), tuple(trajectory), sum(s.ticks for s in stages))
+    return ScheduleReport(tuple(stages))
 
 
 def test_memoized_reports_equal_freshly_built_ones():

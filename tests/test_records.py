@@ -23,12 +23,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "arithsim"
 
 V4, Z4 = BitVector(4, 0b0110), BitVector(4, 0)
 A8, B8 = BitVector(width=8, value=200), BitVector(width=8, value=100)
-TRACE = cascade.CascadeTrace(A8, B8, ((44, 256),) * 3, ticks=3)
+TRACE = cascade.CascadeTrace(A8, B8, ((44, 256),) * 3)
 CSA = multiplier.StageRecord(
-    kind=StageKind.CSA_3_2, rows_in=4, rows_out=3, left_out=1, ticks=1, circuits_used=1,
+    kind=StageKind.CSA_3_2, rows_in=4, rows_out=3, left_out=1, circuits_used=1,
 )
-LAST = multiplier.StageRecord(StageKind.CSA_3_2, 3, 2, 0, 1, 1)
-REPORT = multiplier.ScheduleReport(stages=(CSA, LAST), row_trajectory=(4, 3, 2), total_ticks=2)
+LAST = multiplier.StageRecord(StageKind.CSA_3_2, 3, 2, 0, 1)
+REPORT = multiplier.ScheduleReport(stages=(CSA, LAST))
 
 # Each record class: one instance built as callers build it, its repr, its
 # field values in order, and an instance that differs in one field.
@@ -46,15 +46,15 @@ CASES = {
     "CascadeTrace": (
         TRACE,
         "CascadeTrace(a=BitVector(width=8, value=200), b=BitVector(width=8, value=100), "
-        "levels=((44, 256), (44, 256), (44, 256)), ticks=3)",
-        (A8, B8, ((44, 256),) * 3, 3),
-        cascade.CascadeTrace(a=B8, b=A8, levels=((44, 256),) * 3, ticks=3),
+        "levels=((44, 256), (44, 256), (44, 256)))",
+        (A8, B8, ((44, 256),) * 3),
+        cascade.CascadeTrace(a=B8, b=A8, levels=((44, 256),) * 3),
     ),
     "CascadeResult": (
         cascade.CascadeResult(sum=BitVector(8, 44), carry=1, trace=TRACE),
         "CascadeResult(sum=BitVector(width=8, value=44), carry=1, trace=CascadeTrace("
         "a=BitVector(width=8, value=200), b=BitVector(width=8, value=100), "
-        "levels=((44, 256), (44, 256), (44, 256)), ticks=3))",
+        "levels=((44, 256), (44, 256), (44, 256))))",
         (BitVector(8, 44), 1, TRACE),
         cascade.CascadeResult(BitVector(8, 44), 0, TRACE),
     ),
@@ -73,21 +73,21 @@ CASES = {
     "StageRecord": (
         CSA,
         "StageRecord(kind=<StageKind.CSA_3_2: 'csa_3_2'>, rows_in=4, rows_out=3, left_out=1, "
-        "ticks=1, circuits_used=1)",
-        (StageKind.CSA_3_2, 4, 3, 1, 1, 1),
+        "circuits_used=1)",
+        (StageKind.CSA_3_2, 4, 3, 1, 1),
         LAST,
     ),
     "ScheduleReport": (
         REPORT,
-        f"ScheduleReport(stages=({CSA!r}, {LAST!r}), row_trajectory=(4, 3, 2), total_ticks=2)",
-        ((CSA, LAST), (4, 3, 2), 2),
-        multiplier.ScheduleReport((LAST,), (3, 2), 1),
+        f"ScheduleReport(stages=({CSA!r}, {LAST!r}))",
+        ((CSA, LAST),),
+        multiplier.ScheduleReport((LAST,)),
     ),
     "MultiplyResult": (
-        multiplier.MultiplyResult(product=BitVector(8, 63), ticks=5, report=REPORT),
-        f"MultiplyResult(product=BitVector(width=8, value=63), ticks=5, report={REPORT!r})",
-        (BitVector(8, 63), 5, REPORT),
-        multiplier.MultiplyResult(BitVector(8, 63), 6, REPORT),
+        multiplier.MultiplyResult(product=BitVector(8, 63), report=REPORT),
+        f"MultiplyResult(product=BitVector(width=8, value=63), report={REPORT!r})",
+        (BitVector(8, 63), REPORT),
+        multiplier.MultiplyResult(BitVector(8, 62), REPORT),
     ),
 }
 
