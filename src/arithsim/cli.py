@@ -14,8 +14,8 @@ rule `costs.check_width`. `add` and `mul` run its lane kernel at K = 1;
 `cmd_verify` and `_verify_batches` describe.
 
 `main` parses an argv once: one whose first word names a subcommand by that
-subcommand's parser, and any other argv (none, help, an unknown command or
-a leading option) by the top-level parser.
+subcommand's parser, less a bare trailing `--`, and any other argv (none,
+help, an unknown command or a leading option) by the top-level parser.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage error.
 """
@@ -327,8 +327,9 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         else:
             # what the top-level parser's subcommand action does, without
-            # first scanning the whole argv itself
-            args, extra = command.parse_known_args(argv[1:])
+            # first scanning the whole argv itself; a bare trailing `--` is
+            # dropped, which argparse refuses where a subcommand has no positionals
+            args, extra = command.parse_known_args(argv[1:-1] if argv[-1] == "--" else argv[1:])
             if extra:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
             args.command = argv[0]

@@ -34,8 +34,7 @@ products stay at it. `multiply` is its K = 1 call.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 
 from .bitvec import BitVector, ModelIntegrityError, Record, _set, check_operands, lane_mask
 from .bitvec import lane_stride, misfit, operand_width
@@ -75,7 +74,9 @@ class RowSet(Record):
     def __post_init__(self) -> None:
         rows, fit = self.rows, row_layout(self.width, self.lanes)[0]
         _set(self, "_total", sum(rows))
-        bits = reduce(or_, rows, 0)  # negative if any row is
+        bits = 0
+        for row in rows:
+            bits |= row  # negative if any row is
         if bits & fit == bits:
             return
         for index, row in enumerate(rows):  # name the first row that does not fit
@@ -238,7 +239,9 @@ def csa_stage(rows: RowSet) -> tuple[RowSet, StageRecord]:
     n = len(r)
     if n < 3:
         raise ValueError(f"a 3:2 stage needs at least three rows, got {n}")
-    out = [row for x, y, z in zip(r[0::3], r[1::3], r[2::3]) for row in csa(x, y, z, span)]
+    out = []
+    for x, y, z in zip(r[0::3], r[1::3], r[2::3]):
+        out += csa(x, y, z, span)
     out += r[n - n % 3 :]
     result = RowSet(rows.width, tuple(out), rows.lanes)
     if result.total() != rows.total():
@@ -306,9 +309,9 @@ def consolidate(rows: RowSet, schedule: Schedule) -> tuple[RowSet, ScheduleRepor
     """
     if len(rows) < 3:
         raise ValueError(f"consolidation needs at least three rows, got {len(rows)}")
-    stages = []
+    stages, only_3_2 = [], schedule is Schedule.A
     while (n := len(rows.rows)) > 2:
-        if schedule is Schedule.A or n == 3:
+        if only_3_2 or n == 3:
             rows, record = csa_stage(rows)
         elif n & (n - 1) == 0:
             rows, record = quantize_columns(rows, leave_out=1)

@@ -3,13 +3,15 @@
 Each is one of the paper's circuits written the slow way, gate by gate,
 segment by segment or entry by entry: the 16-entry pair-add lookup, one
 gate AND(i, j) of the carry-absorbing network and its complement segment,
-the segments applied one at a time, the one-tick add of 2**i, and the
-per-column counts a quantizer digitizes. The package runs none of them.
+the segments applied one at a time, the one-tick add of 2**i, the
+per-column counts a quantizer digitizes, and a one-pair multiplier written
+the same way: shifted rows, gate-level 3:2 triples and column-count
+quantizer stages under either schedule. The package runs none of them.
 """
 
 from arithsim.bitvec import BitVector, increment_mask
 from arithsim.flash import HalfAddState, ResolveResult
-from arithsim.multiplier import RowSet
+from arithsim.multiplier import Schedule, ScheduleReport, StageKind, StageRecord
 
 # 16-entry lookup programmed with two-bit addition: the table index packs the
 # operand bit pairs, the entry holds (two sum bits, carry). This stands in for
@@ -66,8 +68,43 @@ def increment_by_pow2(x: BitVector, i: int) -> ResolveResult:
     return ResolveResult(sum=BitVector(n + 1, result), ticks=1)
 
 
-def column_counts(rows: RowSet) -> tuple[int, ...]:
+def column_counts(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     """Per-column 1-bit counts, the quantity a quantizer stage digitizes."""
-    return tuple(
-        sum((row >> p) & 1 for row in rows.rows) for p in range(rows.width)
-    )
+    return tuple(sum((row >> p) & 1 for row in rows) for p in range(width))
+
+
+def reference_multiply(
+    a: int, b: int, n: int, schedule: Schedule
+) -> tuple[tuple[int, ...], ScheduleReport, int]:
+    """One pair of n-bit operands multiplied the slow way: the two rows left
+    after `schedule`'s stages, the stages' report and the product.
+
+    Row i is a << i where b_i is set, else a zero row. A 3:2 stage maps each
+    triple x, y, z, first to last, to x ^ y ^ z and the shifted majority,
+    and passes the stragglers through. A quantizer stage counts each column
+    of its consumed rows and puts bit q of column p's count at column p + q
+    of row q; schedule B leaves the last row out of a power-of-two count,
+    and finishes three rows with a 3:2 stage as schedule A does throughout.
+    """
+    width = 2 * n
+    rows = [(a << i) if b >> i & 1 else 0 for i in range(n)]
+    stages = []
+    while (count := len(rows)) > 2:
+        if schedule is Schedule.A or count == 3:
+            out = []
+            for t in range(0, count - 2, 3):
+                x, y, z = rows[t : t + 3]
+                out += [x ^ y ^ z, (x & y | x & z | y & z) << 1]
+            out += rows[count - count % 3 :]
+            stage = StageRecord(StageKind.CSA_3_2, count, len(out), count % 3, count // 3)
+        else:
+            left_out = int(count & (count - 1) == 0)
+            consumed = rows[: count - left_out]
+            counts = column_counts(consumed, width)
+            out = [sum((counts[p] >> q & 1) << (p + q) for p in range(width))
+                   for q in range(len(consumed).bit_length())]
+            out += rows[count - left_out :]
+            stage = StageRecord(StageKind.QUANTIZER, count, len(out), left_out, width)
+        rows = out
+        stages.append(stage)
+    return tuple(rows), ScheduleReport(tuple(stages)), rows[0] + rows[1]

@@ -22,6 +22,9 @@ weights under the parity's mask one wire up, and the double-width adder
 takes its carry-out wire from its layout. The parent forms pin these too:
 tick 2 on every small fire-word triple, and the pair-leaf network and the
 double-width tail at every half width up to 12.
+
+The multiplier's consolidation and one-pair multiply are held against
+`reference.reference_multiply`, row for row, stage for stage.
 """
 
 import dataclasses
@@ -46,6 +49,7 @@ from arithsim.bitvec import (
 )
 from arithsim.cascade import CascadeState, cascade_layout, level_masks
 from arithsim.multiplier import MULTIPLIER_WIDTHS
+from reference import reference_multiply
 
 WIDTHS = (8, 128)  # the narrow and the wide adder strides, 16 and 136 bits
 
@@ -483,7 +487,9 @@ def test_the_pair_leaf_weights_and_the_double_width_tail_are_the_parents(lanes, 
 
 def parent_results(width, a, b):
     """Every one-pair entry point's result on two `width`-bit operands, as
-    the parent kernels give it, by entry point."""
+    the parent kernels give it, by entry point; the multiplier's rows,
+    report and product come from `reference.reference_multiply`, which
+    shares no code with the package's stages."""
     A, B, results = BitVector(width, a), BitVector(width, b), {}
     if width >= 2 and width & (width - 1) == 0:
         levels = parent_cascade_lanes(a, b, width)
@@ -502,10 +508,11 @@ def parent_results(width, a, b):
         results["blocked_add"] = flash.ResolveResult(total, flash.BLOCKED_TICKS)
     if width in MULTIPLIER_WIDTHS:
         for schedule in multiplier.Schedule:
-            rows, report = multiplier.consolidate(
-                multiplier.partial_product_lanes(a, b, width), schedule)
-            product = BitVector(2 * width, parent_double_width_lanes(*rows.rows, width)[0])
-            results[f"multiply {schedule.value}"] = multiplier.MultiplyResult(product, report)
+            rows, report, product = reference_multiply(a, b, width, schedule)
+            results[f"consolidate {schedule.value}"] = (
+                multiplier.RowSet(2 * width, rows), report)
+            results[f"multiply {schedule.value}"] = multiplier.MultiplyResult(
+                BitVector(2 * width, product), report)
     return results
 
 
@@ -526,6 +533,8 @@ def entry_results(width, a, b):
         results["blocked_add"] = flash.blocked_add(A, B)
     if width in MULTIPLIER_WIDTHS:
         for schedule in multiplier.Schedule:
+            results[f"consolidate {schedule.value}"] = multiplier.consolidate(
+                multiplier.partial_products(A, B), schedule)
             results[f"multiply {schedule.value}"] = multiplier.multiply(A, B, schedule)
     return results
 
@@ -560,6 +569,20 @@ def test_fields_walks_every_record_down_to_its_ints():
     assert stage[0] is multiplier.StageRecord and stage[1]["rows_in"] == 4
     assert stage[1]["ticks"] == 1 and report[1]["row_trajectory"] == (4, 3, 2)
     assert report[1]["total_ticks"] == 2 and product["ticks"] == 5
+
+
+@pytest.mark.parametrize("schedule", list(multiplier.Schedule))
+@pytest.mark.parametrize("width", MULTIPLIER_WIDTHS)
+def test_the_reference_multiplier_gives_the_product_and_the_published_trajectories(
+        width, schedule, rng):
+    for a, b in [(0, 0), ((1 << width) - 1,) * 2] + [
+            (rng.getrandbits(width), rng.getrandbits(width)) for _ in range(20)]:
+        rows, report, product = reference_multiply(a, b, width, schedule)
+        assert len(rows) == 2 and product == a * b
+    if width == 64:
+        assert report.row_trajectory == {
+            multiplier.Schedule.A: (64, 43, 29, 20, 14, 10, 7, 5, 4, 3, 2),
+            multiplier.Schedule.B: (64, 7, 3, 2)}[schedule]
 
 
 @pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 64, 128])

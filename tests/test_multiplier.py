@@ -90,7 +90,7 @@ def test_csa_stage_row_counts():
 
 def test_column_counts_oracle():
     rows = rows_of(3, 0b011, 0b011, 0b100)
-    assert column_counts(rows) == (2, 2, 1)
+    assert column_counts(rows.rows, rows.width) == (2, 2, 1)
 
 
 def test_quantize_columns_example():
@@ -156,7 +156,7 @@ def test_quantize_columns_matches_column_count_oracle(n, data):
     ]
     rows = rows_of(width, *values)
     out, _ = quantize_columns(rows)
-    counts = column_counts(rows)
+    counts = column_counts(rows.rows, width)
     expected = []
     for q in range(n.bit_length()):
         row = sum(((counts[p] >> q) & 1) << (p + q) for p in range(width))
